@@ -49,7 +49,7 @@ from .coefficients import (
     SqueezingShifts,
     effective_coefficients,
 )
-from .config import RunConfig, canonical_json
+from .config import DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
 from .spectrum import SqueezedVacuumParams, spectral_m, spectral_n
 from .weakmeas import (
@@ -312,13 +312,8 @@ def build_parser() -> _Parser:
 
 # what --help advertises; the full resolved config lands in every output
 DEFAULT_SUMMARY = {
-    "bath": {"gamma": 1.0, "epsilon": 0.5, "phi": math.pi, "omega_L": 100.0},
-    "drive": {"Omega": 10.0, "Delta": 0.0},
-    "shifts": "asymptotic",
-    "schedule": {"n": 100},
-    "mode": "derived",
-    "tolerance": 1e-9,
-    "format": "csv",
+    key: DEFAULTS[key]
+    for key in ("bath", "drive", "shifts", "schedule", "mode", "tolerance", "format")
 }
 
 

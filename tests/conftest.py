@@ -7,10 +7,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for rep in terminalreporter.stats.get(outcome, []):
             nodeid = getattr(rep, "nodeid", "")
             if "test_acceptance" in nodeid and "criterion" in nodeid:
-                rows.append((nodeid.split("::")[-1], outcome))
+                rows.append((nodeid.split("::")[-1], outcome, rep.duration))
     if not rows:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
-    for name, outcome in sorted(rows):
+    for name, outcome, duration in sorted(rows):
         label = "PASS" if outcome == "passed" else "FAIL"
-        terminalreporter.write_line(f"{label}  {name}")
+        terminalreporter.write_line(f"{label}  {duration:7.2f} s  {name}")

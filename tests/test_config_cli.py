@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from squeezedzeno.cli import main
+from squeezedzeno.cli import build_parser, main
 from squeezedzeno.config import DEFAULTS, ConfigError, RunConfig, canonical_json
 
 
@@ -223,6 +223,23 @@ def test_cli_oracle_small_schedule(tmp_path, capsys):
     assert {r["rate"] for r in rates} == {"Gamma_pop", "Gamma_dec"}
     for r in rates:
         assert r["rel_error"] < 1e-6
+
+
+def test_cli_oracle_row_above_dim_cap_exits_2(tmp_path, capsys):
+    # the second row has dimension 161, above the configured cap of 100
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"oracle": {"schedule": [[40, 0.45], [80, 0.225]], "dim_cap": 100}}')
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "model dimension 161 exceeds the cap 100" in captured.err
+
+
+def test_help_epilog_matches_defaults():
+    header, summary = build_parser().epilog.split("\n", 1)
+    assert header.startswith("Defaults")
+    advertised = json.loads(summary)
+    assert advertised == {key: DEFAULTS[key] for key in advertised}
 
 
 def test_cli_version(capsys):

@@ -31,6 +31,7 @@ from squeezedzeno import (
     weak_value,
     zeno_time,
 )
+from squeezedzeno.weakmeas import _davies_spectrum
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -243,3 +244,43 @@ def test_davies_resource_cap():
     model = DaviesModel(Gamma=1.0, R=100, Delta_E=0.1)
     with pytest.raises(ResourceLimitError):
         davies_amplitude(model, 1.0, dim_cap=100)
+    with pytest.raises(ResourceLimitError):
+        davies_propagator_column(model, 1.0, dim_cap=100)
+
+
+def _dense_davies(model):
+    """Reference eigensystem: dense eigh of the arrowhead Hamiltonian."""
+    ladder = np.concatenate([np.arange(-model.R, 0), np.arange(1, model.R + 1)])
+    h = np.diag(np.concatenate([[0.0], ladder * model.Delta_E]))
+    h[0, 1:] = model.coupling
+    h[1:, 0] = model.coupling
+    return np.linalg.eigh(h)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        DaviesModel(Gamma=1.0, R=1, Delta_E=0.5),
+        DaviesModel(Gamma=1.0, R=30, Delta_E=0.5),
+        DaviesModel(Gamma=1.0, R=60, Delta_E=0.3),
+        DaviesModel(Gamma=1.0, R=500, Delta_E=0.04),
+        # c = Gamma / (pi Delta_E) << 1: every root sits just above a ladder level
+        DaviesModel(Gamma=0.01, R=60, Delta_E=1.0),
+        # c >> 1: the outermost roots lie far beyond the band edge
+        DaviesModel(Gamma=100.0, R=30, Delta_E=0.01),
+    ],
+    ids=["R1", "R30", "R60", "R500", "weak", "strong"],
+)
+def test_davies_secular_solve_matches_dense_eigh(model):
+    eigvals, eigvecs = _dense_davies(model)
+    ref_weights = eigvecs[0] ** 2
+    pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
+    np.testing.assert_allclose(model.Delta_E * (pole + offset), eigvals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
+    times = np.arange(0.0, 3.0 + 1e-9, 0.25) / model.Gamma
+    ref_amps = np.exp(-1j * np.outer(times, eigvals)) @ ref_weights
+    np.testing.assert_allclose(davies_amplitude(model, times), ref_amps, rtol=0, atol=1e-12)
+    for t in times[[1, -1]]:
+        ref_col = eigvecs @ (np.exp(-1j * eigvals * t) * eigvecs[0])
+        col = davies_propagator_column(model, t)
+        np.testing.assert_allclose(col, ref_col, rtol=0, atol=1e-12)
