@@ -40,16 +40,11 @@ from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .coefficients import DriveParams, EffectiveCoefficients
-from .errors import (
-    DegenerateFitError,
-    IllConditionedFitError,
-    InvalidParamsError,
-    StepFailureError,
-)
+from .errors import DegenerateFitError, IllConditionedFitError, InvalidParamsError
 
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -66,7 +61,8 @@ class BlochState:
     The basis is {|e>, |g>}; <sigma_z> = +1 is the excited state.  The
     state must lie in the Bloch ball, |<sigma_->|^2 <= (1 - sz^2)/4, up
     to a small tolerance; violations beyond it are reported as warnings
-    since they indicate integrator drift, not caller error.
+    since they indicate round-off on the ball's surface, not caller
+    error.
     """
 
     s_minus: complex
@@ -116,8 +112,9 @@ class DensityMatrix:
 
     Construction checks hermiticity and unit trace to 1e-12 and warns if
     an eigenvalue dips below -1e-10.  The squeezing terms saturate the
-    positivity boundary |M|^2 = N (N + 1), so transient tolerance-level
-    violations along trajectories are integrator artifacts, not bugs.
+    positivity boundary |M|^2 = N (N + 1), so trajectories can run along
+    it and round-off alone gives tolerance-level violations; they are
+    not bugs.
     """
 
     matrix: NDArray[np.complex128]
@@ -241,7 +238,7 @@ def bloch_generator(
     """Real affine form d(u, w, z)/dt = A (u, w, z) + b.
 
     Here u = 2 Re<sm>, w = 2 Im<sm>, z = <sz>.  Useful for steady
-    states, eigenvalue checks, and a cheap integration path.
+    states, eigenvalue checks, and the "bloch" propagation path.
     """
     g = coeffs.gamma
     a = 0.5 + coeffs.n_tilde
@@ -298,7 +295,7 @@ class Trajectory:
     """Sampled solution of the reduced dynamics.
 
     trace_error is |tr rho - 1| at each sample; identically zero when
-    the integration ran in Bloch (expectation-value) form, since that
+    the propagation ran in Bloch (expectation-value) form, since that
     parametrization has no trace degree of freedom.
     """
 
@@ -337,28 +334,23 @@ class Trajectory:
 InitialState = Union[BlochState, DensityMatrix]
 
 
-def _max_step(coeffs: EffectiveCoefficients, drive: DriveParams) -> float:
-    scale = max(
-        coeffs.gamma * abs(1.0 + 2.0 * coeffs.n_tilde), drive.omega_prime
-    )
-    if scale <= 0.0:
-        scale = coeffs.gamma
-    return 0.01 / scale
-
-
 def evolve(
     initial: InitialState,
     coeffs: EffectiveCoefficients,
     drive: DriveParams,
     t_span: tuple[float, float],
     *,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
     n_samples: int = 400,
     t_eval: Sequence[float] | None = None,
     method: str = "superoperator",
 ) -> Trajectory:
-    """Integrate the dynamics over t_span and sample the solution.
+    """Propagate the dynamics over t_span and sample the solution.
+
+    The generator G is constant in time, so each sample is the exact
+    solution exp(G (t - t_span[0])) y0, computed by scaling and squaring
+    (scipy.linalg.expm).  Samples are independent of each other, so no
+    error accumulates along the grid, and expm stays accurate at
+    exceptional points of G where an eigendecomposition would not.
 
     Parameters
     ----------
@@ -366,29 +358,33 @@ def evolve(
         BlochState or DensityMatrix at t_span[0].
     coeffs, drive:
         Generator inputs.
-    rtol, atol:
-        Local error control for the Runge-Kutta integrator.  The step
-        size is additionally capped at 0.01 / max(gamma (1+2N~), Omega')
-        so Rabi oscillations stay resolved.
     n_samples, t_eval:
-        Either an explicit sample grid or a uniform grid size.
+        Either an explicit sample grid or a uniform grid of n_samples >= 1
+        points.  An explicit grid must be non-empty, 1-D, finite,
+        non-decreasing and inside t_span.
     method:
-        "superoperator" integrates vec(rho) under the full generator
-        (default; exposes trace drift as a diagnostic), "bloch"
-        integrates the three real expectation values.
-
-    Raises
-    ------
-    StepFailureError
-        If the integrator cannot satisfy the error control.
+        "superoperator" propagates vec(rho) under the full 4x4 generator
+        (default; exposes trace drift as a diagnostic), "bloch" the real
+        expectation values (u, w, z, 1) under the homogeneous form
+        [[A, b], [0, 0]] of the affine Bloch generator.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0):
         raise InvalidParamsError(f"t_span end must exceed start, got {t_span}")
     if t_eval is None:
-        t_eval = np.linspace(t0, t1, int(n_samples))
+        if int(n_samples) < 1:
+            raise InvalidParamsError(f"n_samples must be >= 1, got {n_samples}")
+        t = np.linspace(t0, t1, int(n_samples))
     else:
-        t_eval = np.asarray(t_eval, dtype=float)
+        t = np.array(t_eval, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise InvalidParamsError(f"t_eval must be a non-empty 1-D grid, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise InvalidParamsError("t_eval must be finite")
+    if np.any(np.diff(t) < 0.0):
+        raise InvalidParamsError("t_eval must be non-decreasing")
+    if t[0] < t0 or t[-1] > t1:
+        raise InvalidParamsError(f"t_eval must lie inside t_span {t_span}")
 
     if isinstance(initial, DensityMatrix):
         bloch0 = initial.to_bloch()
@@ -401,46 +397,30 @@ def evolve(
             f"initial must be a BlochState or DensityMatrix, got {type(initial).__name__}"
         )
 
-    max_step = _max_step(coeffs, drive)
-
     if method == "superoperator":
-        lio = build_liouvillian(coeffs, drive).matrix
-
-        def rhs(_t: float, y: NDArray[np.complex128]) -> NDArray[np.complex128]:
-            return lio @ y
-
-        y0 = rho0.reshape(4, order="F").astype(complex)
-        sol = solve_ivp(
-            rhs, (t0, t1), y0, method="RK45", t_eval=t_eval,
-            rtol=rtol, atol=atol, max_step=max_step,
-        )
-        if not sol.success:
-            raise StepFailureError(f"integration failed: {sol.message}")
-        rhos = sol.y.reshape(2, 2, -1, order="F")
-        s_minus = rhos[0, 1, :]
-        s_z = (rhos[0, 0, :] - rhos[1, 1, :]).real
-        trace_error = np.abs(rhos[0, 0, :] + rhos[1, 1, :] - 1.0)
+        gen = build_liouvillian(coeffs, drive).matrix
+        y0 = rho0.reshape(4, order="F")
     elif method == "bloch":
         mat, aff = bloch_generator(coeffs, drive)
-
-        def rhs_real(_t: float, y: NDArray[np.float64]) -> NDArray[np.float64]:
-            return mat @ y + aff
-
-        y0 = np.array([2.0 * bloch0.s_minus.real, 2.0 * bloch0.s_minus.imag, bloch0.s_z])
-        sol = solve_ivp(
-            rhs_real, (t0, t1), y0, method="RK45", t_eval=t_eval,
-            rtol=rtol, atol=atol, max_step=max_step,
-        )
-        if not sol.success:
-            raise StepFailureError(f"integration failed: {sol.message}")
-        s_minus = 0.5 * (sol.y[0] + 1j * sol.y[1])
-        s_z = sol.y[2]
-        trace_error = np.zeros_like(sol.t)
+        gen = np.zeros((4, 4))
+        gen[:3, :3], gen[:3, 3] = mat, aff
+        y0 = np.array([2.0 * bloch0.s_minus.real, 2.0 * bloch0.s_minus.imag, bloch0.s_z, 1.0])
     else:
         raise InvalidParamsError(f"unknown method {method!r}")
 
+    y = (expm(gen * (t - t0)[:, None, None]) @ y0).T
+    if method == "superoperator":
+        # column-major vec(rho) = (rho_ee, rho_ge, rho_eg, rho_gg)
+        s_minus = y[2]
+        s_z = (y[0] - y[3]).real
+        trace_error = np.abs(y[0] + y[3] - 1.0)
+    else:
+        s_minus = 0.5 * (y[0] + 1j * y[1])
+        s_z = y[2]
+        trace_error = np.zeros_like(t)
+
     return Trajectory(
-        t=np.asarray(sol.t, dtype=float),
+        t=t,
         s_minus=np.asarray(s_minus, dtype=complex),
         s_z=np.asarray(s_z, dtype=float),
         trace_error=np.asarray(trace_error, dtype=float),

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Five subcommands expose the library: spectrum (squeezing spectra on a
-frequency grid), evolve (trajectory integration), timescales
+frequency grid), evolve (trajectory propagation), timescales
 (decay-rate and condition report for one parameter point), sweep (grid
 classification), and oracle (discrete-bath convergence study plus
 fit-versus-analytic rate checks).
@@ -150,7 +150,7 @@ def _initial_state(spec) -> BlochState:
 
 
 def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
-    """Integrate one trajectory and tabulate it."""
+    """Propagate one trajectory and tabulate it."""
     bath = cfg.bath()
     drive = cfg.drive()
     coeffs = effective_coefficients(bath, drive, cfg.shifts(bath, drive))
@@ -160,7 +160,6 @@ def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
         coeffs,
         drive,
         (0.0, ev["t_end"]),
-        rtol=cfg.tolerance,
         n_samples=ev["samples"],
         method=ev["method"],
     )
@@ -233,8 +232,7 @@ def _rate_comparisons(cfg: RunConfig) -> list[dict]:
             else quadrature_decay_rate(coeffs)
         )
         traj = evolve(
-            initial, coeffs, drive, (0.0, 3.0 / analytic),
-            rtol=1e-10, atol=1e-13, n_samples=600, method="bloch",
+            initial, coeffs, drive, (0.0, 3.0 / analytic), n_samples=600, method="bloch"
         )
         fitted = fit_decay_rate(traj, observable).rate
         rows.append({
@@ -291,7 +289,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     descriptions = {
         "spectrum": "tabulate N(omega) and M(omega) on a grid around the carrier",
-        "evolve": "integrate the master equation and emit the trajectory",
+        "evolve": "propagate the master equation and emit the trajectory",
         "timescales": "report decay rates, timescales, and coherence conditions",
         "sweep": "classify a parameter grid into coherence regimes",
         "oracle": "discrete-bath convergence study and rate-fit cross-checks",
@@ -305,15 +303,13 @@ def build_parser() -> _Parser:
                         help="condition mode for classification")
         sp.add_argument("--threads", type=int, metavar="N",
                         help="sweep parallelism (default $SQUEEZEDZENO_THREADS or 1)")
-        sp.add_argument("--tolerance", type=float, metavar="X",
-                        help="integrator relative tolerance")
     return parser
 
 
 # what --help advertises; the full resolved config lands in every output
 DEFAULT_SUMMARY = {
     key: DEFAULTS[key]
-    for key in ("bath", "drive", "shifts", "schedule", "mode", "tolerance", "format")
+    for key in ("bath", "drive", "shifts", "schedule", "mode", "format")
 }
 
 
@@ -343,7 +339,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "mode": args.mode,
                 "format": args.format,
                 "out": args.out,
-                "tolerance": args.tolerance,
             },
         )
         threads = _resolve_threads(args.threads)

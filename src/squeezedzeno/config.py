@@ -24,7 +24,6 @@ from .analysis import SweepGrid
 from .coefficients import DriveParams, SqueezingShifts
 from .errors import ConfigError, InvalidParamsError
 from .spectrum import SqueezedVacuumParams
-from .weakmeas import MeasurementSchedule
 
 DEFAULTS: dict[str, Any] = {
     "bath": {"gamma": 1.0, "epsilon": 0.5, "phi": math.pi, "omega_L": 100.0},
@@ -32,7 +31,6 @@ DEFAULTS: dict[str, Any] = {
     "shifts": "asymptotic",
     "schedule": {"n": 100},
     "mode": "derived",
-    "tolerance": 1e-9,
     "format": "csv",
     "out": None,
     "spectrum": {"x_min": -10.0, "x_max": 10.0, "points": 201},
@@ -197,9 +195,6 @@ def _normalize(cfg: dict) -> dict:
         for key in keys:
             cfg[section][key] = _as_int(cfg[section][key], f"{section}.{key}")
 
-    cfg["tolerance"] = _as_float(cfg["tolerance"], "tolerance")
-    if cfg["tolerance"] <= 0.0:
-        raise ConfigError("tolerance: must be > 0")
     if cfg["mode"] not in ("paper", "derived"):
         raise ConfigError(f"mode: must be 'paper' or 'derived', got {cfg['mode']!r}")
     if cfg["format"] not in ("csv", "json"):
@@ -224,20 +219,8 @@ def _normalize(cfg: dict) -> dict:
     else:
         raise ConfigError("shifts: must be a preset name or {delta_N, delta_M}")
 
-    sched = cfg["schedule"]
-    extra = set(sched) - {"n", "t_i", "t_f"}
-    if extra:
-        raise ConfigError(f"schedule: unknown keys {sorted(extra)}")
-    sched["n"] = _as_int(sched.get("n", DEFAULTS["schedule"]["n"]), "schedule.n")
-    if sched["n"] < 1:
+    if cfg["schedule"]["n"] < 1:
         raise ConfigError("schedule.n: must be >= 1")
-    if ("t_i" in sched) != ("t_f" in sched):
-        raise ConfigError("schedule: t_i and t_f must be given together")
-    if "t_i" in sched:
-        sched["t_i"] = _as_float(sched["t_i"], "schedule.t_i")
-        sched["t_f"] = _as_float(sched["t_f"], "schedule.t_f")
-        if not sched["t_f"] > sched["t_i"]:
-            raise ConfigError("schedule.t_f: must exceed schedule.t_i")
 
     if cfg["spectrum"]["points"] < 2:
         raise ConfigError("spectrum.points: must be >= 2")
@@ -361,15 +344,6 @@ class RunConfig:
             return SqueezingShifts.zero()
         return SqueezingShifts(**spec)
 
-    def schedule(self, bath: SqueezedVacuumParams) -> MeasurementSchedule:
-        spec = self.data["schedule"]
-        try:
-            if "t_i" in spec:
-                return MeasurementSchedule.from_window(spec["t_i"], spec["t_f"], spec["n"])
-            return MeasurementSchedule.from_carrier(bath.omega_L, spec["n"])
-        except InvalidParamsError as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
-
     @property
     def n_measurements(self) -> int:
         return self.data["schedule"]["n"]
@@ -377,10 +351,6 @@ class RunConfig:
     @property
     def mode(self) -> str:
         return self.data["mode"]
-
-    @property
-    def tolerance(self) -> float:
-        return self.data["tolerance"]
 
     @property
     def out(self) -> str | None:

@@ -52,9 +52,5 @@ class EmptyGridError(SqueezedZenoError, ValueError):
     """A sweep grid contains no points."""
 
 
-class StepFailureError(SqueezedZenoError, RuntimeError):
-    """The trajectory integrator could not meet its error tolerance."""
-
-
 class ConfigError(SqueezedZenoError, ValueError):
     """A run configuration is malformed; the message names the key."""

@@ -141,8 +141,6 @@ def test_criterion_03_decay_rate_fits():
             drive,
             (0.0, 3.0 / rate),
             n_samples=400,
-            rtol=1e-11,
-            atol=1e-14,
             method="bloch",
         )
         fit = fit_decay_rate(traj, observable="sigma_x")
@@ -159,8 +157,6 @@ def test_criterion_03_decay_rate_fits():
             drive0,
             (0.0, 3.0 / rate0),
             n_samples=400,
-            rtol=1e-11,
-            atol=1e-14,
             method="bloch",
         )
         fit0 = fit_decay_rate(traj0, observable="sigma_z")

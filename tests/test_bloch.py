@@ -1,10 +1,17 @@
 """Tests for the master-equation superoperator and Bloch dynamics."""
 
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import squeezedzeno
 from squeezedzeno import (
     BlochState,
     DegenerateFitError,
@@ -98,9 +105,7 @@ def test_vacuum_decay_closed_form():
     bath = SqueezedVacuumParams(1.0, 0.0, 0.0, 100.0)
     drive = DriveParams(Omega=0.0, Delta=0.0)
     coeffs = effective_coefficients(bath, drive)
-    traj = evolve(
-        BlochState.excited(), coeffs, drive, (0.0, 5.0), n_samples=100, rtol=1e-10, atol=1e-13
-    )
+    traj = evolve(BlochState.excited(), coeffs, drive, (0.0, 5.0), n_samples=100)
     expected = 2.0 * np.exp(-traj.t) - 1.0
     np.testing.assert_allclose(traj.s_z, expected, atol=1e-8)
     np.testing.assert_allclose(np.abs(traj.s_minus), 0.0, atol=1e-12)
@@ -149,8 +154,6 @@ def test_slow_quadrature_decouples_at_pi():
         DRIVE,
         (0.0, 3.0),
         n_samples=200,
-        rtol=1e-11,
-        atol=1e-13,
         method="bloch",
     )
     fit = fit_decay_rate(traj, observable="sigma_x")
@@ -159,7 +162,7 @@ def test_slow_quadrature_decouples_at_pi():
 
 
 def test_evolve_methods_agree():
-    kwargs = dict(n_samples=50, rtol=1e-10, atol=1e-13)
+    kwargs = dict(n_samples=50)
     t_span = (0.0, 2.0)
     sup = evolve(BlochState.excited(), COEFFS, DRIVE, t_span, **kwargs)
     blo = evolve(BlochState.excited(), COEFFS, DRIVE, t_span, method="bloch", **kwargs)
@@ -170,9 +173,7 @@ def test_evolve_methods_agree():
 
 
 def test_evolve_frozen_sample():
-    traj = evolve(
-        BlochState.excited(), COEFFS, DRIVE, (0.0, 1.0), n_samples=5, rtol=1e-10, atol=1e-13
-    )
+    traj = evolve(BlochState.excited(), COEFFS, DRIVE, (0.0, 1.0), n_samples=5)
     np.testing.assert_allclose(traj.t, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
     assert traj.s_z[0] == 1.0
     assert traj.s_z[2] == pytest.approx(-0.00662008245, abs=1e-7)
@@ -194,6 +195,125 @@ def test_evolve_explicit_grid_and_accessors():
     np.testing.assert_allclose(sy, -2.0 * traj.s_minus.imag, atol=1e-15)
     with pytest.raises(InvalidParamsError):
         traj.observable("sigma_q")
+
+
+# RK45 reference with tight tolerances and the step cap
+# 0.01 / max(gamma (1 + 2 N~), Omega'); on the draws below it agrees with
+# exact propagation to ~2e-14
+REFERENCE_ATOL = 1e-11
+
+
+def rk45_reference(initial, coeffs, drive, t_span, t_eval):
+    """(u, w, z) at t_eval from RK45 on the affine Bloch equations."""
+    mat, aff = bloch_generator(coeffs, drive)
+    scale = max(coeffs.gamma * abs(1.0 + 2.0 * coeffs.n_tilde), drive.omega_prime)
+    y0 = [2.0 * initial.s_minus.real, 2.0 * initial.s_minus.imag, initial.s_z]
+    sol = solve_ivp(
+        lambda _t, y: mat @ y + aff, t_span, y0, method="RK45", t_eval=t_eval,
+        rtol=1e-12, atol=1e-14, max_step=0.01 / scale,
+    )
+    assert sol.success
+    return sol.y
+
+
+def bloch_vectors(traj):
+    return np.array([2.0 * traj.s_minus.real, 2.0 * traj.s_minus.imag, traj.s_z])
+
+
+@pytest.mark.parametrize("method", ["superoperator", "bloch"])
+def test_evolve_matches_rk45_reference_on_irregular_grid(method):
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        coeffs = random_coefficients(rng)
+        drive = DriveParams(Omega=rng.uniform(0.0, 10.0), Delta=rng.normal())
+        initial = random_state(rng)
+        t_span = (rng.uniform(-1.0, 1.0), rng.uniform(2.0, 3.0))
+        t_eval = np.concatenate(([t_span[0]], np.sort(rng.uniform(*t_span, 37)), [t_span[1]]))
+        ref = rk45_reference(initial, coeffs, drive, t_span, t_eval)
+        traj = evolve(initial, coeffs, drive, t_span, t_eval=t_eval, method=method)
+        np.testing.assert_array_equal(traj.t, t_eval)
+        np.testing.assert_allclose(bloch_vectors(traj), ref, rtol=0, atol=REFERENCE_ATOL)
+
+
+# |M~| = |delta| makes the undriven quadrature block -gamma (1/2 + N~) I + N
+# with N nilpotent and nonzero (the off-diagonals are -gamma (delta + Im M~)
+# and gamma (delta - Im M~)): a Jordan block with one degenerate rate
+EP_COEFFS = EffectiveCoefficients(
+    gamma=1.3, n_tilde=0.4, m_tilde=complex(0.3, 0.4), delta=0.5, beta=0.0j
+)
+EP_STATE = BlochState(complex(0.3, -0.2), 0.4)
+
+
+@pytest.mark.parametrize("method", ["superoperator", "bloch"])
+@pytest.mark.parametrize("omega", [0.0, 3.0])
+def test_evolve_at_exceptional_point_matches_rk45_reference(method, omega):
+    drive = DriveParams(Omega=omega, Delta=0.0)
+    rates = quadrature_effective_rates(EP_COEFFS)
+    assert rates[0] == pytest.approx(rates[1], abs=1e-7)
+    t_eval = np.linspace(0.0, 4.0, 41)
+    ref = rk45_reference(EP_STATE, EP_COEFFS, drive, (0.0, 4.0), t_eval)
+    traj = evolve(EP_STATE, EP_COEFFS, drive, (0.0, 4.0), t_eval=t_eval, method=method)
+    np.testing.assert_allclose(bloch_vectors(traj), ref, rtol=0, atol=REFERENCE_ATOL)
+
+
+@pytest.mark.parametrize("method", ["superoperator", "bloch"])
+def test_evolve_at_exceptional_point_matches_jordan_closed_form(method):
+    # undriven quadratures: (u, w)(t) = e^{lambda t} (I + N t) (u, w)(0)
+    drive = DriveParams(Omega=0.0, Delta=0.0)
+    mat, _ = bloch_generator(EP_COEFFS, drive)
+    lam = -EP_COEFFS.gamma * (0.5 + EP_COEFFS.n_tilde)
+    nil = mat[:2, :2] - lam * np.eye(2)
+    assert np.abs(nil).max() > 0.1
+    assert np.abs(nil @ nil).max() < 1e-15
+    t = np.linspace(0.0, 6.0, 25)
+    uw0 = np.array([2.0 * EP_STATE.s_minus.real, 2.0 * EP_STATE.s_minus.imag])
+    expected = np.exp(lam * t) * (uw0[:, None] + np.outer(nil @ uw0, t))
+    traj = evolve(EP_STATE, EP_COEFFS, drive, (0.0, 6.0), t_eval=t, method=method)
+    np.testing.assert_allclose(bloch_vectors(traj)[:2], expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("method", ["superoperator", "bloch"])
+def test_evolve_long_horizon_is_exact_and_fast(method):
+    # under the step cap of rk45_reference this horizon takes ~1e7 steps
+    start = time.perf_counter()
+    traj = evolve(BlochState.excited(), COEFFS, DRIVE, (0.0, 1e4), n_samples=3, method=method)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f} s, budget 1 s"
+    ss = steady_state(COEFFS, DRIVE)
+    assert traj.s_z[-1] == pytest.approx(ss.s_z, abs=1e-12)
+    assert traj.s_minus[-1] == pytest.approx(ss.s_minus, abs=1e-12)
+    assert np.abs(traj.trace_error).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param({"t_eval": []}, id="empty"),
+        pytest.param({"t_eval": [[0.0, 0.5]]}, id="not-1d"),
+        pytest.param({"t_eval": [0.0, float("nan")]}, id="nan"),
+        pytest.param({"t_eval": [0.0, float("inf")]}, id="inf"),
+        pytest.param({"t_eval": [0.0, 0.6, 0.3]}, id="decreasing"),
+        pytest.param({"t_eval": [-0.1, 0.5]}, id="before-start"),
+        pytest.param({"t_eval": [0.5, 1.5]}, id="after-end"),
+        pytest.param({"n_samples": 0}, id="no-samples"),
+        pytest.param({"n_samples": -1}, id="negative-samples"),
+    ],
+)
+def test_evolve_rejects_bad_sample_grid(grid):
+    with pytest.raises(InvalidParamsError):
+        evolve(BlochState.excited(), COEFFS, DRIVE, (0.0, 1.0), **grid)
+
+
+def test_package_import_leaves_out_the_ode_integrator():
+    # propagation is exact, so nothing in the package needs scipy.integrate
+    src = str(Path(squeezedzeno.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, squeezedzeno; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_fit_exponential_recovers_synthetic_rate():

@@ -56,6 +56,7 @@ def test_value_validation(tmp_path):
         '{"format": "xml"}',
         '{"tolerance": 0.0}',
         '{"schedule": {"n": 0}}',
+        '{"schedule": {"n": 5, "t_i": 0.0, "t_f": 1.0}}',
         '{"evolve": {"initial": "sideways"}}',
         '{"spectrum": {"points": 1}}',
     ):
