@@ -12,8 +12,7 @@ factor of two in the Re M~ term; both are implemented side by side:
     derived:  2 Re M~ <= 1 + 2 N~      (literal quotient of timescales)
     paper:    4 Re M~ <= 1 + 2 N~      (as printed in the reduction)
 
-Neither mode is silently preferred: classification defaults to
-"derived" and every report carries both.
+Neither mode is preferred: every report carries both.
 
 For the asymptotic shift preset the "paper" inequality can be recast in
 angular form.  With theta = atan2(|M(omega_L + Omega')|, Delta~ delta_M)
@@ -29,14 +28,16 @@ comparison collapses further to the sufficient-condition margin
     Delta tan(pi Delta / Omega) - (gamma^2 - epsilon^2) / (2 gamma) >= 0,
 
 which is what the grid classifier reports per point.
+
+evaluate_regime is the one per-point kernel: the timescales report and
+every sweep row are built from its RegimeVerdict.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -53,6 +54,7 @@ from .errors import (
     EmptyGridError,
     InvalidParamsError,
     SingularDenominatorError,
+    SqueezedZenoError,
     TangentSingularityError,
     UnphysicalCoefficientsError,
 )
@@ -133,7 +135,8 @@ def angular_condition(
     dt = drive.delta_tilde
     m1 = spectral_m_abs(bath, bath.omega_L + drive.omega_prime)
     n1 = spectral_n(bath, bath.omega_L + drive.omega_prime)
-    magnitude = math.hypot(dt * shifts.delta_M, m1)
+    x = dt * shifts.delta_M
+    magnitude = math.hypot(x, m1)
     if magnitude == 0.0:
         return 0.0, True
     ups_re = upsilon(bath, drive).real
@@ -143,8 +146,8 @@ def angular_condition(
             f"angular-condition denominator is {denominator:.3g}; "
             f"the reduction is singular at these parameters"
         )
-    theta = angular_theta(bath, drive, shifts)
-    lhs = magnitude * math.sin(theta - bath.phi) / denominator
+    # theta as in angular_theta; x and m1 are not both zero here
+    lhs = magnitude * math.sin(math.atan2(m1, x) - bath.phi) / denominator
     return float(lhs), bool(lhs <= 0.25)
 
 
@@ -189,19 +192,31 @@ def sufficient_condition_margin(
 
 @dataclass(frozen=True)
 class RegimeVerdict:
-    """Single-point classification summary.
+    """Everything reported for one parameter point, in report order.
 
-    ratio is tau_zeno / tau_dec in the selected mode; both condition
-    booleans are always present.  theta and angular_lhs document the
-    angular reduction; sufficient_margin the phase-locked criterion.
+    Both ratios and both condition booleans are always present.  theta
+    and angular_lhs document the angular reduction, sufficient_margin
+    the phase-locked criterion.  A singular angular denominator or a
+    margin pole leaves that field NaN and is kept in errors as
+    (label, exception), label "angular" or "margin", in evaluation order.
     """
 
-    ratio: float
-    condition_paper: bool
-    condition_derived: bool
-    angular_lhs: float
+    Gamma_dec: float
+    Gamma_pop: float
+    tau_dec: float
+    tau_zeno: float
+    ratio_derived: float
+    ratio_paper: float
+    cond_derived: bool
+    cond_paper: bool
     theta: float
+    angular_lhs: float
     sufficient_margin: float
+    errors: tuple[tuple[str, SqueezedZenoError], ...]
+
+    def report(self) -> dict:
+        """The reported quantities by name, in field order (errors left out)."""
+        return {name: getattr(self, name) for name in _REPORTED}
 
 
 def evaluate_regime(
@@ -209,48 +224,58 @@ def evaluate_regime(
     drive: DriveParams,
     n: int,
     *,
-    mode: str = "derived",
     shifts: SqueezingShifts | None = None,
 ) -> RegimeVerdict:
-    """Full verdict at one parameter point.
+    """Full verdict at one parameter point; the one per-point kernel.
 
     Shifts default to the asymptotic preset.  Raises
     UnphysicalCoefficientsError where the effective description breaks
-    down and TangentSingularityError on tangent poles of the margin.
+    down and InvalidParamsError when Gamma_dec <= 0: |M~| above the
+    positivity bound turns the slow quadrature into a growing mode, and
+    there is no decay time to compare.  Angular and margin singularities
+    are recorded in RegimeVerdict.errors instead of raised.
     """
-    _check_mode(mode)
     if shifts is None:
         shifts = SqueezingShifts.asymptotic(bath, drive)
     coeffs = effective_coefficients(bath, drive, shifts)
-    lhs, _holds = angular_condition(bath, drive, shifts)
+    g_dec = quadrature_decay_rate(coeffs)
+    if g_dec <= 0.0:
+        raise InvalidParamsError(f"nonpositive quadrature decay rate ({g_dec:.6g})")
+    # kept without traceback: it would hold this frame, and with it errors,
+    # in a reference cycle that outlives the sweep row
+    errors = []
+    try:
+        lhs, _holds = angular_condition(bath, drive, shifts)
+    except SingularDenominatorError as exc:
+        lhs = math.nan
+        errors.append(("angular", exc.with_traceback(None)))
+    try:
+        margin = sufficient_condition_margin(bath, drive)
+    except (TangentSingularityError, InvalidParamsError) as exc:
+        margin = math.nan
+        errors.append(("margin", exc.with_traceback(None)))
+    omega_L = bath.omega_L
     return RegimeVerdict(
-        ratio=timescale_ratio(coeffs, bath.omega_L, n, mode),
-        condition_paper=sustainable_condition(coeffs, "paper"),
-        condition_derived=sustainable_condition(coeffs, "derived"),
-        angular_lhs=lhs,
+        Gamma_dec=g_dec,
+        Gamma_pop=population_decay_rate(coeffs),
+        tau_dec=decoherence_time(coeffs, omega_L, n),
+        tau_zeno=zeno_time(coeffs, omega_L, n),
+        ratio_derived=timescale_ratio(coeffs, omega_L, n, "derived"),
+        ratio_paper=timescale_ratio(coeffs, omega_L, n, "paper"),
+        cond_derived=sustainable_condition(coeffs, "derived"),
+        cond_paper=sustainable_condition(coeffs, "paper"),
         theta=angular_theta(bath, drive, shifts),
-        sufficient_margin=sufficient_condition_margin(bath, drive),
+        angular_lhs=lhs,
+        sufficient_margin=margin,
+        errors=tuple(errors),
     )
 
 
+_REPORTED = tuple(f.name for f in fields(RegimeVerdict))[:-1]
+
 SWEEP_COLUMNS = (
-    "gamma",
-    "epsilon",
-    "Delta",
-    "Omega",
-    "phi",
-    "omega_L",
-    "n",
-    "Gamma_dec",
-    "Gamma_pop",
-    "tau_dec",
-    "tau_zeno",
-    "ratio_derived",
-    "ratio_paper",
-    "cond_derived",
-    "cond_paper",
-    "angular_lhs",
-    "sufficient_margin",
+    "gamma", "epsilon", "Delta", "Omega", "phi", "omega_L", "n",
+    *(name for name in _REPORTED if name != "theta"),
     "status",
 )
 
@@ -313,7 +338,7 @@ class SweepGrid:
             raise EmptyGridError("grid axis 'n' is empty")
         cleaned = []
         for v in n_values:
-            if int(v) != v or int(v) < 1:
+            if not (math.isfinite(v) and int(v) == v and v >= 1):
                 raise InvalidParamsError(f"n grid entries must be positive integers, got {v}")
             cleaned.append(int(v))
         object.__setattr__(self, "n", tuple(cleaned))
@@ -347,76 +372,27 @@ class SweepGrid:
         )
 
 
-def _sweep_point(point: tuple, mode: str) -> SweepRow:
+# the verdict columns of a skipped row
+_SKIPPED = (math.nan,) * 6 + (None, None, math.nan, math.nan)
+
+
+def _sweep_point(point: tuple) -> SweepRow:
     gamma, epsilon, Delta, Omega, phi, omega_L, n = point
-    nan = math.nan
     try:
         bath = SqueezedVacuumParams(gamma, epsilon, phi, omega_L)
-        drive = DriveParams(Omega, Delta)
-        shifts = SqueezingShifts.asymptotic(bath, drive)
-        coeffs = effective_coefficients(bath, drive, shifts)
+        verdict = evaluate_regime(bath, DriveParams(Omega, Delta), n)
     except (InvalidParamsError, UnphysicalCoefficientsError) as exc:
-        return SweepRow(
-            gamma, epsilon, Delta, Omega, phi, omega_L, n,
-            nan, nan, nan, nan, nan, nan, None, None, nan, nan,
-            status=f"skipped: {exc}",
-        )
-
-    g_dec = quadrature_decay_rate(coeffs)
-    if g_dec <= 0.0:
-        # |M~| above the positivity bound turns the slow quadrature into
-        # a growing mode; there is no decay time to compare
-        return SweepRow(
-            gamma, epsilon, Delta, Omega, phi, omega_L, n,
-            nan, nan, nan, nan, nan, nan, None, None, nan, nan,
-            status=f"skipped: nonpositive quadrature decay rate ({g_dec:.6g})",
-        )
-
-    notes = []
-    try:
-        lhs, _ = angular_condition(bath, drive, shifts)
-    except SingularDenominatorError as exc:
-        lhs = nan
-        notes.append(f"angular: {exc}")
-    try:
-        margin = sufficient_condition_margin(bath, drive)
-    except (TangentSingularityError, InvalidParamsError) as exc:
-        margin = nan
-        notes.append(f"margin: {exc}")
-
-    return SweepRow(
-        gamma, epsilon, Delta, Omega, phi, omega_L, n,
-        Gamma_dec=g_dec,
-        Gamma_pop=population_decay_rate(coeffs),
-        tau_dec=decoherence_time(coeffs, omega_L, n),
-        tau_zeno=zeno_time(coeffs, omega_L, n),
-        ratio_derived=timescale_ratio(coeffs, omega_L, n, "derived"),
-        ratio_paper=timescale_ratio(coeffs, omega_L, n, "paper"),
-        cond_derived=sustainable_condition(coeffs, "derived"),
-        cond_paper=sustainable_condition(coeffs, "paper"),
-        angular_lhs=lhs,
-        sufficient_margin=margin,
-        status="ok" if not notes else "partial: " + "; ".join(notes),
-    )
+        return SweepRow(*point, *_SKIPPED, status=f"skipped: {exc}")
+    notes = "; ".join(f"{label}: {exc}" for label, exc in verdict.errors)
+    values = (getattr(verdict, name) for name in SWEEP_COLUMNS[7:-1])
+    return SweepRow(*point, *values, status="partial: " + notes if notes else "ok")
 
 
-def regime_sweep(
-    grid: SweepGrid, mode: str = "derived", threads: int = 1
-) -> list[SweepRow]:
+def regime_sweep(grid: SweepGrid) -> list[SweepRow]:
     """Classify every grid point; rows come back in grid order.
 
-    Points are independent, so evaluation parallelizes over a thread
-    pool of the requested width; the assembly preserves the enumeration
-    order regardless of thread count, keeping output deterministic.
-    Invalid points are emitted as skipped rows rather than aborting the
-    sweep.
+    Points run one after another: the work is pure Python, so a thread
+    pool only adds overhead.  Invalid points are emitted as skipped rows
+    rather than aborting the sweep.
     """
-    _check_mode(mode)
-    if grid.size == 0:
-        raise EmptyGridError("sweep grid has no points")
-    if threads < 1:
-        raise InvalidParamsError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        return [_sweep_point(p, mode) for p in grid.points()]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: _sweep_point(p, mode), grid.points()))
+    return [_sweep_point(p) for p in grid.points()]

@@ -28,15 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    SWEEP_COLUMNS,
-    angular_condition,
-    angular_theta,
-    regime_sweep,
-    sufficient_condition_margin,
-    sustainable_condition,
-    timescale_ratio,
-)
+from .analysis import SWEEP_COLUMNS, evaluate_regime, regime_sweep
 from .bloch import (
     BlochState,
     evolve,
@@ -52,13 +44,7 @@ from .coefficients import (
 from .config import DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
 from .spectrum import SqueezedVacuumParams, spectral_m, spectral_n
-from .weakmeas import (
-    DaviesModel,
-    davies_max_deviation,
-    davies_propagator_column,
-    decoherence_time,
-    zeno_time,
-)
+from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
 
 TOOL = f"squeezedzeno {__version__}"
 
@@ -179,35 +165,24 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
     """Report rates, timescales, ratios, and all conditions for one point."""
     bath = cfg.bath()
     drive = cfg.drive()
-    n = cfg.n_measurements
     try:
-        shifts = cfg.shifts(bath, drive)
-        coeffs = effective_coefficients(bath, drive, shifts)
-        lhs, _holds = angular_condition(bath, drive, shifts)
-        result = {
-            "Gamma_dec": quadrature_decay_rate(coeffs),
-            "Gamma_pop": population_decay_rate(coeffs),
-            "tau_dec": decoherence_time(coeffs, bath.omega_L, n),
-            "tau_zeno": zeno_time(coeffs, bath.omega_L, n),
-            "ratio_derived": timescale_ratio(coeffs, bath.omega_L, n, "derived"),
-            "ratio_paper": timescale_ratio(coeffs, bath.omega_L, n, "paper"),
-            "cond_derived": sustainable_condition(coeffs, "derived"),
-            "cond_paper": sustainable_condition(coeffs, "paper"),
-            "theta": angular_theta(bath, drive, shifts),
-            "angular_lhs": lhs,
-            "sufficient_margin": sufficient_condition_margin(bath, drive),
-        }
+        verdict = evaluate_regime(
+            bath, drive, cfg.n_measurements, shifts=cfg.shifts(bath, drive)
+        )
+        if verdict.errors:
+            raise verdict.errors[0][1]
     except SqueezedZenoError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         return _json_document(cfg, error), 2
+    result = verdict.report()
     if cfg.format == "json":
         return _json_document(cfg, result), 0
     return _csv_document(cfg, tuple(result), [tuple(result.values())]), 0
 
 
-def cmd_sweep(cfg: RunConfig, threads: int) -> tuple[str, int]:
+def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Classify the configured grid; skipped points stay in the table."""
-    rows = regime_sweep(cfg.sweep_grid(), cfg.mode, threads)
+    rows = regime_sweep(cfg.sweep_grid())
     return _tabular(cfg, SWEEP_COLUMNS, [r.as_tuple() for r in rows]), 0
 
 
@@ -300,9 +275,11 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
         sp.add_argument("--mode", choices=["paper", "derived"],
-                        help="condition mode for classification")
+                        help="recorded in the provenance only; both ratios and "
+                        "both conditions are always reported")
         sp.add_argument("--threads", type=int, metavar="N",
-                        help="sweep parallelism (default $SQUEEZEDZENO_THREADS or 1)")
+                        help="accepted and validated (default $SQUEEZEDZENO_THREADS "
+                        "or 1); sweeps run on one thread")
     return parser
 
 
@@ -313,7 +290,8 @@ DEFAULT_SUMMARY = {
 }
 
 
-def _resolve_threads(flag_value: int | None) -> int:
+def _check_threads(flag_value: int | None) -> None:
+    """Validate --threads / $SQUEEZEDZENO_THREADS; neither changes the work."""
     if flag_value is not None:
         threads = flag_value
     else:
@@ -326,7 +304,6 @@ def _resolve_threads(flag_value: int | None) -> int:
             ) from None
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -341,7 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "out": args.out,
             },
         )
-        threads = _resolve_threads(args.threads)
+        _check_threads(args.threads)
         if args.command == "spectrum":
             content, code = cmd_spectrum(cfg)
         elif args.command == "evolve":
@@ -349,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "timescales":
             content, code = cmd_timescales(cfg)
         elif args.command == "sweep":
-            content, code = cmd_sweep(cfg, threads)
+            content, code = cmd_sweep(cfg)
         else:
             content, code = cmd_oracle(cfg)
         if cfg.out is None:

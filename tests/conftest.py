@@ -1,5 +1,22 @@
 """Shared pytest hooks: a per-criterion summary for the acceptance suite."""
 
+import pytest
+
+
+@pytest.fixture
+def time_budget(record_property):
+    """Declare a criterion's time budget in seconds; returns it.
+
+    The value is recorded on the test report, so the summary below
+    prints the same budget the test asserts against.
+    """
+
+    def declare(seconds: float) -> float:
+        record_property("budget_s", seconds)
+        return seconds
+
+    return declare
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     rows = []
@@ -7,10 +24,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for rep in terminalreporter.stats.get(outcome, []):
             nodeid = getattr(rep, "nodeid", "")
             if "test_acceptance" in nodeid and "criterion" in nodeid:
-                rows.append((nodeid.split("::")[-1], outcome, rep.duration))
+                budget = dict(rep.user_properties).get("budget_s")
+                rows.append((nodeid.split("::")[-1], outcome, rep.duration, budget))
     if not rows:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
-    for name, outcome, duration in sorted(rows):
+    for name, outcome, duration, budget in sorted(rows):
         label = "PASS" if outcome == "passed" else "FAIL"
-        terminalreporter.write_line(f"{label}  {duration:7.2f} s  {name}")
+        limit = "      -" if budget is None else f"{budget:7g}"
+        terminalreporter.write_line(f"{label}  {duration:7.2f} s of {limit} s  {name}")

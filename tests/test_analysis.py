@@ -1,5 +1,6 @@
 """Tests for the regime classification and sweep machinery."""
 
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from squeezedzeno import (
     timescale_ratio,
     upsilon,
 )
+from squeezedzeno.cli import main
 
 BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
 DRIVE = DriveParams(Omega=10.0, Delta=0.0)
@@ -179,10 +181,12 @@ def test_sufficient_margin_singularities():
 
 
 def test_evaluate_regime_bundles_everything():
-    verdict = evaluate_regime(BATH, DRIVE, 100, mode="derived")
-    assert verdict.ratio == pytest.approx(0.35624344176285416, rel=1e-13)
-    assert verdict.condition_derived is True
-    assert verdict.condition_paper is True
+    verdict = evaluate_regime(BATH, DRIVE, 100)
+    assert verdict.ratio_derived == pytest.approx(0.35624344176285416, rel=1e-13)
+    assert verdict.ratio_paper == pytest.approx(0.06942987058412031, rel=1e-13)
+    assert verdict.cond_derived is True
+    assert verdict.cond_paper is True
+    assert verdict.errors == ()
     assert verdict.theta == pytest.approx(math.pi / 2, rel=1e-15)
     assert verdict.angular_lhs == pytest.approx(-0.0007615498196960288, rel=1e-12)
     assert verdict.sufficient_margin == pytest.approx(-0.375, rel=1e-14)
@@ -212,6 +216,9 @@ def test_sweep_grid_validation():
         SweepGrid((), (0.5,), (0.0,), (10.0,), (0.0,), (100.0,), (10,))
     with pytest.raises(InvalidParamsError):
         SweepGrid((1.0,), (0.5,), (0.0,), (10.0,), (0.0,), (100.0,), (0,))
+    for bad_n in (math.inf, math.nan):
+        with pytest.raises(InvalidParamsError):
+            SweepGrid((1.0,), (0.5,), (0.0,), (10.0,), (0.0,), (100.0,), (bad_n,))
     with pytest.raises(InvalidParamsError):
         SweepGrid.from_mapping({"gamma": 1.0})
     with pytest.raises(InvalidParamsError):
@@ -268,13 +275,64 @@ def test_sweep_row_tuple_matches_columns():
     assert tup[-1] == "ok"
 
 
-def test_sweep_threads_do_not_change_results():
-    grid = SweepGrid.from_mapping(
-        dict(gamma=1.0, epsilon=[0.0, 0.3, 0.5], Delta=[0.0, 1.0],
-             Omega=10.0, phi=[0.0, math.pi], omega_L=100.0, n=100)
+def _timescales(tmp_path, capsys, fmt, bath, drive, n):
+    """Run the timescales subcommand at one point; (exit code, parsed result)."""
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({
+        "bath": {"gamma": bath.gamma, "epsilon": bath.epsilon, "phi": bath.phi,
+                 "omega_L": bath.omega_L},
+        "drive": {"Omega": drive.Omega, "Delta": drive.Delta},
+        "schedule": {"n": n},
+    }))
+    code = main(["timescales", "--format", fmt, "--config", str(cfg)])
+    out = capsys.readouterr().out
+    # an error document is JSON in either format
+    result = json.loads(out)["result"] if fmt == "json" or code != 0 else out
+    return code, result
+
+
+def test_growing_coherence_point_agrees_everywhere(tmp_path, capsys):
+    # |M~| above the positivity bound makes the slow quadrature grow
+    # (Gamma_dec < 0): every surface reports the same error
+    bath = SqueezedVacuumParams(gamma=1.0, epsilon=0.9, phi=1.5, omega_L=100.0)
+    drive = DriveParams(Omega=4.0, Delta=1.0)
+    message = "nonpositive quadrature decay rate (-0.497992)"
+    with pytest.raises(InvalidParamsError) as exc:
+        evaluate_regime(bath, drive, 100)
+    assert str(exc.value) == message
+    grid = SweepGrid((1.0,), (0.9,), (1.0,), (4.0,), (1.5,), (100.0,), (100,))
+    (row,) = regime_sweep(grid)
+    assert row.status == "skipped: " + message
+    for fmt in ("csv", "json"):
+        code, result = _timescales(tmp_path, capsys, fmt, bath, drive, 100)
+        assert code == 2
+        assert result == {"error": {"type": "InvalidParamsError", "message": message}}
+
+
+def test_timescales_sweep_and_verdict_share_every_number(tmp_path, capsys):
+    # Delta = Omega/2 puts pi Delta / Omega on a tangent pole of the margin
+    grid = SweepGrid(
+        gamma=(1.0,), epsilon=(0.0, 0.3), Delta=(0.0, 1.0, 5.0), Omega=(10.0,),
+        phi=(math.pi,), omega_L=(100.0,), n=(10, 100),
     )
-    rows1 = regime_sweep(grid, threads=1)
-    rows4 = regime_sweep(grid, threads=4)
-    assert rows1 == rows4
-    with pytest.raises(InvalidParamsError):
-        regime_sweep(grid, threads=0)
+    shared = SWEEP_COLUMNS[7:-1]
+    statuses = set()
+    for point, row in zip(grid.points(), regime_sweep(grid)):
+        gamma, epsilon, Delta, Omega, phi, omega_L, n = point
+        bath = SqueezedVacuumParams(gamma, epsilon, phi, omega_L)
+        drive = DriveParams(Omega, Delta)
+        verdict = evaluate_regime(bath, drive, n)
+        code, result = _timescales(tmp_path, capsys, "json", bath, drive, n)
+        statuses.add(row.status.split(":")[0])
+        if row.status == "ok":
+            assert code == 0
+            assert result == verdict.report()
+            assert [result[c] for c in shared] == [getattr(row, c) for c in shared]
+        else:
+            assert row.status.startswith("partial: margin:")
+            _label, first = verdict.errors[0]
+            assert code == 2
+            assert result == {
+                "error": {"type": type(first).__name__, "message": str(first)}
+            }
+    assert statuses == {"ok", "partial"}

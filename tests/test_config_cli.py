@@ -166,6 +166,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     # usage problems -> 1
     assert main(["bogus"]) == 1
     assert main(["sweep", "--threads", "zero"]) == 1
+    assert main(["sweep", "--threads", "0"]) == 1
     assert main(["oracle", "--format", "csv"]) == 1
     capsys.readouterr()
     # config validation -> 1
