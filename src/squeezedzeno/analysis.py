@@ -46,8 +46,10 @@ from .bloch import population_decay_rate, quadrature_decay_rate
 from .coefficients import (
     DriveParams,
     EffectiveCoefficients,
+    ShiftSpec,
     SqueezingShifts,
     effective_coefficients,
+    resolve_shifts,
     upsilon,
 )
 from .errors import (
@@ -57,6 +59,8 @@ from .errors import (
     SqueezedZenoError,
     TangentSingularityError,
     UnphysicalCoefficientsError,
+    require_finite,
+    require_positive_int,
 )
 from .spectrum import SqueezedVacuumParams, spectral_m_abs, spectral_n
 from .weakmeas import decoherence_time, zeno_time
@@ -83,7 +87,7 @@ def timescale_ratio(
     """
     _check_mode(mode)
     g = coeffs.gamma
-    meas = omega_L / n
+    meas = omega_L / require_positive_int("n", n)
     denom = g * (1.0 + 2.0 * coeffs.n_tilde) + 2.0 * meas
     if mode == "derived":
         return (quadrature_decay_rate(coeffs) + 2.0 * meas) / denom
@@ -224,19 +228,19 @@ def evaluate_regime(
     drive: DriveParams,
     n: int,
     *,
-    shifts: SqueezingShifts | None = None,
+    shifts: ShiftSpec = "asymptotic",
 ) -> RegimeVerdict:
     """Full verdict at one parameter point; the one per-point kernel.
 
-    Shifts default to the asymptotic preset.  Raises
-    UnphysicalCoefficientsError where the effective description breaks
-    down and InvalidParamsError when Gamma_dec <= 0: |M~| above the
-    positivity bound turns the slow quadrature into a growing mode, and
-    there is no decay time to compare.  Angular and margin singularities
-    are recorded in RegimeVerdict.errors instead of raised.
+    shifts is a spec for resolve_shifts, the asymptotic preset by
+    default.  Raises UnphysicalCoefficientsError where the effective
+    description breaks down and InvalidParamsError when Gamma_dec <= 0:
+    |M~| above the positivity bound turns the slow quadrature into a
+    growing mode, and there is no decay time to compare.  Angular and
+    margin singularities are recorded in RegimeVerdict.errors instead of
+    raised.
     """
-    if shifts is None:
-        shifts = SqueezingShifts.asymptotic(bath, drive)
+    shifts = resolve_shifts(shifts, bath, drive)
     coeffs = effective_coefficients(bath, drive, shifts)
     g_dec = quadrature_decay_rate(coeffs)
     if g_dec <= 0.0:
@@ -325,23 +329,12 @@ class SweepGrid:
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "epsilon", "Delta", "Omega", "phi", "omega_L"):
-            raw = getattr(self, name)
-            values = tuple(float(v) for v in np.atleast_1d(raw))
+        for name in SWEEP_COLUMNS[:7]:
+            values = np.atleast_1d(getattr(self, name)).tolist()
             if not values:
                 raise EmptyGridError(f"grid axis {name!r} is empty")
-            if not all(math.isfinite(v) for v in values):
-                raise InvalidParamsError(f"grid axis {name!r} has non-finite entries")
-            object.__setattr__(self, name, values)
-        n_values = tuple(getattr(self, "n")) if np.ndim(self.n) else (self.n,)
-        if not n_values:
-            raise EmptyGridError("grid axis 'n' is empty")
-        cleaned = []
-        for v in n_values:
-            if not (math.isfinite(v) and int(v) == v and v >= 1):
-                raise InvalidParamsError(f"n grid entries must be positive integers, got {v}")
-            cleaned.append(int(v))
-        object.__setattr__(self, "n", tuple(cleaned))
+            check = require_positive_int if name == "n" else require_finite
+            object.__setattr__(self, name, tuple(check(name, v) for v in values))
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "SweepGrid":
@@ -352,11 +345,7 @@ class SweepGrid:
         missing = set(SWEEP_COLUMNS[:7]) - set(mapping)
         if missing:
             raise InvalidParamsError(f"missing grid axes: {sorted(missing)}")
-        axes = {}
-        for name in SWEEP_COLUMNS[:7]:
-            value = mapping[name]
-            axes[name] = tuple(np.atleast_1d(value).tolist())
-        return cls(**axes)
+        return cls(**mapping)
 
     @property
     def size(self) -> int:
@@ -376,11 +365,11 @@ class SweepGrid:
 _SKIPPED = (math.nan,) * 6 + (None, None, math.nan, math.nan)
 
 
-def _sweep_point(point: tuple) -> SweepRow:
+def _sweep_point(point: tuple, shifts: ShiftSpec) -> SweepRow:
     gamma, epsilon, Delta, Omega, phi, omega_L, n = point
     try:
         bath = SqueezedVacuumParams(gamma, epsilon, phi, omega_L)
-        verdict = evaluate_regime(bath, DriveParams(Omega, Delta), n)
+        verdict = evaluate_regime(bath, DriveParams(Omega, Delta), n, shifts=shifts)
     except (InvalidParamsError, UnphysicalCoefficientsError) as exc:
         return SweepRow(*point, *_SKIPPED, status=f"skipped: {exc}")
     notes = "; ".join(f"{label}: {exc}" for label, exc in verdict.errors)
@@ -388,11 +377,13 @@ def _sweep_point(point: tuple) -> SweepRow:
     return SweepRow(*point, *values, status="partial: " + notes if notes else "ok")
 
 
-def regime_sweep(grid: SweepGrid) -> list[SweepRow]:
+def regime_sweep(grid: SweepGrid, *, shifts: ShiftSpec = "asymptotic") -> list[SweepRow]:
     """Classify every grid point; rows come back in grid order.
 
+    shifts is resolved at each point as in evaluate_regime: the
+    asymptotic preset per point, explicit values unchanged everywhere.
     Points run one after another: the work is pure Python, so a thread
     pool only adds overhead.  Invalid points are emitted as skipped rows
     rather than aborting the sweep.
     """
-    return [_sweep_point(p) for p in grid.points()]
+    return [_sweep_point(p, shifts) for p in grid.points()]

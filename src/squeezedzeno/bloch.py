@@ -44,7 +44,12 @@ from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .coefficients import DriveParams, EffectiveCoefficients
-from .errors import DegenerateFitError, IllConditionedFitError, InvalidParamsError
+from .errors import (
+    DegenerateFitError,
+    IllConditionedFitError,
+    InvalidParamsError,
+    require_finite,
+)
 
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -70,9 +75,9 @@ class BlochState:
 
     def __post_init__(self) -> None:
         sm = complex(self.s_minus)
-        sz = float(self.s_z)
-        if not (math.isfinite(sm.real) and math.isfinite(sm.imag) and math.isfinite(sz)):
-            raise InvalidParamsError("BlochState components must be finite")
+        require_finite("s_minus.real", sm.real)
+        require_finite("s_minus.imag", sm.imag)
+        sz = require_finite("s_z", self.s_z)
         object.__setattr__(self, "s_minus", sm)
         object.__setattr__(self, "s_z", sz)
         excess = abs(sm) ** 2 - (1.0 - sz * sz) / 4.0

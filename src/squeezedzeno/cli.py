@@ -123,18 +123,6 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
     return _tabular(cfg, ("omega", "x", "N", "M_abs", "M_re", "M_im"), rows), 0
 
 
-def _initial_state(spec) -> BlochState:
-    if isinstance(spec, dict):
-        re, im = spec["s_minus"]
-        return BlochState(complex(re, im), spec["s_z"])
-    return {
-        "excited": BlochState.excited,
-        "ground": BlochState.ground,
-        "x+": lambda: BlochState.x_polarized(+1),
-        "x-": lambda: BlochState.x_polarized(-1),
-    }[spec]()
-
-
 def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
     """Propagate one trajectory and tabulate it."""
     bath = cfg.bath()
@@ -142,7 +130,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
     coeffs = effective_coefficients(bath, drive, cfg.shifts(bath, drive))
     ev = cfg.data["evolve"]
     traj = evolve(
-        _initial_state(ev["initial"]),
+        cfg.initial_state(),
         coeffs,
         drive,
         (0.0, ev["t_end"]),
@@ -167,7 +155,7 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
     drive = cfg.drive()
     try:
         verdict = evaluate_regime(
-            bath, drive, cfg.n_measurements, shifts=cfg.shifts(bath, drive)
+            bath, drive, cfg.n_measurements, shifts=cfg.data["shifts"]
         )
         if verdict.errors:
             raise verdict.errors[0][1]
@@ -182,7 +170,7 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Classify the configured grid; skipped points stay in the table."""
-    rows = regime_sweep(cfg.sweep_grid())
+    rows = regime_sweep(cfg.sweep_grid(), shifts=cfg.data["shifts"])
     return _tabular(cfg, SWEEP_COLUMNS, [r.as_tuple() for r in rows]), 0
 
 
@@ -274,9 +262,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", metavar="PATH", help="JSON or YAML config file")
         sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
-        sp.add_argument("--mode", choices=["paper", "derived"],
-                        help="recorded in the provenance only; both ratios and "
-                        "both conditions are always reported")
         sp.add_argument("--threads", type=int, metavar="N",
                         help="accepted and validated (default $SQUEEZEDZENO_THREADS "
                         "or 1); sweeps run on one thread")
@@ -312,11 +297,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = RunConfig.load(
             args.config,
-            overrides={
-                "mode": args.mode,
-                "format": args.format,
-                "out": args.out,
-            },
+            overrides={"format": args.format, "out": args.out},
         )
         _check_threads(args.threads)
         if args.command == "spectrum":

@@ -42,8 +42,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Mapping, Union
 
-from .errors import InvalidParamsError, UnphysicalCoefficientsError
+from .errors import InvalidParamsError, UnphysicalCoefficientsError, require_finite_fields
 from .spectrum import SqueezedVacuumParams, spectral_m_abs, spectral_n
 
 
@@ -60,11 +61,7 @@ class DriveParams:
     Delta: float
 
     def __post_init__(self) -> None:
-        for name in ("Omega", "Delta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        require_finite_fields(self, "Omega", "Delta")
         if self.Omega < 0.0:
             raise InvalidParamsError(f"Omega must be >= 0, got {self.Omega}")
 
@@ -104,11 +101,7 @@ class SqueezingShifts:
     delta_M: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("delta_N", "delta_M"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        require_finite_fields(self, "delta_N", "delta_M")
 
     @classmethod
     def zero(cls) -> "SqueezingShifts":
@@ -124,6 +117,31 @@ class SqueezingShifts:
         m_abs = spectral_m_abs(bath, bath.omega_L + op)
         delta_m = m_abs * op * (bath.lam + bath.mu) / (bath.lam * bath.mu)
         return cls(delta_N=0.0, delta_M=delta_m)
+
+
+SHIFT_PRESETS = ("asymptotic", "zero")
+
+ShiftSpec = Union[str, Mapping[str, float], SqueezingShifts]
+
+
+def resolve_shifts(
+    spec: ShiftSpec, bath: SqueezedVacuumParams, drive: DriveParams
+) -> SqueezingShifts:
+    """The shifts a spec gives at one parameter point.
+
+    "asymptotic" evaluates the closed forms at this point, "zero" gives
+    zero shifts, and a {delta_N, delta_M} mapping (omitted keys zero) or
+    a SqueezingShifts is applied unchanged at every point.
+    """
+    if isinstance(spec, SqueezingShifts):
+        return spec
+    if isinstance(spec, Mapping):
+        return SqueezingShifts(**spec)
+    if spec == "asymptotic":
+        return SqueezingShifts.asymptotic(bath, drive)
+    if spec == "zero":
+        return SqueezingShifts.zero()
+    raise InvalidParamsError(f"shifts preset must be one of {SHIFT_PRESETS}, got {spec!r}")
 
 
 @dataclass(frozen=True)

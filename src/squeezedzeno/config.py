@@ -21,7 +21,8 @@ import numpy as np
 import yaml
 
 from .analysis import SweepGrid
-from .coefficients import DriveParams, SqueezingShifts
+from .bloch import BlochState
+from .coefficients import SHIFT_PRESETS, DriveParams, SqueezingShifts, resolve_shifts
 from .errors import ConfigError, InvalidParamsError
 from .spectrum import SqueezedVacuumParams
 
@@ -57,18 +58,12 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-_FLOAT_KEYS = {
-    "bath": ("gamma", "epsilon", "phi", "omega_L"),
-    "drive": ("Omega", "Delta"),
-    "spectrum": ("x_min", "x_max"),
-    "evolve": ("t_end",),
-    "oracle": ("Gamma",),
-}
-_INT_KEYS = {
-    "schedule": ("n",),
-    "spectrum": ("points",),
-    "evolve": ("samples",),
-    "oracle": ("samples", "dim_cap"),
+# the named evolve.initial states
+_INITIAL_STATES = {
+    "excited": BlochState.excited,
+    "ground": BlochState.ground,
+    "x+": lambda: BlochState.x_polarized(+1),
+    "x-": lambda: BlochState.x_polarized(-1),
 }
 
 
@@ -143,6 +138,11 @@ def _merge(base: Any, override: Any, path: str) -> Any:
             else:
                 merged[key] = default
         return merged
+    # a numeric leaf takes its type from its default
+    if isinstance(base, float):
+        return _as_float(override, path)
+    if isinstance(base, int):
+        return _as_int(override, path)
     return override
 
 
@@ -156,19 +156,17 @@ def _as_float(value: Any, path: str) -> float:
 
 
 def _as_int(value: Any, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        else:
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return int(value)
 
 
 def _normalize_axis(value: Any, path: str, integer: bool = False) -> list:
     """One sweep axis: scalar, explicit list, or {min, max, count} range."""
     if isinstance(value, dict):
-        extra = set(value) - {"min", "max", "count"}
-        if extra or set(value) != {"min", "max", "count"}:
+        if set(value) != {"min", "max", "count"}:
             raise ConfigError(f"{path}: range spec needs exactly min, max, count")
         lo = _as_float(value["min"], f"{path}.min")
         hi = _as_float(value["max"], f"{path}.max")
@@ -188,13 +186,6 @@ def _normalize_axis(value: Any, path: str, integer: bool = False) -> list:
 
 
 def _normalize(cfg: dict) -> dict:
-    for section, keys in _FLOAT_KEYS.items():
-        for key in keys:
-            cfg[section][key] = _as_float(cfg[section][key], f"{section}.{key}")
-    for section, keys in _INT_KEYS.items():
-        for key in keys:
-            cfg[section][key] = _as_int(cfg[section][key], f"{section}.{key}")
-
     if cfg["mode"] not in ("paper", "derived"):
         raise ConfigError(f"mode: must be 'paper' or 'derived', got {cfg['mode']!r}")
     if cfg["format"] not in ("csv", "json"):
@@ -204,7 +195,7 @@ def _normalize(cfg: dict) -> dict:
 
     shifts = cfg["shifts"]
     if isinstance(shifts, str):
-        if shifts not in ("asymptotic", "zero"):
+        if shifts not in SHIFT_PRESETS:
             raise ConfigError(
                 f"shifts: preset must be 'asymptotic' or 'zero', got {shifts!r}"
             )
@@ -243,18 +234,16 @@ def _normalize(cfg: dict) -> dict:
                         _as_float(sm[1], "evolve.initial.s_minus[1]")],
             "s_z": _as_float(initial.get("s_z", 0.0), "evolve.initial.s_z"),
         }
-    elif initial not in ("excited", "ground", "x+", "x-"):
+    elif not (isinstance(initial, str) and initial in _INITIAL_STATES):
         raise ConfigError(
-            f"evolve.initial: must be excited/ground/x+/x- or an explicit state, "
-            f"got {initial!r}"
+            f"evolve.initial: must be {'/'.join(_INITIAL_STATES)} or an explicit "
+            f"state, got {initial!r}"
         )
 
     sweep = cfg["sweep"]
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep: must be a mapping of axes")
-    for axis in ("gamma", "epsilon", "Delta", "Omega", "phi", "omega_L"):
-        sweep[axis] = _normalize_axis(sweep[axis], f"sweep.{axis}")
-    sweep["n"] = _normalize_axis(sweep["n"], "sweep.n", integer=True)
+    for axis, defaults in DEFAULTS["sweep"].items():
+        integer = isinstance(defaults[0], int)  # the axis type comes from its default
+        sweep[axis] = _normalize_axis(sweep[axis], f"sweep.{axis}", integer)
 
     oracle = cfg["oracle"]
     if oracle["Gamma"] <= 0.0:
@@ -337,20 +326,18 @@ class RunConfig:
             raise ConfigError(f"drive: {exc}") from exc
 
     def shifts(self, bath: SqueezedVacuumParams, drive: DriveParams) -> SqueezingShifts:
-        spec = self.data["shifts"]
-        if spec == "asymptotic":
-            return SqueezingShifts.asymptotic(bath, drive)
-        if spec == "zero":
-            return SqueezingShifts.zero()
-        return SqueezingShifts(**spec)
+        return resolve_shifts(self.data["shifts"], bath, drive)
+
+    def initial_state(self) -> BlochState:
+        spec = self.data["evolve"]["initial"]
+        if isinstance(spec, dict):
+            re, im = spec["s_minus"]
+            return BlochState(complex(re, im), spec["s_z"])
+        return _INITIAL_STATES[spec]()
 
     @property
     def n_measurements(self) -> int:
         return self.data["schedule"]["n"]
-
-    @property
-    def mode(self) -> str:
-        return self.data["mode"]
 
     @property
     def out(self) -> str | None:

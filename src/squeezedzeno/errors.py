@@ -1,11 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types and the parameter checks shared across the package.
 
 Every computational error raised by the library derives from
 :class:`SqueezedZenoError` so callers (and the CLI) can distinguish
-domain failures from programming errors.
+domain failures from programming errors.  The finite-number and
+positive-integer checks below serve every parameter record and entry
+point of the library.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class SqueezedZenoError(Exception):
@@ -54,3 +58,27 @@ class EmptyGridError(SqueezedZenoError, ValueError):
 
 class ConfigError(SqueezedZenoError, ValueError):
     """A run configuration is malformed; the message names the key."""
+
+
+def require_finite(name: str, value) -> float:
+    """value as a float; InvalidParamsError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParamsError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_finite_fields(record, *names: str) -> None:
+    """Replace the named fields of a frozen dataclass by finite floats."""
+    for name in names:
+        object.__setattr__(record, name, require_finite(name, getattr(record, name)))
+
+
+def require_positive_int(name: str, value) -> int:
+    """value as an int; InvalidParamsError unless it is an integer >= 1.
+
+    Integral floats pass; inf and nan are rejected rather than overflowing.
+    """
+    if not (math.isfinite(value) and value >= 1 and int(value) == value):
+        raise InvalidParamsError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

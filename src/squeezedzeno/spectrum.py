@@ -25,16 +25,9 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, require_finite_fields
 
 FloatOrArray = Union[float, NDArray[np.float64]]
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParamsError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -60,8 +53,7 @@ class SqueezedVacuumParams:
     omega_L: float
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "epsilon", "phi", "omega_L"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        require_finite_fields(self, "gamma", "epsilon", "phi", "omega_L")
         if self.gamma <= 0.0:
             raise InvalidParamsError(f"gamma must be > 0, got {self.gamma}")
         if self.epsilon < 0.0:

@@ -49,6 +49,9 @@ from .errors import (
     OrthogonalSelectionError,
     OutOfWindowError,
     ResourceLimitError,
+    require_finite,
+    require_finite_fields,
+    require_positive_int,
 )
 
 _X_POLARIZED = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -70,14 +73,8 @@ class MeasurementSchedule:
     tau_M: float
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidParamsError(f"n must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        for name in ("t_i", "t_f", "tau_M"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", require_positive_int("n", self.n))
+        require_finite_fields(self, "t_i", "t_f", "tau_M")
         if self.tau_M <= 0.0:
             raise InvalidParamsError(f"tau_M must be > 0, got {self.tau_M}")
         window = self.t_f - self.t_i
@@ -107,6 +104,7 @@ class MeasurementSchedule:
         """Schedule over [t_i, t_f] with tau_M derived as (t_f - t_i)/n."""
         if not t_f > t_i:
             raise InvalidParamsError("t_f must exceed t_i")
+        n = require_positive_int("n", n)
         return cls(t_i=t_i, t_f=t_f, n=n, tau_M=(t_f - t_i) / n)
 
 
@@ -187,9 +185,9 @@ def weak_survival(Gamma: float, sched: MeasurementSchedule, t: float) -> float:
     Strictly decreasing in t for Gamma > 0 with P_w(t_i) = 1 and
     P_w(t_f) = 0 exactly.
     """
-    if Gamma <= 0.0:
+    if require_finite("Gamma", Gamma) <= 0.0:
         raise InvalidParamsError(f"Gamma must be > 0, got {Gamma}")
-    if t < sched.t_i or t > sched.t_f:
+    if not sched.t_i <= require_finite("t", t) <= sched.t_f:
         raise OutOfWindowError(
             f"t = {t} outside the measurement window [{sched.t_i}, {sched.t_f}]"
         )
@@ -214,7 +212,7 @@ def decay_time_exact(Gamma: float, sched: MeasurementSchedule) -> float:
     branch evaluates the series expansion instead of the closed form to
     avoid catastrophic cancellation between the two large terms.
     """
-    if Gamma < 0.0:
+    if require_finite("Gamma", Gamma) < 0.0:
         raise InvalidParamsError(f"Gamma must be >= 0, got {Gamma}")
     T = sched.window
     g = Gamma * T
@@ -233,13 +231,11 @@ def decay_time_approx(Gamma: float, omega_L: float, n: int) -> float:
     probes spaced by 1/omega_L; it matches the exact integral only to
     leading order in Gamma T (about 20 percent off by Gamma T = 1).
     """
-    if Gamma < 0.0:
+    if require_finite("Gamma", Gamma) < 0.0:
         raise InvalidParamsError(f"Gamma must be >= 0, got {Gamma}")
-    if omega_L < 0.0:
+    if require_finite("omega_L", omega_L) < 0.0:
         raise InvalidParamsError(f"omega_L must be >= 0, got {omega_L}")
-    if int(n) != n or n < 1:
-        raise InvalidParamsError(f"n must be a positive integer, got {n}")
-    total = Gamma + 2.0 * omega_L / n
+    total = Gamma + 2.0 * omega_L / require_positive_int("n", n)
     if total <= 0.0:
         raise InvalidParamsError("Gamma and omega_L cannot both be zero")
     return 1.0 / total
@@ -271,14 +267,11 @@ class DaviesModel:
     Delta_E: float
 
     def __post_init__(self) -> None:
-        if int(self.R) != self.R or self.R < 1:
-            raise InvalidParamsError(f"R must be a positive integer, got {self.R}")
-        object.__setattr__(self, "R", int(self.R))
+        object.__setattr__(self, "R", require_positive_int("R", self.R))
+        require_finite_fields(self, "Gamma", "Delta_E")
         for name in ("Gamma", "Delta_E"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
+            if not getattr(self, name) > 0.0:
                 raise InvalidParamsError(f"{name} must be finite and > 0")
-            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:

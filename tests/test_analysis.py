@@ -275,7 +275,7 @@ def test_sweep_row_tuple_matches_columns():
     assert tup[-1] == "ok"
 
 
-def _timescales(tmp_path, capsys, fmt, bath, drive, n):
+def _timescales(tmp_path, capsys, fmt, bath, drive, n, shifts="asymptotic"):
     """Run the timescales subcommand at one point; (exit code, parsed result)."""
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({
@@ -283,6 +283,7 @@ def _timescales(tmp_path, capsys, fmt, bath, drive, n):
                  "omega_L": bath.omega_L},
         "drive": {"Omega": drive.Omega, "Delta": drive.Delta},
         "schedule": {"n": n},
+        "shifts": shifts,
     }))
     code = main(["timescales", "--format", fmt, "--config", str(cfg)])
     out = capsys.readouterr().out
@@ -309,20 +310,28 @@ def test_growing_coherence_point_agrees_everywhere(tmp_path, capsys):
         assert result == {"error": {"type": "InvalidParamsError", "message": message}}
 
 
-def test_timescales_sweep_and_verdict_share_every_number(tmp_path, capsys):
-    # Delta = Omega/2 puts pi Delta / Omega on a tangent pole of the margin
+@pytest.mark.parametrize(
+    "shifts", ["asymptotic", "zero", {"delta_N": 0.05, "delta_M": 0.2}],
+    ids=["asymptotic", "zero", "explicit"],
+)
+def test_timescales_sweep_and_verdict_share_every_number(tmp_path, capsys, shifts):
+    # Delta = Omega/2 puts pi Delta / Omega on a tangent pole of the margin;
+    # phi != pi and Delta != 0 make Re M~ depend on the shifts
     grid = SweepGrid(
         gamma=(1.0,), epsilon=(0.0, 0.3), Delta=(0.0, 1.0, 5.0), Omega=(10.0,),
-        phi=(math.pi,), omega_L=(100.0,), n=(10, 100),
+        phi=(2.5,), omega_L=(100.0,), n=(10, 100),
     )
     shared = SWEEP_COLUMNS[7:-1]
     statuses = set()
-    for point, row in zip(grid.points(), regime_sweep(grid)):
+    for point, row in zip(grid.points(), regime_sweep(grid, shifts=shifts)):
         gamma, epsilon, Delta, Omega, phi, omega_L, n = point
         bath = SqueezedVacuumParams(gamma, epsilon, phi, omega_L)
         drive = DriveParams(Omega, Delta)
-        verdict = evaluate_regime(bath, drive, n)
-        code, result = _timescales(tmp_path, capsys, "json", bath, drive, n)
+        verdict = evaluate_regime(bath, drive, n, shifts=shifts)
+        # the shifts matter here (an unsqueezed bath has zero asymptotic shifts)
+        if shifts != "asymptotic" and Delta != 0.0 and epsilon > 0.0:
+            assert verdict.Gamma_dec != evaluate_regime(bath, drive, n).Gamma_dec
+        code, result = _timescales(tmp_path, capsys, "json", bath, drive, n, shifts)
         statuses.add(row.status.split(":")[0])
         if row.status == "ok":
             assert code == 0
@@ -336,3 +345,27 @@ def test_timescales_sweep_and_verdict_share_every_number(tmp_path, capsys):
                 "error": {"type": type(first).__name__, "message": str(first)}
             }
     assert statuses == {"ok", "partial"}
+
+
+@pytest.mark.parametrize(
+    "shifts", ["zero", {"delta_N": 0.05, "delta_M": 0.2}], ids=["zero", "explicit"]
+)
+def test_cli_sweep_honours_shifts(tmp_path, capsys, shifts):
+    bath = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=2.5, omega_L=100.0)
+    drive = DriveParams(Omega=10.0, Delta=1.0)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "shifts": shifts,
+        "sweep": {"gamma": 1.0, "epsilon": 0.5, "Delta": 1.0, "Omega": 10.0,
+                  "phi": 2.5, "omega_L": 100.0, "n": 100},
+    }))
+    assert main(["sweep", "--format", "json", "--config", str(cfg)]) == 0
+    table = json.loads(capsys.readouterr().out)["result"]
+    (row,) = table["rows"]
+    swept = dict(zip(table["columns"], row))
+    code, result = _timescales(tmp_path, capsys, "json", bath, drive, 100, shifts)
+    assert code == 0
+    assert swept["status"] == "ok"
+    assert {c: swept[c] for c in SWEEP_COLUMNS[7:-1]} == {
+        c: result[c] for c in SWEEP_COLUMNS[7:-1]
+    }

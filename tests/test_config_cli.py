@@ -3,9 +3,11 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
+from squeezedzeno import BlochState
 from squeezedzeno.cli import build_parser, main
 from squeezedzeno.config import DEFAULTS, ConfigError, RunConfig, canonical_json
 
@@ -28,7 +30,7 @@ def test_yaml_and_json_agree(tmp_path):
 
 def test_defaults_are_not_mutated():
     cfg = RunConfig.load(overrides={"mode": "paper"})
-    assert cfg.mode == "paper"
+    assert cfg.data["mode"] == "paper"
     assert DEFAULTS["mode"] == "derived"
 
 
@@ -65,6 +67,41 @@ def test_value_validation(tmp_path):
             RunConfig.load(path)
 
 
+def _numeric_leaves(tree, path=""):
+    """(dotted path, default) for every int and float leaf of a DEFAULTS tree."""
+    for key, value in tree.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, sub)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield sub, value
+
+
+def _nested(path, value):
+    head, _, rest = path.partition(".")
+    return {head: _nested(rest, value) if rest else value}
+
+
+NUMERIC_LEAVES = dict(_numeric_leaves(DEFAULTS))
+
+
+@pytest.mark.parametrize("path", NUMERIC_LEAVES)
+def test_numeric_config_leaves_take_their_type_from_defaults(tmp_path, path):
+    config = tmp_path / "c.json"
+    for bad in ("1", True):
+        config.write_text(json.dumps(_nested(path, bad)))
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected"):
+            RunConfig.load(config)
+    default = NUMERIC_LEAVES[path]
+    # an integral float is accepted for an int key, an int for a float key
+    other = float(default) if isinstance(default, int) else int(default)
+    config.write_text(json.dumps(_nested(path, other)))
+    loaded = RunConfig.load(config).data
+    for key in path.split("."):
+        loaded = loaded[key]
+    assert loaded == other and type(loaded) is type(default)
+
+
 def test_physics_validation_happens_in_accessors(tmp_path):
     # structural checks run at load; parameter physics surfaces when the
     # section is materialized, still as a ConfigError naming the section
@@ -76,6 +113,22 @@ def test_physics_validation_happens_in_accessors(tmp_path):
     path.write_text('{"bath": {"epsilon": 2.0}}')
     with pytest.raises(ConfigError, match="bath"):
         RunConfig.load(path).bath()
+
+
+def test_initial_states(tmp_path):
+    path = tmp_path / "c.json"
+    for name, state in (
+        ("excited", BlochState(0.0, 1.0)),
+        ("ground", BlochState(0.0, -1.0)),
+        ("x+", BlochState(0.5, 0.0)),
+        ("x-", BlochState(-0.5, 0.0)),
+        ({"s_minus": [0.1, -0.2], "s_z": 0.3}, BlochState(0.1 - 0.2j, 0.3)),
+    ):
+        path.write_text(json.dumps({"evolve": {"initial": name}}))
+        assert RunConfig.load(path).initial_state() == state
+    path.write_text('{"evolve": {"initial": ["excited"]}}')
+    with pytest.raises(ConfigError, match="excited/ground/x\\+/x- or an explicit state"):
+        RunConfig.load(path)
 
 
 def test_axis_normalization(tmp_path):
@@ -153,13 +206,18 @@ def test_cli_output_path_does_not_enter_provenance(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_mode_flag_changes_ratio(capsys):
-    assert main(["timescales", "--format", "json", "--mode", "paper"]) == 0
+def test_config_mode_is_echoed_and_changes_nothing(tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"mode": "paper"}')
+    assert main(["timescales", "--format", "json", "--config", str(cfgp)]) == 0
     paper = json.loads(capsys.readouterr().out)
-    assert main(["timescales", "--format", "json", "--mode", "derived"]) == 0
-    derived = json.loads(capsys.readouterr().out)
-    assert paper["result"]["ratio_paper"] == derived["result"]["ratio_paper"]
+    assert main(["timescales", "--format", "json"]) == 0
+    default = json.loads(capsys.readouterr().out)
     assert paper["provenance"]["config"]["mode"] == "paper"
+    assert default["provenance"]["config"]["mode"] == "derived"
+    assert paper["result"] == default["result"]
+    # the key stays; the flag that only set it is gone
+    assert main(["timescales", "--mode", "paper"]) == 1
 
 
 def test_cli_exit_codes(tmp_path, capsys):

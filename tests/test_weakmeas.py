@@ -25,8 +25,10 @@ from squeezedzeno import (
     decay_time_exact,
     decoherence_time,
     effective_coefficients,
+    evaluate_regime,
     propagator,
     quadrature_decay_rate,
+    timescale_ratio,
     weak_survival,
     weak_value,
     zeno_time,
@@ -203,6 +205,37 @@ def test_davies_model_validation():
         DaviesModel(Gamma=1.0, R=0, Delta_E=0.1)
     with pytest.raises(InvalidParamsError):
         DaviesModel(Gamma=1.0, R=10, Delta_E=0.0)
+
+
+_BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
+_DRIVE = DriveParams(Omega=10.0, Delta=0.0)
+_SCHED = MeasurementSchedule.from_carrier(100.0, 10)
+_NONFINITE_CASES = {
+    "davies_R_inf": lambda: DaviesModel(1.0, math.inf, 0.1),
+    "davies_R_nan": lambda: DaviesModel(1.0, math.nan, 0.1),
+    "schedule_n_nan": lambda: MeasurementSchedule(0.0, 1.0, math.nan, 0.1),
+    "from_window_n_0": lambda: MeasurementSchedule.from_window(0.0, 1.0, 0),
+    "timescale_ratio_n_0": lambda: timescale_ratio(
+        effective_coefficients(_BATH, _DRIVE), 100.0, 0
+    ),
+    "decay_time_approx_n_inf": lambda: decay_time_approx(1.0, 100.0, math.inf),
+    "evaluate_regime_n_inf": lambda: evaluate_regime(_BATH, _DRIVE, math.inf),
+    "decay_time_approx_Gamma_nan": lambda: decay_time_approx(math.nan, 100.0, 10),
+    "decay_time_approx_Gamma_inf": lambda: decay_time_approx(math.inf, 100.0, 10),
+    "decay_time_exact_Gamma_nan": lambda: decay_time_exact(math.nan, _SCHED),
+    "decay_time_exact_Gamma_inf": lambda: decay_time_exact(math.inf, _SCHED),
+    "weak_survival_Gamma_nan": lambda: weak_survival(math.nan, _SCHED, 0.05),
+    "weak_survival_Gamma_inf": lambda: weak_survival(math.inf, _SCHED, 0.05),
+    "weak_survival_t_nan": lambda: weak_survival(1.0, _SCHED, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", _NONFINITE_CASES.values(), ids=_NONFINITE_CASES.keys())
+def test_nonfinite_and_nonpositive_counts_are_invalid_params(call):
+    # each used to escape as a bare OverflowError/ValueError/ZeroDivisionError
+    # or to return nan or 0.0 without complaint
+    with pytest.raises(InvalidParamsError):
+        call()
 
 
 def test_davies_amplitude_initial_value_and_unitarity():
