@@ -9,6 +9,8 @@ parameter grids.  The squeezedzeno console script exposes the same
 functionality from the command line.
 """
 
+import types
+
 from .analysis import (
     RegimeVerdict,
     SWEEP_COLUMNS,
@@ -91,74 +93,8 @@ from .weakmeas import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochState",
-    "ConfigError",
-    "DEFAULTS",
-    "DaviesModel",
-    "DegenerateFitError",
-    "DensityMatrix",
-    "DriveParams",
-    "EffectiveCoefficients",
-    "EmptyGridError",
-    "FitResult",
-    "IllConditionedFitError",
-    "InvalidParamsError",
-    "Liouvillian",
-    "MeasurementSchedule",
-    "OrthogonalSelectionError",
-    "OutOfWindowError",
-    "PrePostSelection",
-    "RegimeVerdict",
-    "ResourceLimitError",
-    "RunConfig",
-    "SWEEP_COLUMNS",
-    "SingularDenominatorError",
-    "SpectralPoint",
-    "SqueezedVacuumParams",
-    "SqueezedZenoError",
-    "SqueezingShifts",
-    "SweepGrid",
-    "SweepRow",
-    "TangentSingularityError",
-    "Trajectory",
-    "UnphysicalCoefficientsError",
-    "angular_condition",
-    "angular_theta",
-    "bloch_derivative",
-    "bloch_generator",
-    "build_liouvillian",
-    "canonical_json",
-    "davies_amplitude",
-    "davies_deviation",
-    "davies_max_deviation",
-    "davies_propagator_column",
-    "decay_time_approx",
-    "decay_time_exact",
-    "decoherence_time",
-    "effective_coefficients",
-    "evaluate_regime",
-    "evolve",
-    "fit_decay_rate",
-    "fit_exponential",
-    "population_decay_rate",
-    "propagator",
-    "quadrature_decay_rate",
-    "quadrature_effective_rates",
-    "regime_sweep",
-    "resolve_shifts",
-    "spectral_m",
-    "spectral_m_abs",
-    "spectral_n",
-    "spectral_point",
-    "squeezing_phase_profile",
-    "steady_state",
-    "sufficient_condition_margin",
-    "sustainable_condition",
-    "tan_theta_asymptotic",
-    "timescale_ratio",
-    "upsilon",
-    "weak_survival",
-    "weak_value",
-    "zeno_time",
-]
+# the public names are exactly those imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -29,15 +29,18 @@ comparison collapses further to the sufficient-condition margin
 
 which is what the grid classifier reports per point.
 
-evaluate_regime is the one per-point kernel: the timescales report and
-every sweep row are built from its RegimeVerdict.
+One array kernel evaluates all of this over a grid's axes at once;
+regime_sweep reads its columns and evaluate_regime is its one-point
+case, so the timescales report and every sweep row share each number.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,7 +51,7 @@ from .coefficients import (
     EffectiveCoefficients,
     ShiftSpec,
     SqueezingShifts,
-    effective_coefficients,
+    _negative_n_tilde,
     resolve_shifts,
     upsilon,
 )
@@ -58,12 +61,10 @@ from .errors import (
     SingularDenominatorError,
     SqueezedZenoError,
     TangentSingularityError,
-    UnphysicalCoefficientsError,
     require_finite,
     require_positive_int,
 )
-from .spectrum import SqueezedVacuumParams, spectral_m_abs, spectral_n
-from .weakmeas import decoherence_time, zeno_time
+from .spectrum import SqueezedVacuumParams, _m_abs_at, _n_at, spectral_m_abs, spectral_n
 
 _MODES = ("paper", "derived")
 
@@ -103,6 +104,7 @@ def sustainable_condition(coeffs: EffectiveCoefficients, mode: str = "derived") 
 
 def squeezing_phase_profile(Delta: float, Omega: float) -> float:
     """Detuning-locked squeezing phase phi(Delta) = pi Delta / Omega."""
+    Delta, Omega = require_finite("Delta", Delta), require_finite("Omega", Omega)
     if not Omega > 0.0:
         raise InvalidParamsError(f"Omega must be > 0, got {Omega}")
     return math.pi * Delta / Omega
@@ -146,13 +148,17 @@ def angular_condition(
     ups_re = upsilon(bath, drive).real
     denominator = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re
     if abs(denominator) < 1e-12:
-        raise SingularDenominatorError(
-            f"angular-condition denominator is {denominator:.3g}; "
-            f"the reduction is singular at these parameters"
-        )
+        raise _singular_angular(denominator)
     # theta as in angular_theta; x and m1 are not both zero here
     lhs = magnitude * math.sin(math.atan2(m1, x) - bath.phi) / denominator
     return float(lhs), bool(lhs <= 0.25)
+
+
+def _singular_angular(denominator: float) -> SingularDenominatorError:
+    return SingularDenominatorError(
+        f"angular-condition denominator is {denominator:.3g}; "
+        f"the reduction is singular at these parameters"
+    )
 
 
 def tan_theta_asymptotic(bath: SqueezedVacuumParams, drive: DriveParams) -> float:
@@ -178,6 +184,11 @@ def sufficient_condition_margin(
     approaches gamma at small Delta / Omega and to -gamma/2 for an
     unsqueezed bath at vanishing detuning.
     """
+    return _tangent_term(drive) - _margin_offset(bath)
+
+
+def _tangent_term(drive: DriveParams) -> float:
+    """Delta tan(pi Delta / Omega), the drive's part of the margin."""
     if not drive.Omega > 0.0:
         raise InvalidParamsError(
             f"Omega must be > 0 for the phase profile, got {drive.Omega}"
@@ -189,13 +200,22 @@ def sufficient_condition_margin(
         raise TangentSingularityError(
             f"pi Delta / Omega = {x:.12g} is within 1e-9 of a tangent pole"
         )
-    return drive.Delta * math.tan(x) - (bath.gamma**2 - bath.epsilon**2) / (
-        2.0 * bath.gamma
-    )
+    return drive.Delta * math.tan(x)
 
 
-@dataclass(frozen=True)
-class RegimeVerdict:
+def _margin_offset(bath: SqueezedVacuumParams) -> float:
+    """(gamma^2 - epsilon^2) / (2 gamma), the bath's part of the margin."""
+    return (bath.gamma**2 - bath.epsilon**2) / (2.0 * bath.gamma)
+
+
+# what one parameter point reports, in report order
+_REPORTED = (
+    "Gamma_dec", "Gamma_pop", "tau_dec", "tau_zeno", "ratio_derived", "ratio_paper",
+    "cond_derived", "cond_paper", "theta", "angular_lhs", "sufficient_margin",
+)
+
+
+class RegimeVerdict(namedtuple("RegimeVerdict", (*_REPORTED, "errors"))):
     """Everything reported for one parameter point, in report order.
 
     Both ratios and both condition booleans are always present.  theta
@@ -205,22 +225,11 @@ class RegimeVerdict:
     (label, exception), label "angular" or "margin", in evaluation order.
     """
 
-    Gamma_dec: float
-    Gamma_pop: float
-    tau_dec: float
-    tau_zeno: float
-    ratio_derived: float
-    ratio_paper: float
-    cond_derived: bool
-    cond_paper: bool
-    theta: float
-    angular_lhs: float
-    sufficient_margin: float
-    errors: tuple[tuple[str, SqueezedZenoError], ...]
+    __slots__ = ()
 
     def report(self) -> dict:
         """The reported quantities by name, in field order (errors left out)."""
-        return {name: getattr(self, name) for name in _REPORTED}
+        return dict(zip(_REPORTED, self))
 
 
 def evaluate_regime(
@@ -230,7 +239,7 @@ def evaluate_regime(
     *,
     shifts: ShiftSpec = "asymptotic",
 ) -> RegimeVerdict:
-    """Full verdict at one parameter point; the one per-point kernel.
+    """Full verdict at one parameter point: the grid kernel on one point.
 
     shifts is a spec for resolve_shifts, the asymptotic preset by
     default.  Raises UnphysicalCoefficientsError where the effective
@@ -240,42 +249,12 @@ def evaluate_regime(
     margin singularities are recorded in RegimeVerdict.errors instead of
     raised.
     """
-    shifts = resolve_shifts(shifts, bath, drive)
-    coeffs = effective_coefficients(bath, drive, shifts)
-    g_dec = quadrature_decay_rate(coeffs)
-    if g_dec <= 0.0:
-        raise InvalidParamsError(f"nonpositive quadrature decay rate ({g_dec:.6g})")
-    # kept without traceback: it would hold this frame, and with it errors,
-    # in a reference cycle that outlives the sweep row
-    errors = []
-    try:
-        lhs, _holds = angular_condition(bath, drive, shifts)
-    except SingularDenominatorError as exc:
-        lhs = math.nan
-        errors.append(("angular", exc.with_traceback(None)))
-    try:
-        margin = sufficient_condition_margin(bath, drive)
-    except (TangentSingularityError, InvalidParamsError) as exc:
-        margin = math.nan
-        errors.append(("margin", exc.with_traceback(None)))
-    omega_L = bath.omega_L
-    return RegimeVerdict(
-        Gamma_dec=g_dec,
-        Gamma_pop=population_decay_rate(coeffs),
-        tau_dec=decoherence_time(coeffs, omega_L, n),
-        tau_zeno=zeno_time(coeffs, omega_L, n),
-        ratio_derived=timescale_ratio(coeffs, omega_L, n, "derived"),
-        ratio_paper=timescale_ratio(coeffs, omega_L, n, "paper"),
-        cond_derived=sustainable_condition(coeffs, "derived"),
-        cond_paper=sustainable_condition(coeffs, "paper"),
-        theta=angular_theta(bath, drive, shifts),
-        angular_lhs=lhs,
-        sufficient_margin=margin,
-        errors=tuple(errors),
-    )
+    grid = SweepGrid(bath.gamma, bath.epsilon, drive.Delta, drive.Omega, bath.phi, bath.omega_L, n)
+    columns, (fault,) = _regime_columns(grid, shifts)
+    if isinstance(fault, Exception):
+        raise fault
+    return RegimeVerdict(*(column[0] for column in columns.values()), fault or ())
 
-
-_REPORTED = tuple(f.name for f in fields(RegimeVerdict))[:-1]
 
 SWEEP_COLUMNS = (
     "gamma", "epsilon", "Delta", "Omega", "phi", "omega_L", "n",
@@ -283,32 +262,8 @@ SWEEP_COLUMNS = (
     "status",
 )
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a regime sweep, in the fixed column order."""
-
-    gamma: float
-    epsilon: float
-    Delta: float
-    Omega: float
-    phi: float
-    omega_L: float
-    n: int
-    Gamma_dec: float
-    Gamma_pop: float
-    tau_dec: float
-    tau_zeno: float
-    ratio_derived: float
-    ratio_paper: float
-    cond_derived: bool | None
-    cond_paper: bool | None
-    angular_lhs: float
-    sufficient_margin: float
-    status: str
-
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in SWEEP_COLUMNS)
+# one grid point of a regime sweep, in the fixed column order
+SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -348,42 +303,185 @@ class SweepGrid:
         return cls(**mapping)
 
     @property
+    def axes(self) -> tuple[tuple, ...]:
+        return tuple(getattr(self, name) for name in SWEEP_COLUMNS[:7])
+
+    @property
     def size(self) -> int:
-        return (
-            len(self.gamma) * len(self.epsilon) * len(self.Delta) * len(self.Omega)
-            * len(self.phi) * len(self.omega_L) * len(self.n)
-        )
+        return math.prod(map(len, self.axes))
 
     def points(self) -> Iterator[tuple]:
-        return itertools.product(
-            self.gamma, self.epsilon, self.Delta, self.Omega,
-            self.phi, self.omega_L, self.n,
-        )
+        return itertools.product(*self.axes)
 
 
-# the verdict columns of a skipped row
-_SKIPPED = (math.nan,) * 6 + (None, None, math.nan, math.nan)
+_BATH_AXES, _DRIVE_AXES = (0, 1, 4, 5), (2, 3)
 
 
-def _sweep_point(point: tuple, shifts: ShiftSpec) -> SweepRow:
-    gamma, epsilon, Delta, Omega, phi, omega_L, n = point
+def _along(values, dims: tuple[int, ...], shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """values listed over the product of the axes dims, shaped to broadcast on shape."""
+    return np.array(values, dtype=dtype).reshape(
+        [size if axis in dims else 1 for axis, size in enumerate(shape)]
+    )
+
+
+def _math(fn, *arrays) -> np.ndarray:
+    """fn from math per element (numpy's hypot, atan2, sin, tan can differ in the last ulp)."""
+    arrays = np.broadcast_arrays(*arrays)
+    return np.reshape(list(map(fn, *(a.ravel().tolist() for a in arrays))), arrays[0].shape)
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython forms it, a float x being (x, 0.0)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _caught(fn, *args):
+    """fn(*args), or the library error it raises (without its traceback)."""
     try:
-        bath = SqueezedVacuumParams(gamma, epsilon, phi, omega_L)
-        verdict = evaluate_regime(bath, DriveParams(Omega, Delta), n, shifts=shifts)
-    except (InvalidParamsError, UnphysicalCoefficientsError) as exc:
-        return SweepRow(*point, *_SKIPPED, status=f"skipped: {exc}")
-    notes = "; ".join(f"{label}: {exc}" for label, exc in verdict.errors)
-    values = (getattr(verdict, name) for name in SWEEP_COLUMNS[7:-1])
-    return SweepRow(*point, *values, status="partial: " + notes if notes else "ok")
+        return fn(*args)
+    except SqueezedZenoError as exc:
+        return exc.with_traceback(None)
+
+
+def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
+    """Every verdict over the grid at once: the one kernel.
+
+    The seven axes broadcast in grid order (n fastest), so each quantity
+    is computed once per combination of the axes it depends on, and each
+    distinct bath and drive record is built and validated once.  The
+    arithmetic repeats the scalar formulas operation for operation
+    (complex products as CPython forms them, math functions per element),
+    so every number has the bits of a point-by-point evaluation.  Returns
+    the RegimeVerdict columns in grid order and per point None, the
+    exception that skips it, or the (label, exception) pairs it records.
+    """
+    shape = tuple(map(len, grid.axes))
+    nan = math.nan
+    gamma, _, _, _, phi, omega_L, n = (
+        _along([float(v) for v in axis], (i,), shape) for i, axis in enumerate(grid.axes)
+    )
+    baths = [_caught(SqueezedVacuumParams, *key)
+             for key in itertools.product(*(grid.axes[i] for i in _BATH_AXES))]
+    lam2, mu2, lam_sum, lam_prod, offset = (_along(c, _BATH_AXES, shape) for c in zip(*(
+        (nan,) * 5 if isinstance(b, Exception)
+        else (b.lam ** 2, b.mu ** 2, b.lam + b.mu, b.lam * b.mu, _margin_offset(b))
+        for b in baths
+    )))
+    drives = [_caught(DriveParams, Omega, Delta)
+              for Delta, Omega in itertools.product(grid.Delta, grid.Omega)]
+    tangents = [d if isinstance(d, Exception) else _caught(_tangent_term, d) for d in drives]
+    op, dt, tangent = (_along(c, _DRIVE_AXES, shape) for c in zip(*(
+        (nan,) * 3 if isinstance(d, Exception)
+        else (d.omega_prime, d.delta_tilde, nan if isinstance(t, Exception) else t)
+        for d, t in zip(drives, tangents)
+    )))
+    phases = [cmath.exp(1j * p) for p in grid.phi]
+    p_re, p_im = (_along(c, (4,), shape) for c in zip(*((p.real, p.imag) for p in phases)))
+    asymptotic = isinstance(shifts, str) and shifts == "asymptotic"
+    fixed = None if asymptotic else _caught(resolve_shifts, shifts, None, None)
+
+    with np.errstate(all="ignore"):
+        x1 = (omega_L + op) - omega_L
+        n0, m0 = _n_at(0.0, lam2, mu2), _m_abs_at(0.0, lam2, mu2)  # x = omega_L - omega_L
+        n1, m1 = _n_at(x1, lam2, mu2), _m_abs_at(x1, lam2, mu2)
+        delta_M = m1 * op * lam_sum / lam_prod if asymptotic else getattr(fixed, "delta_M", nan)
+        # upsilon and the effective coefficients, real parts where enough
+        cr, ci = _cmul(m0 - m1, 0.0, p_re, p_im)
+        ups_re, ups_im = (n0 - n1) - cr, 0.0 - ci
+        transverse = 0.5 * (1.0 - dt * dt)
+        n_tilde = n1 + transverse * ups_re
+        shift = _cmul(*_cmul(*_cmul(0.0, 1.0, dt, 0.0), delta_M, 0.0), p_re, p_im)
+        m_re = (
+            _cmul(m1, 0.0, p_re, p_im)[0] - _cmul(transverse, 0.0, ups_re, ups_im)[0]
+        ) + shift[0]
+        g_dec = gamma * (0.5 + n_tilde + m_re)
+        g_pop = gamma * (1.0 + 2.0 * n_tilde)
+        meas = omega_L / n
+        denom = gamma * (1.0 + 2.0 * n_tilde) + 2.0 * meas
+        # the angular reduction
+        x = dt * delta_M
+        theta = np.where((m1 == 0.0) & (x == 0.0), 0.0, _math(math.atan2, m1, x))
+        magnitude = _math(math.hypot, x, m1)
+        angular_den = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re
+        singular = (magnitude != 0.0) & (np.abs(angular_den) < 1e-12)
+        lhs = magnitude * _math(math.sin, theta - phi) / angular_den
+        columns = {
+            "Gamma_dec": g_dec,
+            "Gamma_pop": g_pop,
+            "tau_dec": 1.0 / (g_dec + 2.0 * omega_L / n),
+            "tau_zeno": 1.0 / (g_pop + 2.0 * omega_L / n),
+            "ratio_derived": (g_dec + 2.0 * meas) / denom,
+            "ratio_paper": 0.5 + (2.0 * gamma * m_re + meas) / denom,
+            "cond_derived": 2.0 * m_re <= 1.0 + 2.0 * n_tilde,
+            "cond_paper": 4.0 * m_re <= 1.0 + 2.0 * n_tilde,
+            "theta": theta,
+            "angular_lhs": np.where(magnitude == 0.0, 0.0, np.where(singular, nan, lhs)),
+            "sufficient_margin": tangent - offset,
+        }
+
+    vshape = shape[:6] + (1,)  # no fault depends on n
+    faults = np.full(vshape, None, dtype=object)
+    skipped = np.zeros(vshape, dtype=bool)
+
+    def skip(mask, values, error=lambda value: value):
+        """Skip the points of mask that nothing skipped yet, with error(value)."""
+        new = np.broadcast_to(mask, vshape) & ~skipped
+        faults[new] = [error(v) for v in np.broadcast_to(values, vshape)[new].tolist()]
+        skipped[new] = True
+
+    for results, dims in ((baths, _BATH_AXES), (drives, _DRIVE_AXES)):
+        errors = _along([r if isinstance(r, Exception) else None for r in results],
+                        dims, shape, object)
+        skip(np.not_equal(errors, None), errors)
+    if asymptotic:
+        skip(~np.isfinite(delta_M), delta_M, lambda v: _caught(SqueezingShifts, 0.0, v))
+    elif isinstance(fixed, Exception):
+        skip(True, np.array(fixed, dtype=object))
+    skip(n_tilde < 0.0, n_tilde, _negative_n_tilde)
+    skip(g_dec <= 0.0, g_dec,
+         lambda v: InvalidParamsError(f"nonpositive quadrature decay rate ({v:.6g})"))
+    for rate in (g_dec, g_pop):  # the decay times take finite rates only
+        skip(~np.isfinite(rate), rate, lambda v: _caught(require_finite, "Gamma", v))
+
+    margin_error = np.broadcast_to(_along(tangents, _DRIVE_AXES, shape, object), vshape)
+    angular = np.broadcast_to(singular, vshape) & ~skipped
+    margin = np.broadcast_to(_along([isinstance(t, Exception) for t in tangents],
+                                    _DRIVE_AXES, shape, bool), vshape) & ~skipped
+    for i in zip(*np.nonzero(angular | margin)):
+        faults[i] = (
+            (("angular", _singular_angular(float(angular_den[i]))),) if angular[i] else ()
+        ) + ((("margin", margin_error[i]),) if margin[i] else ())
+
+    report = {}
+    for name, column in columns.items():
+        blank = None if column.dtype == bool else nan
+        report[name] = np.broadcast_to(np.where(skipped, blank, column), shape).ravel().tolist()
+    return report, np.broadcast_to(faults, shape).ravel().tolist()
+
+
+def _status(fault) -> str:
+    if fault is None:
+        return "ok"
+    if isinstance(fault, Exception):
+        return f"skipped: {fault}"
+    return "partial: " + "; ".join(f"{label}: {exc}" for label, exc in fault)
 
 
 def regime_sweep(grid: SweepGrid, *, shifts: ShiftSpec = "asymptotic") -> list[SweepRow]:
     """Classify every grid point; rows come back in grid order.
 
-    shifts is resolved at each point as in evaluate_regime: the
-    asymptotic preset per point, explicit values unchanged everywhere.
-    Points run one after another: the work is pure Python, so a thread
-    pool only adds overhead.  Invalid points are emitted as skipped rows
-    rather than aborting the sweep.
+    shifts is resolved as in evaluate_regime: the asymptotic preset per
+    point, explicit values unchanged everywhere.  The grid goes through
+    the array kernel in one call.  Invalid points are emitted as skipped
+    rows rather than aborting the sweep.
     """
-    return [_sweep_point(p, shifts) for p in grid.points()]
+    columns, faults = _regime_columns(grid, shifts)
+    shape = tuple(map(len, grid.axes))
+    points = (
+        np.broadcast_to(_along(axis, (i,), shape, object), shape).ravel().tolist()
+        for i, axis in enumerate(grid.axes)
+    )
+    statuses = {fault: _status(fault) for fault in set(faults)}
+    return list(map(SweepRow._make, zip(
+        *points, *(columns[name] for name in SWEEP_COLUMNS[7:-1]), map(statuses.get, faults)
+    )))

@@ -41,7 +41,7 @@ from .coefficients import (
     SqueezingShifts,
     effective_coefficients,
 )
-from .config import DEFAULTS, RunConfig, canonical_json
+from .config import DEFAULTS, RunConfig, _format_column, canonical_json
 from .errors import ConfigError, SqueezedZenoError
 from .spectrum import SqueezedVacuumParams, spectral_m, spectral_n
 from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
@@ -58,16 +58,15 @@ def _cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    return str(value)
+    # a field with a comma, quote or line break is quoted as csv.writer does
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([str(value), ""])
+    return buf.getvalue()[:-2]
 
 
 def _csv_document(cfg: RunConfig, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    body_io = io.StringIO()
-    writer = csv.writer(body_io, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    body = body_io.getvalue()
+    cells = zip(*(_format_column(column, _cell) for column in zip(*rows)))
+    body = "".join(",".join(row) + "\n" for row in (map(_cell, columns), *cells))
     return _provenance_lines(cfg, body) + body
 
 
@@ -100,7 +99,7 @@ def _json_document(cfg: RunConfig, result) -> str:
 
 def _tabular(cfg: RunConfig, columns: Sequence[str], rows: list) -> str:
     if cfg.format == "json":
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
+        payload = {"columns": list(columns), "rows": rows}
         return _json_document(cfg, payload)
     return _csv_document(cfg, columns, rows)
 
@@ -113,13 +112,8 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
     omega = bath.omega_L + x
     n_vals = spectral_n(bath, omega)
     m_vals = spectral_m(bath, omega)
-    rows = [
-        (
-            float(omega[i]), float(x[i]), float(n_vals[i]),
-            float(np.abs(m_vals[i])), float(m_vals[i].real), float(m_vals[i].imag),
-        )
-        for i in range(len(x))
-    ]
+    columns = (omega, x, n_vals, np.abs(m_vals), m_vals.real, m_vals.imag)
+    rows = list(zip(*(c.tolist() for c in columns)))
     return _tabular(cfg, ("omega", "x", "N", "M_abs", "M_re", "M_im"), rows), 0
 
 
@@ -137,14 +131,8 @@ def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
         n_samples=ev["samples"],
         method=ev["method"],
     )
-    rows = [
-        (
-            float(traj.t[i]),
-            float(traj.s_minus[i].real), float(traj.s_minus[i].imag),
-            float(traj.s_z[i]), float(traj.trace_error[i]),
-        )
-        for i in range(len(traj))
-    ]
+    values = (traj.t, traj.s_minus.real, traj.s_minus.imag, traj.s_z, traj.trace_error)
+    rows = list(zip(*(np.asarray(v, dtype=float).tolist() for v in values)))
     columns = ("t", "re_s_minus", "im_s_minus", "s_z", "trace_error")
     return _tabular(cfg, columns, rows), 0
 
@@ -171,7 +159,7 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Classify the configured grid; skipped points stay in the table."""
     rows = regime_sweep(cfg.sweep_grid(), shifts=cfg.data["shifts"])
-    return _tabular(cfg, SWEEP_COLUMNS, [r.as_tuple() for r in rows]), 0
+    return _tabular(cfg, SWEEP_COLUMNS, rows), 0
 
 
 def _rate_comparisons(cfg: RunConfig) -> list[dict]:

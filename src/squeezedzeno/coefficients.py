@@ -215,15 +215,19 @@ def effective_coefficients(
     beta = bath.gamma * ot * (shifts.delta_N + shifts.delta_M * phase - 1j * dt * ups)
 
     if validate and n_tilde < 0.0:
-        raise UnphysicalCoefficientsError(
-            f"effective photon number is negative (N~ = {n_tilde:.6g}); the "
-            f"secular reduction is unphysical here. Pass validate=False to "
-            f"inspect the raw coefficients."
-        )
+        raise _negative_n_tilde(n_tilde)
     return EffectiveCoefficients(
         gamma=bath.gamma,
         n_tilde=float(n_tilde),
         m_tilde=complex(m_tilde),
         delta=float(delta),
         beta=complex(beta),
+    )
+
+
+def _negative_n_tilde(n_tilde: float) -> UnphysicalCoefficientsError:
+    return UnphysicalCoefficientsError(
+        f"effective photon number is negative (N~ = {n_tilde:.6g}); the "
+        f"secular reduction is unphysical here. Pass validate=False to "
+        f"inspect the raw coefficients."
     )

@@ -73,51 +73,76 @@ def canonical_json(value: Any, *, indent: int | None = None) -> str:
     Non-finite floats become null; dict key order is preserved (configs
     are normalized to the DEFAULTS ordering before serialization).
     """
-    out: list[str] = []
-    _write_json(value, out, indent, 0)
-    return "".join(out)
+    return _json(value, indent, 0)
 
 
-def _write_json(value: Any, out: list[str], indent: int | None, level: int) -> None:
+def _json(value: Any, indent: int | None, level: int) -> str:
+    text = _json_scalar(value)
+    if text is not None:
+        return text
+    if isinstance(value, Mapping):
+        sep = ": " if indent else ":"
+        items = [json.dumps(str(k)) + sep + _json(v, indent, level + 1) for k, v in value.items()]
+        return _bracket("{}", items, indent, level)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return _bracket("[]", _json_items(list(value), indent, level), indent, level)
+    raise ConfigError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _bracket(pair: str, items: list[str], indent: int | None, level: int) -> str:
+    if not items:
+        return pair
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     closepad = "" if indent is None else "\n" + " " * (indent * level)
+    return pair[0] + pad + ("," + pad).join(items) + closepad + pair[1]
+
+
+def _json_items(seq: list, indent: int | None, level: int) -> list[str]:
+    """The texts of a list's items.  A list of scalars, or of equal-length
+    rows of scalars (a table), is rendered column by column."""
+    table = bool(seq) and all(isinstance(v, (list, tuple)) for v in seq) \
+        and len(set(map(len, seq))) == 1
+    columns = [_format_column(c, _json_scalar, "null") for c in (zip(*seq) if table else [seq])]
+    if columns and all(None not in texts for texts in columns):
+        if not table:
+            return columns[0]
+        return [_bracket("[]", list(row), indent, level + 1) for row in zip(*columns)]
+    return [_json(v, indent, level + 1) for v in seq]
+
+
+def _json_scalar(value: Any) -> str | None:
+    """The JSON text of a scalar; None for anything else."""
     if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
         v = float(value)
-        out.append(format(v, ".17g") if math.isfinite(v) else "null")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, Mapping):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(pad)
-            out.append(json.dumps(str(k)) + (": " if indent else ":"))
-            _write_json(v, out, indent, level + 1)
-        out.append(closepad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            out.append(pad)
-            _write_json(v, out, indent, level + 1)
-        out.append(closepad + "]")
-    else:
-        raise ConfigError(f"cannot serialize value of type {type(value).__name__}")
+        return format(v, ".17g") if math.isfinite(v) else "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    return None
+
+
+def _format_column(values, scalar, nonfinite: str | None = None) -> list:
+    """The texts of one column of scalars, one formatter for the column.
+
+    Floats take format(v, ".17g") (nonfinite for nan and inf, if given)
+    once per distinct bit pattern, so 0.0 and -0.0 stay apart; strings
+    take scalar once per distinct string, anything else per value.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        bits, where = np.unique(np.array(values).view(np.int64), return_inverse=True)
+        texts = [format(v, ".17g") if nonfinite is None or math.isfinite(v) else nonfinite
+                 for v in bits.view(np.float64).tolist()]
+        return np.array(texts, dtype=object)[where].tolist()
+    if kinds == {str}:
+        texts = {v: scalar(v) for v in set(values)}
+        return [texts[v] for v in values]
+    return list(map(scalar, values))
 
 
 def _merge(base: Any, override: Any, path: str) -> Any:

@@ -94,28 +94,34 @@ def spectral_n(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     and falls off as 1/x^4.
     """
     x = np.asarray(omega, dtype=float) - params.omega_L
-    lam2 = params.lam ** 2
-    mu2 = params.mu ** 2
+    value = _n_at(x, params.lam ** 2, params.mu ** 2)
+    if np.ndim(omega) == 0:
+        return float(value)
+    return value
+
+
+def _n_at(x, lam2, mu2):
+    """N at carrier offsets x for squared widths lam2, mu2 (arrays broadcast)."""
     amp = (lam2 - mu2) / 4.0
     # product form of amp * (1/(x^2+mu^2) - 1/(x^2+lam^2)): algebraically
     # identical, but the explicit difference cancels catastrophically in
     # the wings (|x| >> lam) and would spoil |M|^2 = N(N+1) at 1e-12
-    value = 4.0 * amp * amp / ((x * x + mu2) * (x * x + lam2))
-    if np.ndim(omega) == 0:
-        return float(value)
-    return value
+    return 4.0 * amp * amp / ((x * x + mu2) * (x * x + lam2))
 
 
 def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     """Magnitude |M(omega)| of the anomalous correlator."""
     x = np.asarray(omega, dtype=float) - params.omega_L
-    lam2 = params.lam ** 2
-    mu2 = params.mu ** 2
-    amp = (lam2 - mu2) / 4.0
-    value = amp * (1.0 / (x * x + mu2) + 1.0 / (x * x + lam2))
+    value = _m_abs_at(x, params.lam ** 2, params.mu ** 2)
     if np.ndim(omega) == 0:
         return float(value)
     return value
+
+
+def _m_abs_at(x, lam2, mu2):
+    """|M| at carrier offsets x for squared widths lam2, mu2 (arrays broadcast)."""
+    amp = (lam2 - mu2) / 4.0
+    return amp * (1.0 / (x * x + mu2) + 1.0 / (x * x + lam2))
 
 
 def spectral_m(params: SqueezedVacuumParams, omega: ArrayLike):

@@ -94,7 +94,7 @@ class MeasurementSchedule:
         cls, omega_L: float, n: int, t_i: float = 0.0
     ) -> "MeasurementSchedule":
         """Schedule with tau_M = 1/omega_L and t_f = t_i + n/omega_L."""
-        if omega_L <= 0.0:
+        if require_finite("omega_L", omega_L) <= 0.0:
             raise InvalidParamsError(f"omega_L must be > 0, got {omega_L}")
         tau_m = 1.0 / omega_L
         return cls(t_i=t_i, t_f=t_i + n * tau_m, n=n, tau_M=tau_m)

@@ -82,6 +82,11 @@ def test_phase_profile():
     assert squeezing_phase_profile(0.0, 5.0) == 0.0
     with pytest.raises(InvalidParamsError):
         squeezing_phase_profile(1.0, 0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            squeezing_phase_profile(bad, 1.0)
+        with pytest.raises(InvalidParamsError, match="finite"):
+            squeezing_phase_profile(1.0, bad)
 
 
 def test_angular_theta_limits():
@@ -269,7 +274,7 @@ def test_sweep_row_tuple_matches_columns():
              phi=math.pi, omega_L=100.0, n=100)
     )
     row = regime_sweep(grid)[0]
-    tup = row.as_tuple()
+    tup = tuple(row)  # a SweepRow is a NamedTuple in column order
     assert len(tup) == len(SWEEP_COLUMNS) == 18
     assert tup[0] == 1.0
     assert tup[-1] == "ok"

@@ -57,6 +57,10 @@ def test_schedule_validation():
         MeasurementSchedule.from_window(1.0, 1.0, 4)
     with pytest.raises(InvalidParamsError):
         MeasurementSchedule.from_carrier(0.0, 4)
+    # a non-finite carrier is named, not the tau_M derived from it
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParamsError, match="omega_L must be finite"):
+            MeasurementSchedule.from_carrier(bad, 4)
 
 
 def test_selection_defaults_and_normalization():
