@@ -132,7 +132,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
         method=ev["method"],
     )
     values = (traj.t, traj.s_minus.real, traj.s_minus.imag, traj.s_z, traj.trace_error)
-    rows = list(zip(*(np.asarray(v, dtype=float).tolist() for v in values)))
+    rows = list(zip(*(v.tolist() for v in values)))
     columns = ("t", "re_s_minus", "im_s_minus", "s_z", "trace_error")
     return _tabular(cfg, columns, rows), 0
 
