@@ -20,7 +20,6 @@ from .analysis import (
     angular_theta,
     evaluate_regime,
     regime_sweep,
-    squeezing_phase_profile,
     sufficient_condition_margin,
     sustainable_condition,
     tan_theta_asymptotic,
@@ -40,8 +39,6 @@ from .bloch import (
     fit_exponential,
     population_decay_rate,
     quadrature_decay_rate,
-    quadrature_effective_rates,
-    steady_state,
 )
 from .coefficients import (
     DriveParams,
@@ -67,19 +64,16 @@ from .errors import (
     UnphysicalCoefficientsError,
 )
 from .spectrum import (
-    SpectralPoint,
     SqueezedVacuumParams,
     spectral_m,
     spectral_m_abs,
     spectral_n,
-    spectral_point,
 )
 from .weakmeas import (
     DaviesModel,
     MeasurementSchedule,
     PrePostSelection,
     davies_amplitude,
-    davies_deviation,
     davies_max_deviation,
     davies_propagator_column,
     decay_time_approx,

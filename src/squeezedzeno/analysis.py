@@ -102,14 +102,6 @@ def sustainable_condition(coeffs: EffectiveCoefficients, mode: str = "derived") 
     return factor * coeffs.m_tilde.real <= 1.0 + 2.0 * coeffs.n_tilde
 
 
-def squeezing_phase_profile(Delta: float, Omega: float) -> float:
-    """Detuning-locked squeezing phase phi(Delta) = pi Delta / Omega."""
-    Delta, Omega = require_finite("Delta", Delta), require_finite("Omega", Omega)
-    if not Omega > 0.0:
-        raise InvalidParamsError(f"Omega must be > 0, got {Omega}")
-    return math.pi * Delta / Omega
-
-
 def angular_theta(
     bath: SqueezedVacuumParams, drive: DriveParams, shifts: SqueezingShifts
 ) -> float:
@@ -148,17 +140,13 @@ def angular_condition(
     ups_re = upsilon(bath, drive).real
     denominator = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re
     if abs(denominator) < 1e-12:
-        raise _singular_angular(denominator)
+        raise SingularDenominatorError(
+            f"angular-condition denominator is {denominator:.3g}; "
+            f"the reduction is singular at these parameters"
+        )
     # theta as in angular_theta; x and m1 are not both zero here
     lhs = magnitude * math.sin(math.atan2(m1, x) - bath.phi) / denominator
     return float(lhs), bool(lhs <= 0.25)
-
-
-def _singular_angular(denominator: float) -> SingularDenominatorError:
-    return SingularDenominatorError(
-        f"angular-condition denominator is {denominator:.3g}; "
-        f"the reduction is singular at these parameters"
-    )
 
 
 def tan_theta_asymptotic(bath: SqueezedVacuumParams, drive: DriveParams) -> float:
@@ -220,9 +208,8 @@ class RegimeVerdict(namedtuple("RegimeVerdict", (*_REPORTED, "errors"))):
 
     Both ratios and both condition booleans are always present.  theta
     and angular_lhs document the angular reduction, sufficient_margin
-    the phase-locked criterion.  A singular angular denominator or a
-    margin pole leaves that field NaN and is kept in errors as
-    (label, exception), label "angular" or "margin", in evaluation order.
+    the phase-locked criterion.  A margin pole (or Omega = 0) leaves
+    sufficient_margin NaN and is kept in errors as ("margin", exception).
     """
 
     __slots__ = ()
@@ -245,9 +232,8 @@ def evaluate_regime(
     default.  Raises UnphysicalCoefficientsError where the effective
     description breaks down and InvalidParamsError when Gamma_dec <= 0:
     |M~| above the positivity bound turns the slow quadrature into a
-    growing mode, and there is no decay time to compare.  Angular and
-    margin singularities are recorded in RegimeVerdict.errors instead of
-    raised.
+    growing mode, and there is no decay time to compare.  A margin
+    singularity is recorded in RegimeVerdict.errors instead of raised.
     """
     grid = SweepGrid(bath.gamma, bath.epsilon, drive.Delta, drive.Omega, bath.phi, bath.omega_L, n)
     columns, (fault,) = _regime_columns(grid, shifts)
@@ -353,7 +339,7 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
     (complex products as CPython forms them, math functions per element),
     so every number has the bits of a point-by-point evaluation.  Returns
     the RegimeVerdict columns in grid order and per point None, the
-    exception that skips it, or the (label, exception) pairs it records.
+    exception that skips it, or the ("margin", exception) pair it records.
     """
     shape = tuple(map(len, grid.axes))
     nan = math.nan
@@ -398,13 +384,17 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
         g_pop = gamma * (1.0 + 2.0 * n_tilde)
         meas = omega_L / n
         denom = gamma * (1.0 + 2.0 * n_tilde) + 2.0 * meas
-        # the angular reduction
+        # the angular reduction.  Its denominator is 1 + 2 n1 + 6 t with
+        # t = n_tilde - n1 = (1 - dt^2) Re Upsilon / 2, and it is never singular
+        # where a point is reported: Re Upsilon > -2 gamma epsilon / (gamma +
+        # epsilon)^2 >= -1/2 gives t > -1/4, and n_tilde >= 0 (skipped otherwise)
+        # gives n1 >= -t, so the denominator is at least min(1, 1 + 4 t) > 0
         x = dt * delta_M
         theta = np.where((m1 == 0.0) & (x == 0.0), 0.0, _math(math.atan2, m1, x))
         magnitude = _math(math.hypot, x, m1)
-        angular_den = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re
-        singular = (magnitude != 0.0) & (np.abs(angular_den) < 1e-12)
-        lhs = magnitude * _math(math.sin, theta - phi) / angular_den
+        lhs = magnitude * _math(math.sin, theta - phi) / (
+            1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re
+        )
         columns = {
             "Gamma_dec": g_dec,
             "Gamma_pop": g_pop,
@@ -415,7 +405,7 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
             "cond_derived": 2.0 * m_re <= 1.0 + 2.0 * n_tilde,
             "cond_paper": 4.0 * m_re <= 1.0 + 2.0 * n_tilde,
             "theta": theta,
-            "angular_lhs": np.where(magnitude == 0.0, 0.0, np.where(singular, nan, lhs)),
+            "angular_lhs": np.where(magnitude == 0.0, 0.0, lhs),
             "sufficient_margin": tangent - offset,
         }
 
@@ -444,13 +434,10 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
         skip(~np.isfinite(rate), rate, lambda v: _caught(require_finite, "Gamma", v))
 
     margin_error = np.broadcast_to(_along(tangents, _DRIVE_AXES, shape, object), vshape)
-    angular = np.broadcast_to(singular, vshape) & ~skipped
     margin = np.broadcast_to(_along([isinstance(t, Exception) for t in tangents],
                                     _DRIVE_AXES, shape, bool), vshape) & ~skipped
-    for i in zip(*np.nonzero(angular | margin)):
-        faults[i] = (
-            (("angular", _singular_angular(float(angular_den[i]))),) if angular[i] else ()
-        ) + ((("margin", margin_error[i]),) if margin[i] else ())
+    for i in zip(*np.nonzero(margin)):
+        faults[i] = (("margin", margin_error[i]),)
 
     report = {}
     for name, column in columns.items():

@@ -49,6 +49,7 @@ from .errors import (
     IllConditionedFitError,
     InvalidParamsError,
     require_finite,
+    require_positive_int,
 )
 
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -264,13 +265,6 @@ def bloch_generator(
     return mat, aff
 
 
-def steady_state(coeffs: EffectiveCoefficients, drive: DriveParams) -> BlochState:
-    """Stationary Bloch vector from the linear system A s = -b."""
-    mat, aff = bloch_generator(coeffs, drive)
-    u, w, z = np.linalg.solve(mat, -aff)
-    return BlochState(0.5 * (u + 1j * w), z)
-
-
 def quadrature_decay_rate(coeffs: EffectiveCoefficients) -> float:
     """Coherence decay constant Gamma_dec = gamma (1/2 + N~ + Re M~)."""
     return coeffs.gamma * (0.5 + coeffs.n_tilde + coeffs.m_tilde.real)
@@ -279,20 +273,6 @@ def quadrature_decay_rate(coeffs: EffectiveCoefficients) -> float:
 def population_decay_rate(coeffs: EffectiveCoefficients) -> float:
     """Population decay constant Gamma_pop = gamma (1 + 2 N~)."""
     return coeffs.gamma * (1.0 + 2.0 * coeffs.n_tilde)
-
-
-def quadrature_effective_rates(coeffs: EffectiveCoefficients) -> tuple[float, float]:
-    """Decay rates of the undriven quadrature sector, sorted ascending.
-
-    These are the negative real parts of the eigenvalues of the 2x2
-    block coupling (u, w).  When the cross coupling Im M~ + delta is
-    nonzero the quadratures mix and these effective rates differ from
-    the literal Gamma_dec; the slower one governs the long-time tail.
-    """
-    mat, _ = bloch_generator(coeffs, DriveParams(0.0, 0.0))
-    eigs = np.linalg.eigvals(mat[:2, :2])
-    rates = sorted(-eigs.real)
-    return float(rates[0]), float(rates[1])
 
 
 @dataclass(frozen=True)
@@ -377,9 +357,7 @@ def evolve(
     if not (t1 > t0):
         raise InvalidParamsError(f"t_span end must exceed start, got {t_span}")
     if t_eval is None:
-        if int(n_samples) < 1:
-            raise InvalidParamsError(f"n_samples must be >= 1, got {n_samples}")
-        t = np.linspace(t0, t1, int(n_samples))
+        t = np.linspace(t0, t1, require_positive_int("n_samples", n_samples))
     else:
         t = np.array(t_eval, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -442,17 +420,16 @@ class FitResult:
     residual: float
 
 
-def fit_exponential(
-    t: Sequence[float],
-    y: Sequence[float],
-    *,
-    residual_threshold: float = 1e-3,
-) -> FitResult:
+# largest rms fit residual, relative to the fitted amplitude, of a single exponential
+_RESIDUAL_THRESHOLD = 1e-3
+
+
+def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
     """Least-squares fit of a decaying exponential with offset.
 
     Raises DegenerateFitError when the signal is constant and
     IllConditionedFitError when the normalized rms residual exceeds
-    residual_threshold (signal not actually single-exponential).
+    _RESIDUAL_THRESHOLD (signal not actually single-exponential).
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -491,23 +468,14 @@ def fit_exponential(
     rate, amp, off = (float(v) for v in popt)
     resid = float(np.sqrt(np.mean((model_plain(t, *popt) - y) ** 2)))
     norm = max(abs(amp), 1e-30)
-    if resid / norm > residual_threshold:
+    if resid / norm > _RESIDUAL_THRESHOLD:
         raise IllConditionedFitError(
-            f"fit residual {resid:.3g} exceeds {residual_threshold:.3g} of the amplitude; "
+            f"fit residual {resid:.3g} exceeds {_RESIDUAL_THRESHOLD:.3g} of the amplitude; "
             f"the signal is not a single exponential"
         )
     return FitResult(rate=rate, amplitude=amp, offset=off, residual=resid)
 
 
-def fit_decay_rate(
-    trajectory: Trajectory,
-    observable: str = "sigma_x",
-    *,
-    residual_threshold: float = 1e-3,
-) -> FitResult:
+def fit_decay_rate(trajectory: Trajectory, observable: str = "sigma_x") -> FitResult:
     """Fit one trajectory observable to a decaying exponential."""
-    return fit_exponential(
-        trajectory.t,
-        trajectory.observable(observable),
-        residual_threshold=residual_threshold,
-    )
+    return fit_exponential(trajectory.t, trajectory.observable(observable))

@@ -77,15 +77,6 @@ class SqueezedVacuumParams:
         return self.gamma - self.epsilon
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One evaluated spectral sample: (omega, N(omega), M(omega))."""
-
-    omega: float
-    n_value: float
-    m_value: complex
-
-
 def spectral_n(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     """Mean photon number N(omega) of the squeezed reservoir.
 
@@ -135,12 +126,3 @@ def spectral_m(params: SqueezedVacuumParams, omega: ArrayLike):
     if np.ndim(omega) == 0:
         return complex(value)
     return value
-
-
-def spectral_point(params: SqueezedVacuumParams, omega: float) -> SpectralPoint:
-    """Evaluate both spectra at one frequency."""
-    return SpectralPoint(
-        omega=float(omega),
-        n_value=spectral_n(params, omega),
-        m_value=spectral_m(params, omega),
-    )

@@ -315,7 +315,7 @@ def _davies_spectrum(
     x - c S(x) increases across a gap, so the offsets x - k are bisected.
     The weights are w = 1 / (1 + c sum_{r != 0} 1/(x - r)^2).
     """
-    if model.dim > dim_cap:
+    if model.dim > require_positive_int("dim_cap", dim_cap):
         raise ResourceLimitError(
             f"model dimension {model.dim} exceeds the cap {dim_cap}; raise dim_cap "
             f"explicitly to allow the O(dim^2) propagator-column work of this model"
@@ -348,7 +348,7 @@ def davies_propagator_column(
     sum; dim_cap bounds that work (above it: ResourceLimitError).
     """
     pole, offset, weights = _davies_spectrum(model, dim_cap)
-    amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * float(t))
+    amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * require_finite("t", t))
     ladder = pole[pole != 0.0]
     column = np.empty(model.dim, dtype=complex)
     column[0] = amps.sum()
@@ -370,22 +370,24 @@ def davies_amplitude(
     tracks e^{-Gamma t} on t in [0, 3/Gamma], with the deviation
     shrinking as Delta_E decreases at fixed bandwidth.
     """
+    tarr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(tarr).all():
+        raise InvalidParamsError("t must be finite")
     pole, offset, weights = _davies_spectrum(model, dim_cap)
     eigvals = model.Delta_E * (pole + offset)
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
     amps = np.exp(-1j * np.outer(tarr, eigvals)) @ weights
     if np.ndim(t) == 0:
         return complex(amps[0])
     return amps
 
 
-def davies_deviation(
+def davies_max_deviation(
     model: DaviesModel,
     times: Sequence[float] | None = None,
     *,
     dim_cap: int = 6000,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Deviation |U_00(t) - e^{-Gamma t}| on a sampling grid.
+) -> float:
+    """Largest deviation |U_00(t) - e^{-Gamma t}| on a sampling grid.
 
     The default grid covers [0, 3/Gamma] in steps of 0.25/Gamma.  The
     first quarter-lifetime is where the universal short-time (quadratic)
@@ -397,16 +399,4 @@ def davies_deviation(
         times = np.arange(0.0, 3.0 + 1e-9, 0.25) / model.Gamma
     tarr = np.asarray(times, dtype=float)
     amps = davies_amplitude(model, tarr, dim_cap=dim_cap)
-    dev = np.abs(amps - np.exp(-model.Gamma * tarr))
-    return tarr, dev
-
-
-def davies_max_deviation(
-    model: DaviesModel,
-    times: Sequence[float] | None = None,
-    *,
-    dim_cap: int = 6000,
-) -> float:
-    """Maximum of davies_deviation over the grid."""
-    _, dev = davies_deviation(model, times, dim_cap=dim_cap)
-    return float(np.max(dev))
+    return float(np.max(np.abs(amps - np.exp(-model.Gamma * tarr))))

@@ -23,7 +23,6 @@ from squeezedzeno import (
     evaluate_regime,
     regime_sweep,
     spectral_n,
-    squeezing_phase_profile,
     sufficient_condition_margin,
     sustainable_condition,
     tan_theta_asymptotic,
@@ -75,18 +74,6 @@ def test_condition_is_the_stated_inequality():
         rhs = 1.0 + 2.0 * coeffs.n_tilde
         assert sustainable_condition(coeffs, "derived") == (lhs2 <= rhs)
         assert sustainable_condition(coeffs, "paper") == (2.0 * lhs2 <= rhs)
-
-
-def test_phase_profile():
-    assert squeezing_phase_profile(1.0, 10.0) == pytest.approx(math.pi / 10.0, rel=1e-15)
-    assert squeezing_phase_profile(0.0, 5.0) == 0.0
-    with pytest.raises(InvalidParamsError):
-        squeezing_phase_profile(1.0, 0.0)
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(InvalidParamsError, match="finite"):
-            squeezing_phase_profile(bad, 1.0)
-        with pytest.raises(InvalidParamsError, match="finite"):
-            squeezing_phase_profile(1.0, bad)
 
 
 def test_angular_theta_limits():
@@ -161,6 +148,33 @@ def test_angular_flips_against_paper_for_negative_denominator():
     coeffs = effective_coefficients(bath, drive, shifts, validate=False)
     _, angular_holds = angular_condition(bath, drive, shifts)
     assert angular_holds != sustainable_condition(coeffs, "paper")
+
+
+def test_angular_denominator_is_bounded_where_n_tilde_is_nonnegative():
+    # N~ >= 0 keeps 1 + 2 N(omega_L + Omega') + 3 (1 - Delta~^2) Re Upsilon
+    # above zero (the sweep kernel relies on it), also for epsilon -> gamma
+    rng = np.random.default_rng(29)
+    checked, smallest = 0, math.inf
+    for i in range(4000):
+        gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+        eps = gamma * (1.0 - 10.0 ** rng.uniform(-9.0, 0.0))
+        # phases crowd towards 0, where Re Upsilon is least
+        phi = rng.uniform(-math.pi, math.pi) * 10.0 ** rng.uniform(-3.0, 0.0)
+        bath = SqueezedVacuumParams(gamma, eps, phi, 100.0 * gamma)
+        omega_prime = 10.0 ** rng.uniform(-3.0, 4.0)
+        Delta = 0.0 if i % 2 else omega_prime * rng.uniform(-1.0, 1.0)
+        drive = DriveParams(Omega=math.sqrt(omega_prime**2 - Delta**2), Delta=Delta)
+        coeffs = effective_coefficients(bath, drive, SqueezingShifts.zero(), validate=False)
+        if coeffs.n_tilde < 0.0:
+            continue
+        dt = drive.delta_tilde
+        den = 1.0 + 2.0 * spectral_n(
+            bath, bath.omega_L + drive.omega_prime
+        ) + 3.0 * (1.0 - dt * dt) * upsilon(bath, drive).real
+        smallest = min(smallest, den)
+        checked += 1
+    assert checked > 3000
+    assert smallest > 0.25
 
 
 def test_sufficient_margin_frozen():

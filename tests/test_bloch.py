@@ -31,15 +31,33 @@ from squeezedzeno import (
     fit_exponential,
     population_decay_rate,
     quadrature_decay_rate,
-    quadrature_effective_rates,
     spectral_m_abs,
     spectral_n,
-    steady_state,
 )
 
 BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
 DRIVE = DriveParams(Omega=10.0, Delta=0.0)
 COEFFS = effective_coefficients(BATH, DRIVE, SqueezingShifts.asymptotic(BATH, DRIVE))
+
+
+def steady_state(coeffs, drive):
+    """Stationary Bloch vector from the linear system A s = -b."""
+    mat, aff = bloch_generator(coeffs, drive)
+    u, w, z = np.linalg.solve(mat, -aff)
+    return BlochState(0.5 * (u + 1j * w), z)
+
+
+def quadrature_effective_rates(coeffs):
+    """Decay rates of the undriven quadrature sector, sorted ascending.
+
+    These are the negative real parts of the eigenvalues of the 2x2
+    block coupling (u, w).  When the cross coupling Im M~ + delta is
+    nonzero the quadratures mix and these effective rates differ from
+    the literal Gamma_dec; the slower one governs the long-time tail.
+    """
+    mat, _ = bloch_generator(coeffs, DriveParams(0.0, 0.0))
+    rates = sorted(-np.linalg.eigvals(mat[:2, :2]).real)
+    return float(rates[0]), float(rates[1])
 
 
 def random_coefficients(rng):
@@ -297,6 +315,9 @@ def test_evolve_long_horizon_is_exact_and_fast(method):
         pytest.param({"t_eval": [0.5, 1.5]}, id="after-end"),
         pytest.param({"n_samples": 0}, id="no-samples"),
         pytest.param({"n_samples": -1}, id="negative-samples"),
+        pytest.param({"n_samples": float("nan")}, id="nan-samples"),
+        pytest.param({"n_samples": float("inf")}, id="inf-samples"),
+        pytest.param({"n_samples": 2.7}, id="fractional-samples"),
     ],
 )
 def test_evolve_rejects_bad_sample_grid(grid):

@@ -11,7 +11,6 @@ from squeezedzeno import (
     spectral_m,
     spectral_m_abs,
     spectral_n,
-    spectral_point,
 )
 
 
@@ -89,13 +88,6 @@ def test_vectorized_and_scalar():
     assert n.shape == (5,)
     assert isinstance(spectral_n(BATH, BATH.omega_L), float)
     assert n[2] == spectral_n(BATH, BATH.omega_L)
-
-
-def test_spectral_point_bundles_everything():
-    pt = spectral_point(BATH, 101.0)
-    assert pt.omega == 101.0
-    assert pt.n_value == spectral_n(BATH, 101.0)
-    assert pt.m_value == spectral_m(BATH, 101.0)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from squeezedzeno import (
     SqueezedVacuumParams,
     SqueezingShifts,
     davies_amplitude,
-    davies_deviation,
     davies_max_deviation,
     davies_propagator_column,
     decay_time_approx,
@@ -33,6 +32,7 @@ from squeezedzeno import (
     weak_value,
     zeno_time,
 )
+import squeezedzeno.weakmeas as weakmeas
 from squeezedzeno.weakmeas import _davies_spectrum
 
 SZ = np.diag([1.0, -1.0])
@@ -214,6 +214,7 @@ def test_davies_model_validation():
 _BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
 _DRIVE = DriveParams(Omega=10.0, Delta=0.0)
 _SCHED = MeasurementSchedule.from_carrier(100.0, 10)
+_DAVIES = DaviesModel(1.0, 10, 0.1)
 _NONFINITE_CASES = {
     "davies_R_inf": lambda: DaviesModel(1.0, math.inf, 0.1),
     "davies_R_nan": lambda: DaviesModel(1.0, math.nan, 0.1),
@@ -231,6 +232,13 @@ _NONFINITE_CASES = {
     "weak_survival_Gamma_nan": lambda: weak_survival(math.nan, _SCHED, 0.05),
     "weak_survival_Gamma_inf": lambda: weak_survival(math.inf, _SCHED, 0.05),
     "weak_survival_t_nan": lambda: weak_survival(1.0, _SCHED, math.nan),
+    "davies_amplitude_dim_cap_nan": lambda: davies_amplitude(_DAVIES, 1.0, dim_cap=math.nan),
+    "davies_column_dim_cap_inf": lambda: davies_propagator_column(
+        _DAVIES, 1.0, dim_cap=math.inf
+    ),
+    "davies_amplitude_t_nan": lambda: davies_amplitude(_DAVIES, math.nan),
+    "davies_amplitude_t_array_inf": lambda: davies_amplitude(_DAVIES, [0.0, math.inf]),
+    "davies_column_t_inf": lambda: davies_propagator_column(_DAVIES, math.inf),
 }
 
 
@@ -266,15 +274,28 @@ def test_davies_tracks_exponential_and_refines():
     assert fine < coarse
 
 
-def test_davies_deviation_grid():
+def test_davies_deviation_grid(monkeypatch):
     model = DaviesModel(Gamma=2.0, R=30, Delta_E=0.5)
-    t, dev = davies_deviation(model)
-    assert t[0] == 0.0
+
+    def deviation(times):
+        return np.max(np.abs(davies_amplitude(model, times) - np.exp(-model.Gamma * times)))
+
+    seen = []
+
+    def recorded(model, t, **kwargs):
+        seen.append(np.array(t))
+        return davies_amplitude(model, t, **kwargs)
+
+    monkeypatch.setattr(weakmeas, "davies_amplitude", recorded)
+    got = davies_max_deviation(model)
+    # the default grid covers [0, 3/Gamma] in steps of 0.25/Gamma
+    (t,) = seen
+    assert len(t) == 13 and t[0] == 0.0
     assert t[-1] == pytest.approx(1.5, rel=1e-12)  # 3 / Gamma
-    assert len(t) == 13
-    assert dev[0] == pytest.approx(0.0, abs=1e-12)
-    t2, dev2 = davies_deviation(model, times=[0.0, 0.3])
-    assert len(t2) == 2 and len(dev2) == 2
+    np.testing.assert_allclose(np.diff(t), 0.125, rtol=1e-12)
+    assert got == deviation(t)
+    explicit = np.array([0.0, 0.3])
+    assert davies_max_deviation(model, explicit) == deviation(explicit)
 
 
 def test_davies_resource_cap():
