@@ -435,6 +435,8 @@ def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < 4:
         raise InvalidParamsError("need at least 4 matching samples to fit")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise InvalidParamsError("samples to fit must be finite")
 
     spread = float(np.max(y) - np.min(y))
     scale = max(np.max(np.abs(y)), 1.0)

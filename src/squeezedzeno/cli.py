@@ -9,21 +9,18 @@ fit-versus-analytic rate checks).
 Every output starts with a provenance block: tool version, the fully
 resolved configuration, and a sha256 over the data section.  No
 timestamps are written, so identical inputs give byte-identical files.
-Floats are serialized with 17 significant digits.  Exit codes: 0
-success, 1 usage error, 2 computation error, 3 I/O error.
+The output format (scalar texts, JSON layout, CSV quoting, provenance)
+lives in config, where RunConfig.render writes every document.  Exit
+codes: 0 success, 1 usage error, 2 computation error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
 import math
-import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,68 +38,10 @@ from .coefficients import (
     SqueezingShifts,
     effective_coefficients,
 )
-from .config import DEFAULTS, RunConfig, _format_column, canonical_json
+from .config import DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
 from .spectrum import SqueezedVacuumParams, spectral_m, spectral_n
 from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
-
-TOOL = f"squeezedzeno {__version__}"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    # a field with a comma, quote or line break is quoted as csv.writer does
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([str(value), ""])
-    return buf.getvalue()[:-2]
-
-
-def _csv_document(cfg: RunConfig, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    cells = zip(*(_format_column(column, _cell) for column in zip(*rows)))
-    body = "".join(",".join(row) + "\n" for row in (map(_cell, columns), *cells))
-    return _provenance_lines(cfg, body) + body
-
-
-def _provenance_lines(cfg: RunConfig, body: str) -> str:
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return (
-        f"# tool: {TOOL}\n"
-        f"# config: {canonical_json(_provenance_config(cfg))}\n"
-        f"# content-sha256: {digest}\n"
-    )
-
-
-def _provenance_config(cfg: RunConfig) -> dict:
-    # the output path is where the result goes, not part of what it is
-    return {k: v for k, v in cfg.data.items() if k != "out"}
-
-
-def _json_document(cfg: RunConfig, result) -> str:
-    digest = hashlib.sha256(canonical_json(result).encode("utf-8")).hexdigest()
-    document = {
-        "provenance": {
-            "tool": TOOL,
-            "config": _provenance_config(cfg),
-            "content_sha256": digest,
-        },
-        "result": result,
-    }
-    return canonical_json(document, indent=2) + "\n"
-
-
-def _tabular(cfg: RunConfig, columns: Sequence[str], rows: list) -> str:
-    if cfg.format == "json":
-        payload = {"columns": list(columns), "rows": rows}
-        return _json_document(cfg, payload)
-    return _csv_document(cfg, columns, rows)
-
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
     """Tabulate N and M on a frequency grid around the carrier."""
@@ -114,7 +53,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
     m_vals = spectral_m(bath, omega)
     columns = (omega, x, n_vals, np.abs(m_vals), m_vals.real, m_vals.imag)
     rows = list(zip(*(c.tolist() for c in columns)))
-    return _tabular(cfg, ("omega", "x", "N", "M_abs", "M_re", "M_im"), rows), 0
+    return cfg.render(rows, ("omega", "x", "N", "M_abs", "M_re", "M_im")), 0
 
 
 def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
@@ -134,7 +73,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
     values = (traj.t, traj.s_minus.real, traj.s_minus.imag, traj.s_z, traj.trace_error)
     rows = list(zip(*(v.tolist() for v in values)))
     columns = ("t", "re_s_minus", "im_s_minus", "s_z", "trace_error")
-    return _tabular(cfg, columns, rows), 0
+    return cfg.render(rows, columns), 0
 
 
 def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
@@ -149,17 +88,17 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
             raise verdict.errors[0][1]
     except SqueezedZenoError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        return _json_document(cfg, error), 2
+        return cfg.render(error), 2
     result = verdict.report()
     if cfg.format == "json":
-        return _json_document(cfg, result), 0
-    return _csv_document(cfg, tuple(result), [tuple(result.values())]), 0
+        return cfg.render(result), 0
+    return cfg.render([tuple(result.values())], tuple(result)), 0
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Classify the configured grid; skipped points stay in the table."""
     rows = regime_sweep(cfg.sweep_grid(), shifts=cfg.data["shifts"])
-    return _tabular(cfg, SWEEP_COLUMNS, rows), 0
+    return cfg.render(rows, SWEEP_COLUMNS), 0
 
 
 def _rate_comparisons(cfg: RunConfig) -> list[dict]:
@@ -217,7 +156,7 @@ def cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
             "unitarity_defect": defect,
         })
     result = {"davies": davies_rows, "rates": _rate_comparisons(cfg)}
-    return _json_document(cfg, result), 0
+    return cfg.render(result), 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,10 +172,10 @@ def build_parser() -> _Parser:
         description="Squeezed-bath atom dynamics: spectra, trajectories, "
         "weak-measurement timescales, and regime classification.",
         epilog="Defaults (override via --config file or flags):\n"
-        + canonical_json(DEFAULT_SUMMARY, indent=2),
+        + canonical_json(DEFAULT_SUMMARY, indent=True),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=TOOL)
+    parser.add_argument("--version", action="version", version=f"squeezedzeno {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     descriptions = {
         "spectrum": "tabulate N(omega) and M(omega) on a grid around the carrier",
@@ -251,8 +190,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
         sp.add_argument("--threads", type=int, metavar="N",
-                        help="accepted and validated (default $SQUEEZEDZENO_THREADS "
-                        "or 1); sweeps run on one thread")
+                        help="accepted and validated (>= 1); sweeps run on one thread")
     return parser
 
 
@@ -263,19 +201,9 @@ DEFAULT_SUMMARY = {
 }
 
 
-def _check_threads(flag_value: int | None) -> None:
-    """Validate --threads / $SQUEEZEDZENO_THREADS; neither changes the work."""
-    if flag_value is not None:
-        threads = flag_value
-    else:
-        raw = os.environ.get("SQUEEZEDZENO_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"SQUEEZEDZENO_THREADS must be an integer, got {raw!r}"
-            ) from None
-    if threads < 1:
+def _check_threads(threads: int | None) -> None:
+    """Validate --threads; it does not change the work."""
+    if threads is not None and threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
 
 

@@ -1,9 +1,14 @@
-"""Run configuration: defaults, file parsing, and canonical serialization.
+"""Run configuration: defaults, file parsing, and the output format.
 
 Configs are nested key/value documents. JSON is accepted everywhere;
 YAML is accepted for hand-written files. Every omitted key falls back
 to a documented default, flag overrides win over file values, and the
 fully resolved config is echoed into each output's provenance header.
+
+This module is the one place that decides how output looks: the text
+of each scalar in JSON and in CSV (one formatter, _scalar), the JSON
+layout, CSV quoting and the provenance header.  RunConfig.render writes
+every CLI document; canonical_json is the serializer on its own.
 Serialization is canonical (fixed key order, 17 significant digits) so
 that parse -> serialize -> parse is the identity and outputs are
 byte-stable.
@@ -11,11 +16,15 @@ byte-stable.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -67,82 +76,107 @@ _INITIAL_STATES = {
 }
 
 
-def canonical_json(value: Any, *, indent: int | None = None) -> str:
+def canonical_json(value: Any, *, indent: bool = False) -> str:
     """Serialize with a fixed layout and 17-significant-digit floats.
 
-    Non-finite floats become null; dict key order is preserved (configs
-    are normalized to the DEFAULTS ordering before serialization).
+    Compact by default; with indent, one item per line and two spaces
+    per level.  Non-finite floats become null; dict key order is
+    preserved (configs are normalized to the DEFAULTS ordering before
+    serialization).
     """
-    return _json(value, indent, 0)
+    return _layout(value, 0)[1 if indent else 0]
 
 
-def _json(value: Any, indent: int | None, level: int) -> str:
-    text = _json_scalar(value)
+def _layout(value: Any, level: int) -> tuple[str, str]:
+    """The compact and the indented text of value at a nesting level.
+
+    One pass: each scalar is formatted once and its text joined into
+    both layouts.
+    """
+    text = _scalar(value)
     if text is not None:
-        return text
+        return text, text
     if isinstance(value, Mapping):
-        sep = ": " if indent else ":"
-        items = [json.dumps(str(k)) + sep + _json(v, indent, level + 1) for k, v in value.items()]
-        return _bracket("{}", items, indent, level)
+        keys = [json.dumps(str(k)) for k in value]
+        texts = [_layout(v, level + 1) for v in value.values()]
+        return _join("{}", [k + ":" + c for k, (c, _) in zip(keys, texts)],
+                     [k + ": " + i for k, (_, i) in zip(keys, texts)], level)
     if isinstance(value, (list, tuple, np.ndarray)):
-        return _bracket("[]", _json_items(list(value), indent, level), indent, level)
+        return _layout_items(list(value), level)
     raise ConfigError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _bracket(pair: str, items: list[str], indent: int | None, level: int) -> str:
-    if not items:
-        return pair
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    closepad = "" if indent is None else "\n" + " " * (indent * level)
-    return pair[0] + pad + ("," + pad).join(items) + closepad + pair[1]
+def _join(pair: str, compact: list[str], indented: list[str], level: int) -> tuple[str, str]:
+    """Both layouts of one bracketed sequence, from its items' texts."""
+    if not compact:
+        return pair, pair
+    pad = "\n" + "  " * (level + 1)
+    return (pair[0] + ",".join(compact) + pair[1],
+            pair[0] + pad + ("," + pad).join(indented) + pad[:-2] + pair[1])
 
 
-def _json_items(seq: list, indent: int | None, level: int) -> list[str]:
-    """The texts of a list's items.  A list of scalars, or of equal-length
-    rows of scalars (a table), is rendered column by column."""
+def _layout_items(seq: list, level: int) -> tuple[str, str]:
+    """Both layouts of a list.  A list of scalars, or of equal-length rows
+    of scalars (a table), is formatted column by column."""
     table = bool(seq) and all(isinstance(v, (list, tuple)) for v in seq) \
         and len(set(map(len, seq))) == 1
-    columns = [_format_column(c, _json_scalar, "null") for c in (zip(*seq) if table else [seq])]
+    columns = [_column(c) for c in (zip(*seq) if table else [seq])]
     if columns and all(None not in texts for texts in columns):
         if not table:
-            return columns[0]
-        return [_bracket("[]", list(row), indent, level + 1) for row in zip(*columns)]
-    return [_json(v, indent, level + 1) for v in seq]
+            return _join("[]", columns[0], columns[0], level)
+        rows = list(zip(*columns))
+        pad = "\n" + "  " * (level + 2)
+        return _join("[]", ["[" + ",".join(row) + "]" for row in rows],
+                     ["[" + pad + ("," + pad).join(row) + pad[:-2] + "]" for row in rows], level)
+    texts = [_layout(v, level + 1) for v in seq]
+    return _join("[]", [c for c, _ in texts], [i for _, i in texts], level)
 
 
-def _json_scalar(value: Any) -> str | None:
-    """The JSON text of a scalar; None for anything else."""
+def _scalar(value: Any, cell: bool = False) -> str | None:
+    """The JSON text of a scalar, None for anything else; with cell, its CSV cell.
+
+    The two differ only for None (nan), non-finite floats (nan, inf,
+    -inf) and strings, which are quoted as csv.writer quotes them; a
+    cell of any other type is its str, quoted the same way.
+    """
+    if isinstance(value, float):
+        return format(value, ".17g") if cell or math.isfinite(value) else "null"
+    if isinstance(value, np.floating):
+        return _scalar(float(value), cell)
     if value is None:
-        return "null"
+        return "nan" if cell else "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return format(v, ".17g") if math.isfinite(v) else "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    return None
+    if cell:
+        buf = io.StringIO()
+        # the empty second field keeps csv.writer from quoting an empty first one
+        csv.writer(buf, lineterminator="\n").writerow([str(value), ""])
+        return buf.getvalue()[:-2]
+    return json.dumps(value) if isinstance(value, str) else None
 
 
-def _format_column(values, scalar, nonfinite: str | None = None) -> list:
-    """The texts of one column of scalars, one formatter for the column.
+def _column(values, cell: bool = False) -> list:
+    """_scalar of each value of one column (a JSON text, or with cell a CSV cell).
 
-    Floats take format(v, ".17g") (nonfinite for nan and inf, if given)
-    once per distinct bit pattern, so 0.0 and -0.0 stay apart; strings
-    take scalar once per distinct string, anything else per value.
+    Floats are formatted once per distinct bit pattern, so 0.0 and -0.0
+    stay apart; None, strings and either bools or ints once per distinct
+    value (a column of both would take True for 1).
     """
     kinds = set(map(type, values))
     if kinds == {float}:
         bits, where = np.unique(np.array(values).view(np.int64), return_inverse=True)
-        texts = [format(v, ".17g") if nonfinite is None or math.isfinite(v) else nonfinite
-                 for v in bits.view(np.float64).tolist()]
+        texts = list(map(_scalar, bits.view(np.float64).tolist(), repeat(cell)))
         return np.array(texts, dtype=object)[where].tolist()
-    if kinds == {str}:
-        texts = {v: scalar(v) for v in set(values)}
-        return [texts[v] for v in values]
-    return list(map(scalar, values))
+    if kinds <= {type(None), str, bool} or kinds <= {type(None), str, int}:
+        texts = {v: _scalar(v, cell) for v in set(values)}
+        return list(map(texts.__getitem__, values))
+    return [_scalar(v, cell) for v in values]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _merge(base: Any, override: Any, path: str) -> Any:
@@ -332,8 +366,31 @@ class RunConfig:
                 cfg[key] = value
         return cls(_normalize(cfg))
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return canonical_json(self.data, indent=indent)
+    def render(self, result: Any, columns: Sequence[str] | None = None) -> str:
+        """The output document of result: a provenance header, then the data.
+
+        With columns, result is a list of rows, written as a CSV table
+        or, in JSON, as {"columns": [...], "rows": [...]}; without, it is
+        written as JSON whatever the configured format.  The provenance
+        names the tool, echoes the resolved config and gives the sha256
+        of the data section (the CSV body, or the compact JSON of the
+        payload).  It holds no timestamp, so equal inputs give equal bytes.
+        """
+        from . import __version__  # not at import: the package imports this module first
+
+        tool = f"squeezedzeno {__version__}"
+        # the output path is where the result goes, not part of what it is
+        config = {k: v for k, v in self.data.items() if k != "out"}
+        if columns is not None and self.format == "csv":
+            cells = zip(*(_column(column, cell=True) for column in zip(*result)))
+            body = "\n".join(map(",".join, (_column(columns, cell=True), *cells))) + "\n"
+            return (f"# tool: {tool}\n# config: {canonical_json(config)}\n"
+                    f"# content-sha256: {_sha256(body)}\n{body}")
+        if columns is not None:
+            result = {"columns": list(columns), "rows": result}
+        compact, indented = _layout(result, 1)
+        provenance = {"tool": tool, "config": config, "content_sha256": _sha256(compact)}
+        return f'{{\n  "provenance": {_layout(provenance, 1)[1]},\n  "result": {indented}\n}}\n'
 
     # typed accessors; parameter errors surface as config errors naming
     # the section so the CLI can map them to a usage failure

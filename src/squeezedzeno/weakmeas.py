@@ -140,7 +140,7 @@ class PrePostSelection:
 
 def propagator(omega_A: float, t: float) -> NDArray[np.complex128]:
     """Free evolution diag(e^{i omega_A t/2}, e^{-i omega_A t/2})."""
-    phase = 0.5 * omega_A * t
+    phase = 0.5 * require_finite("omega_A", omega_A) * require_finite("t", t)
     return np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
 
 

@@ -353,6 +353,16 @@ def test_fit_exponential_rejects_flat_data():
         fit_exponential(t, np.full_like(t, 0.7))
 
 
+@pytest.mark.parametrize("where", ["t", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_exponential_rejects_non_finite_samples(where, bad):
+    t = np.linspace(0.0, 4.0, 10)
+    y = 0.3 + 0.7 * np.exp(-2.5 * t)
+    (t if where == "t" else y)[4] = bad
+    with pytest.raises(InvalidParamsError, match="finite"):
+        fit_exponential(t, y)
+
+
 def test_fit_exponential_rejects_non_exponential():
     t = np.linspace(0.0, 6.0, 400)
     y = np.sin(3.0 * t)

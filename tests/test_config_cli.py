@@ -5,6 +5,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from squeezedzeno import BlochState
@@ -15,7 +16,7 @@ from squeezedzeno.config import DEFAULTS, ConfigError, RunConfig, canonical_json
 def test_defaults_round_trip(tmp_path):
     cfg = RunConfig.load()
     path = tmp_path / "dump.json"
-    path.write_text(cfg.to_json())
+    path.write_text(canonical_json(cfg.data, indent=True))
     again = RunConfig.load(path)
     assert again.data == cfg.data
 
@@ -170,6 +171,56 @@ def test_canonical_json_formatting():
     assert nested == '{"z":1,"a":2}'
 
 
+# value, its JSON text, its CSV cell
+SCALAR_TEXTS = [
+    (None, "null", "nan"),
+    (True, "true", "true"),
+    (False, "false", "false"),
+    (7, "7", "7"),
+    (np.int64(-3), "-3", "-3"),
+    (0.0, "0", "0"),
+    (-0.0, "-0", "-0"),
+    (1e-300, "1e-300", "1e-300"),
+    (float("nan"), "null", "nan"),
+    (float("inf"), "null", "inf"),
+    (float("-inf"), "null", "-inf"),
+    ("a,b", '"a,b"', '"a,b"'),
+    ('say "hi"', '"say \\"hi\\""', '"say ""hi"""'),
+    ("two\nlines", '"two\\nlines"', '"two\nlines"'),
+    ("", '""', ""),
+    ("\u00b5s", '"\\u00b5s"', "\u00b5s"),
+]
+
+
+@pytest.mark.parametrize("value, text, cell", SCALAR_TEXTS)
+def test_scalar_json_text_and_csv_cell(value, text, cell):
+    assert canonical_json(value) == text
+    # a list is formatted column by column, floats once per bit pattern
+    assert canonical_json([value, value]) == f"[{text},{text}]"
+    document = RunConfig.load().render([(value,), (value,)], ("v",))
+    assert document.split("\n", 3)[3] == f"v\n{cell}\n{cell}\n"
+
+
+def test_zero_and_negative_zero_stay_apart_in_a_column():
+    assert canonical_json([0.0, -0.0, 0.0, -0.0]) == "[0,-0,0,-0]"
+    document = RunConfig.load().render([(0.0, -0.0), (-0.0, 0.0)], ("a", "b"))
+    assert document.split("\n", 3)[3] == "a,b\n0,-0\n-0,0\n"
+
+
+def test_indented_and_compact_json_hold_the_same_value():
+    value = {
+        "table": [[1.5, None, "x"], [float("nan"), True, "y,z"]],
+        "empty_list": [],
+        "empty_dict": {},
+        "mixed": [1, {"a": [2.0, -0.0]}, "s", {}, None],
+    }
+    compact = canonical_json(value)
+    indented = canonical_json(value, indent=True)
+    assert "\n" not in compact and indented.startswith('{\n  "table": [\n    [\n      1.5,')
+    assert json.loads(indented) == json.loads(compact)
+    assert json.loads(compact)["mixed"] == [1, {"a": [2.0, -0.0]}, "s", {}, None]
+
+
 def test_cli_spectrum_provenance(tmp_path, capsys):
     rc = main(["spectrum"])
     out = capsys.readouterr().out
@@ -251,22 +302,6 @@ def test_cli_evolve_csv_columns(capsys, tmp_path):
     first = lines[4].split(",")
     assert float(first[0]) == 0.0
     assert float(first[3]) == 1.0
-
-
-def test_cli_sweep_threads_env(tmp_path, monkeypatch):
-    cfgp = tmp_path / "c.json"
-    cfgp.write_text(
-        '{"sweep": {"gamma": 1.0, "epsilon": [0.0, 0.5], "Delta": 0.0,'
-        ' "Omega": 10.0, "phi": 3.141592653589793, "omega_L": 100.0, "n": 100}}'
-    )
-    out1 = tmp_path / "r1.csv"
-    out2 = tmp_path / "r2.csv"
-    assert main(["sweep", "--config", str(cfgp), "--out", str(out1)]) == 0
-    monkeypatch.setenv("SQUEEZEDZENO_THREADS", "4")
-    assert main(["sweep", "--config", str(cfgp), "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("SQUEEZEDZENO_THREADS", "zero")
-    assert main(["sweep", "--config", str(cfgp), "--out", str(out1)]) == 1
 
 
 def test_cli_oracle_small_schedule(tmp_path, capsys):

@@ -239,6 +239,10 @@ _NONFINITE_CASES = {
     "davies_amplitude_t_nan": lambda: davies_amplitude(_DAVIES, math.nan),
     "davies_amplitude_t_array_inf": lambda: davies_amplitude(_DAVIES, [0.0, math.inf]),
     "davies_column_t_inf": lambda: davies_propagator_column(_DAVIES, math.inf),
+    "propagator_t_nan": lambda: propagator(1.0, math.nan),
+    "propagator_omega_A_inf": lambda: propagator(math.inf, 1.0),
+    "weak_value_t_nan": lambda: weak_value(SZ, PrePostSelection(), 3.0, 0.0, math.nan, 1.0),
+    "weak_value_omega_A_inf": lambda: weak_value(SZ, PrePostSelection(), math.inf, 0.0, 0.5, 1.0),
 }
 
 
