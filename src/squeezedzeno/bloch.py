@@ -40,8 +40,6 @@ from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .coefficients import DriveParams, EffectiveCoefficients
 from .errors import (
@@ -353,6 +351,7 @@ def evolve(
         expectation values (u, w, z, 1) under the homogeneous form
         [[A, b], [0, 0]] of the affine Bloch generator.
     """
+    from scipy.linalg import expm  # here, so that importing the package skips scipy
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0):
         raise InvalidParamsError(f"t_span end must exceed start, got {t_span}")
@@ -431,6 +430,7 @@ def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
     IllConditionedFitError when the normalized rms residual exceeds
     _RESIDUAL_THRESHOLD (signal not actually single-exponential).
     """
+    from scipy.optimize import OptimizeWarning, curve_fit
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < 4:

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from .analysis import SweepGrid
 from .bloch import BlochState
@@ -132,6 +131,11 @@ def _layout_items(seq: list, level: int) -> tuple[str, str]:
     return _join("[]", [c for c, _ in texts], [i for _, i in texts], level)
 
 
+# quotes every string cell: writerow returns what write returns, here the row's text;
+# it runs in C and never releases the GIL, so threads may share it
+_CELL_WRITER = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+
+
 def _scalar(value: Any, cell: bool = False) -> str | None:
     """The JSON text of a scalar, None for anything else; with cell, its CSV cell.
 
@@ -150,10 +154,8 @@ def _scalar(value: Any, cell: bool = False) -> str | None:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if cell:
-        buf = io.StringIO()
         # the empty second field keeps csv.writer from quoting an empty first one
-        csv.writer(buf, lineterminator="\n").writerow([str(value), ""])
-        return buf.getvalue()[:-2]
+        return _CELL_WRITER.writerow([str(value), ""])[:-2]
     return json.dumps(value) if isinstance(value, str) else None
 
 
@@ -346,13 +348,18 @@ class RunConfig:
         """Read a config file (JSON or YAML), merge defaults and overrides."""
         raw: dict = {}
         if path is not None:
-            text = Path(path).read_text()
+            # the parse failures; matched when raised, so YAMLError joins once yaml is
+            # imported (YAML files only); a too-deep document raises RecursionError
+            errors: tuple = (UnicodeDecodeError, RecursionError, json.JSONDecodeError)
             try:
+                text = Path(path).read_text()
                 if str(path).endswith(".json") or text.lstrip().startswith("{"):
                     raw = json.loads(text)
                 else:
+                    import yaml
+                    errors += (yaml.YAMLError,)
                     raw = yaml.safe_load(text) or {}
-            except (json.JSONDecodeError, yaml.YAMLError) as exc:
+            except errors as exc:
                 raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"config file {path} must contain a mapping")

@@ -40,7 +40,6 @@ from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy import special
 
 from .bloch import population_decay_rate, quadrature_decay_rate
 from .coefficients import EffectiveCoefficients
@@ -293,6 +292,7 @@ def _ladder_sum(power: int, k: NDArray, d: NDArray, R: int) -> NDArray:
     zeta (power 2) difference taken at the offset d, never at x, so roots
     next to a pole keep their relative accuracy.  Gap R has no upper poles.
     """
+    from scipy import special  # only the Davies oracle needs scipy here
     if power == 1:
         def run(z, n):  # sum_{j < n} 1/(z + j)
             return special.psi(z + n) - special.psi(z)
@@ -320,6 +320,7 @@ def _davies_spectrum(
             f"model dimension {model.dim} exceeds the cap {dim_cap}; raise dim_cap "
             f"explicitly to allow the O(dim^2) propagator-column work of this model"
         )
+    from scipy import special
     R, c = model.R, model.coupling**2 / model.Delta_E**2
     k = np.arange(1.0, R + 1.0)
     lo, hi = np.zeros(R), np.ones(R)

@@ -1,5 +1,6 @@
 """Tests for the master-equation superoperator and Bloch dynamics."""
 
+import json
 import math
 import os
 import subprocess
@@ -325,16 +326,48 @@ def test_evolve_rejects_bad_sample_grid(grid):
         evolve(BlochState.excited(), COEFFS, DRIVE, (0.0, 1.0), **grid)
 
 
-def test_package_import_leaves_out_the_ode_integrator():
-    # propagation is exact, so nothing in the package needs scipy.integrate
+# imports the CLI, runs main on argv (if any), prints the exit code and the
+# loaded scipy and yaml modules
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from squeezedzeno.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = 0 if argv is None else main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))]))
+"""
+
+
+def _fresh_interpreter_modules(tmp_path, argv):
+    """Exit code and loaded scipy/yaml modules of argv, run with a JSON config."""
+    config = tmp_path / "c.json"
+    config.write_text('{"spectrum": {"points": 5}, "evolve": {"t_end": 1.0, "samples": 3}}')
+    if argv is not None:
+        argv = [*argv, "--config", str(config)]
     src = str(Path(squeezedzeno.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, squeezedzeno; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(None, 0), (["spectrum"], 0), (["timescales"], 0), (["sweep"], 0),
+     (["oracle", "--format", "csv"], 1)],
+    ids=["import", "spectrum", "timescales", "sweep", "config-error"],
+)
+def test_closed_form_runs_load_neither_scipy_nor_yaml(tmp_path, argv, code):
+    assert _fresh_interpreter_modules(tmp_path, argv) == [code, []]
+
+
+def test_evolve_loads_only_the_scipy_matrix_exponential(tmp_path):
+    code, loaded = _fresh_interpreter_modules(tmp_path, ["evolve"])
+    assert code == 0 and "scipy.linalg" in loaded
+    assert not {"scipy.optimize", "scipy.special", "yaml"} & set(loaded)
 
 
 def test_fit_exponential_recovers_synthetic_rate():

@@ -52,6 +52,22 @@ def test_malformed_file_raises(tmp_path):
         RunConfig.load(path)
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("c.cfg", b"\xff\xfe{bad"),  # not UTF-8
+        ("c.json", b"[" * 100_000 + b"]" * 100_000),  # too deep to decode
+        ("c.yaml", b"bath: [1, 2"),  # malformed YAML
+    ],
+    ids=["undecodable", "too-deep", "malformed-yaml"],
+)
+def test_unparsable_config_file_exits_1(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["timescales", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot parse config file {path}: ")
+
+
 def test_value_validation(tmp_path):
     path = tmp_path / "c.json"
     for payload in (
