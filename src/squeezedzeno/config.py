@@ -352,7 +352,7 @@ class RunConfig:
             # imported (YAML files only); a too-deep document raises RecursionError
             errors: tuple = (UnicodeDecodeError, RecursionError, json.JSONDecodeError)
             try:
-                text = Path(path).read_text()
+                text = Path(path).read_text(encoding="utf-8")
                 if str(path).endswith(".json") or text.lstrip().startswith("{"):
                     raw = json.loads(text)
                 else:

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squeezedzeno
 from squeezedzeno import BlochState
 from squeezedzeno.cli import build_parser, main
 from squeezedzeno.config import DEFAULTS, ConfigError, RunConfig, canonical_json
@@ -27,6 +32,30 @@ def test_yaml_and_json_agree(tmp_path):
     jpath.write_text('{"bath": {"gamma": 2.0}, "mode": "paper"}')
     ypath.write_text("bath:\n  gamma: 2.0\nmode: paper\n")
     assert RunConfig.load(jpath).data == RunConfig.load(ypath).data
+
+
+def test_utf8_config_loads_under_an_ascii_locale(tmp_path):
+    # a fresh interpreter whose locale encoding is ASCII: C locale, with UTF-8
+    # mode and locale coercion off
+    path = tmp_path / "c.yaml"
+    path.write_bytes("# squeezing ε = 0.5\nbath:\n  epsilon: 0.25\n".encode("utf-8"))
+    src = str(Path(squeezedzeno.__file__).resolve().parents[1])
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    probe = (
+        "import codecs, locale, sys\nfrom squeezedzeno.config import RunConfig\n"
+        "print(codecs.lookup(locale.getpreferredencoding(False)).name,"
+        " RunConfig.load(sys.argv[1]).data['bath'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    encoding, bath = out.stdout.split(" ", 1)
+    assert encoding == "ascii"
+    assert "'epsilon': 0.25" in bath
 
 
 def test_defaults_are_not_mutated():
