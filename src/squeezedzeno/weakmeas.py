@@ -54,6 +54,8 @@ from .errors import (
 )
 
 _X_POLARIZED = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+# pole, offset and weight arrays of a solved Davies model
+_Spectrum = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 
 @dataclass(frozen=True)
@@ -304,22 +306,33 @@ def _ladder_sum(power: int, k: NDArray, d: NDArray, R: int) -> NDArray:
     return total
 
 
-def _davies_spectrum(
-    model: DaviesModel, dim_cap: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+def _davies_spectrum(model: DaviesModel, dim_cap: int) -> _Spectrum:
+    """The model's spectrum, solved once per instance and kept in its __dict__.
+
+    A new model, even an equal one, solves again.  dim_cap bounds the
+    whole per-model cost and is checked on every call.
+    """
+    if model.dim > require_positive_int("dim_cap", dim_cap):
+        raise ResourceLimitError(
+            f"model dimension {model.dim} exceeds the cap {dim_cap}; raise dim_cap "
+            f"explicitly to allow the secular solve, the O(dim log dim) propagator "
+            f"column and the samples x dim amplitude matrix of this model"
+        )
+    if "_spectrum" not in model.__dict__:
+        model.__dict__["_spectrum"] = _solve_secular(model)
+    return model.__dict__["_spectrum"]
+
+
+def _solve_secular(model: DaviesModel) -> _Spectrum:
     """Eigenvalues lambda = Delta_E (pole + offset) and weights |v_k[0]|^2.
 
     In units of Delta_E the eigenvalues solve x = c S(x), c = g^2/Delta_E^2,
     S(x) = sum_{r != 0} 1/(x - r): x = 0 and pairs +-x, one in each gap
     (k, k + 1), k < R, and one in (R, R + 2c) as x (x - R) <= 2 R c there.
     x - c S(x) increases across a gap, so the offsets x - k are bisected.
-    The weights are w = 1 / (1 + c sum_{r != 0} 1/(x - r)^2).
+    The weights are w = 1 / (1 + c sum_{r != 0} 1/(x - r)^2).  The arrays
+    are shared by every caller of the model, so they are read-only.
     """
-    if model.dim > require_positive_int("dim_cap", dim_cap):
-        raise ResourceLimitError(
-            f"model dimension {model.dim} exceeds the cap {dim_cap}; raise dim_cap "
-            f"explicitly to allow the O(dim^2) propagator-column work of this model"
-        )
     from scipy import special
     R, c = model.R, model.coupling**2 / model.Delta_E**2
     k = np.arange(1.0, R + 1.0)
@@ -332,11 +345,19 @@ def _davies_spectrum(
     d = 0.5 * (lo + hi)
     weights = 1.0 / (1.0 + c * _ladder_sum(2, k, d, R))
     w_zero = 1.0 / (1.0 + 2.0 * c * (special.zeta(2, 1.0) - special.zeta(2, R + 1.0)))
-    return (
+    spectrum = (
         np.concatenate([-k[::-1], [0.0], k]),
         np.concatenate([-d[::-1], [0.0], d]),
         np.concatenate([weights[::-1], [w_zero], weights]),
     )
+    for part in spectrum:
+        part.flags.writeable = False
+    return spectrum
+
+
+# near-field half-width m and far-field expansion order of the column:
+# inner offsets |d| < 1 and |k - r| > m leave (1/(m + 1))^P < 1e-20
+_NEAR, _POWERS = 48, 12
 
 
 def davies_propagator_column(
@@ -344,20 +365,36 @@ def davies_propagator_column(
 ) -> NDArray[np.complex128]:
     """Full first column U_{r,0}(t) of the discrete-model propagator.
 
-    U_{r,0} = g sum_k w_k e^{-i lambda_k t} / (lambda_k - E_r), from
-    v_k[r] = g v_k[0] / (lambda_k - E_r), in row blocks of the O(dim^2)
-    sum; dim_cap bounds that work (above it: ResourceLimitError).
+    From v_k[r] = g v_k[0] / (lambda_k - E_r), in units of Delta_E,
+    U_{r,0} = (g/Delta_E) sum_k a_k / (k - r + d_k), a_k = w_k e^{-i lambda_k t}.
+    The inner roots (|d_k| < 1) are summed directly for |k - r| <= m and,
+    farther out, through 1/(u + d) = sum_p (-d)^p / u^(p+1): one FFT
+    correlation per power p, the far-field step of the fast multipole
+    method on the regular ladder.  The two outer roots, whose offsets
+    reach 2c, are summed directly.  O(dim log dim) after the solve;
+    dim_cap bounds both (above it: ResourceLimitError).
     """
     pole, offset, weights = _davies_spectrum(model, dim_cap)
     amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * require_finite("t", t))
-    ladder = pole[pole != 0.0]
+    R, m, window = model.R, _NEAR, np.lib.stride_tricks.sliding_window_view
+    # near field of row r (index r + R) over 2m + 1 diagonals, padded with a = 0, d = 1/2;
+    # a zero denominator is row 0 meeting the reference root, and row 0 is dropped below
+    a, d, pad = amps[1:-1], offset[1:-1], np.zeros(m + 1)
+    denom = np.arange(-m, m + 1.0) + window(np.concatenate([pad + 0.5, d, pad + 0.5]), 2 * m + 1)
+    inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    rows = np.einsum("ij,ij->i", window(np.concatenate([pad, a, pad]), 2 * m + 1), inv)
+    # far field: inner root q = k + R - 1 meets row i = r + R at k - r = 1 - (i - q)
+    n = 1 << (4 * R).bit_length()
+    u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
+    base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
+    kernel = np.cumprod(np.broadcast_to(base, (_POWERS, n)), axis=0)
+    moments = np.cumprod(np.vstack([a, np.broadcast_to(-d, (_POWERS - 1, d.size))]), axis=0)
+    rows += np.fft.ifft((np.fft.fft(moments, n) * np.fft.fft(kernel)).sum(axis=0))[:model.dim]
+    ladder = pole[pole != 0.0]  # the two outer roots, summed directly
+    rows = rows[pole != 0.0] + sum(amps[j] / ((pole[j] - ladder) + offset[j]) for j in (0, -1))
     column = np.empty(model.dim, dtype=complex)
     column[0] = amps.sum()
-    scale = model.coupling / model.Delta_E
-    step = max(1, 2**20 // model.dim)
-    for start in range(0, ladder.size, step):
-        inv = 1.0 / ((pole - ladder[start:start + step, None]) + offset)
-        column[1 + start:1 + start + step] = scale * (inv @ amps.real + 1j * (inv @ amps.imag))
+    column[1:] = model.coupling / model.Delta_E * rows
     return column
 
 
@@ -367,7 +404,7 @@ def davies_amplitude(
     """Survival amplitude U_00(t) = sum_k w_k e^{-i lambda_k t}.
 
     Accepts a scalar or array of times; the secular equation is solved
-    once per call.  For bandwidth R Delta_E >> Gamma the amplitude
+    once per model.  For bandwidth R Delta_E >> Gamma the amplitude
     tracks e^{-Gamma t} on t in [0, 3/Gamma], with the deviation
     shrinking as Delta_E decreases at fixed bandwidth.
     """
@@ -399,5 +436,7 @@ def davies_max_deviation(
     if times is None:
         times = np.arange(0.0, 3.0 + 1e-9, 0.25) / model.Gamma
     tarr = np.asarray(times, dtype=float)
+    if tarr.size == 0:
+        raise InvalidParamsError("times must not be empty")
     amps = davies_amplitude(model, tarr, dim_cap=dim_cap)
     return float(np.max(np.abs(amps - np.exp(-model.Gamma * tarr))))

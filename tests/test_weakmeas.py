@@ -33,6 +33,8 @@ from squeezedzeno import (
     zeno_time,
 )
 import squeezedzeno.weakmeas as weakmeas
+from squeezedzeno.cli import cmd_oracle
+from squeezedzeno.config import RunConfig
 from squeezedzeno.weakmeas import _davies_spectrum
 
 SZ = np.diag([1.0, -1.0])
@@ -239,6 +241,7 @@ _NONFINITE_CASES = {
     "davies_amplitude_t_nan": lambda: davies_amplitude(_DAVIES, math.nan),
     "davies_amplitude_t_array_inf": lambda: davies_amplitude(_DAVIES, [0.0, math.inf]),
     "davies_column_t_inf": lambda: davies_propagator_column(_DAVIES, math.inf),
+    "davies_max_deviation_times_empty": lambda: davies_max_deviation(_DAVIES, []),
     "propagator_t_nan": lambda: propagator(1.0, math.nan),
     "propagator_omega_A_inf": lambda: propagator(math.inf, 1.0),
     "weak_value_t_nan": lambda: weak_value(SZ, PrePostSelection(), 3.0, 0.0, math.nan, 1.0),
@@ -346,3 +349,63 @@ def test_davies_secular_solve_matches_dense_eigh(model):
         ref_col = eigvecs @ (np.exp(-1j * eigvals * t) * eigvecs[0])
         col = davies_propagator_column(model, t)
         np.testing.assert_allclose(col, ref_col, rtol=0, atol=1e-12)
+
+
+def _direct_column(model, t):
+    """Reference column: U_{r,0} = g sum_k w_k e^{-i lambda_k t} / (lambda_k - E_r).
+
+    The direct O(dim^2) sum, in row blocks of about 2^20 entries.
+    """
+    pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
+    amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * t)
+    ladder = pole[pole != 0.0]
+    column = np.empty(model.dim, dtype=complex)
+    column[0] = amps.sum()
+    step = max(1, 2**20 // model.dim)
+    for start in range(0, ladder.size, step):
+        inv = 1.0 / ((pole - ladder[start:start + step, None]) + offset)
+        column[1 + start:1 + start + step] = model.coupling / model.Delta_E * (inv @ amps)
+    return column
+
+
+# absolute tolerance of the near/far-field column against the direct sum
+_COLUMN_ATOL = 1e-14
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        DaviesModel(Gamma=1.0, R=1, Delta_E=0.5),
+        DaviesModel(Gamma=1.0, R=30, Delta_E=0.5),
+        DaviesModel(Gamma=1.0, R=500, Delta_E=0.04),
+        DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01),
+        DaviesModel(Gamma=0.01, R=60, Delta_E=1.0),
+        DaviesModel(Gamma=100.0, R=30, Delta_E=0.01),
+    ],
+    ids=["R1", "R30", "R500", "R2000", "weak", "strong"],
+)
+def test_davies_column_matches_direct_sum(model):
+    for t in (0.0, 1.0 / model.Gamma, 3.0 / model.Gamma):
+        col = davies_propagator_column(model, t)
+        np.testing.assert_allclose(col, _direct_column(model, t), rtol=0, atol=_COLUMN_ATOL)
+        if t == 0.0:
+            e0 = np.zeros(model.dim)
+            e0[0] = 1.0
+            np.testing.assert_allclose(col, e0, rtol=0, atol=_COLUMN_ATOL)
+
+
+def test_oracle_solves_each_row_once_per_call(monkeypatch):
+    solves, solve = [], weakmeas._solve_secular
+
+    def counted(model):
+        solves.append(model.dim)
+        return solve(model)
+
+    monkeypatch.setattr(weakmeas, "_solve_secular", counted)
+    cfg = RunConfig.load(overrides={"format": "json"})
+    rows = len(cfg.data["oracle"]["schedule"])
+    cmd_oracle(cfg)
+    assert len(solves) == rows == 3
+    # a repeated call builds new models and solves again: no cross-call cache
+    cmd_oracle(cfg)
+    assert len(solves) == 2 * rows
