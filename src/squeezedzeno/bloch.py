@@ -362,7 +362,7 @@ def evolve(
 
     The generator G is constant in time, so each sample is the exact
     solution exp(G (t - t_span[0])) y0, by a batched numpy Pade-13 scaling
-    and squaring (no scipy).  Samples are independent, so no error
+    and squaring (_expm).  Samples are independent, so no error
     accumulates along the grid, and the exponential stays accurate at
     exceptional points of G where an eigendecomposition would not.
 
@@ -451,16 +451,23 @@ class FitResult:
 
 # largest rms fit residual, relative to the fitted amplitude, of a single exponential
 _RESIDUAL_THRESHOLD = 1e-3
+# Levenberg-Marquardt: most steps, and the scaled step below which the fit has converged
+_FIT_STEPS, _STEP_TOL = 100, 1e-10
 
 
 def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
     """Least-squares fit of a decaying exponential with offset.
 
+    Levenberg-Marquardt on (rate, amplitude, offset) from a half-life guess,
+    damped along the Jacobian's column norms.  A step is taken if it lowers
+    the residual; once a step would move the scaled parameters by at most
+    _STEP_TOL of their norm, it is taken and the fit has converged.
+
     Raises DegenerateFitError when the signal is constant and
-    IllConditionedFitError when the normalized rms residual exceeds
-    _RESIDUAL_THRESHOLD (signal not actually single-exponential).
+    IllConditionedFitError when the fit does not converge in _FIT_STEPS
+    steps (no finite best fit, as for a straight line) or the normalized
+    rms residual exceeds _RESIDUAL_THRESHOLD (not a single exponential).
     """
-    from scipy.optimize import OptimizeWarning, curve_fit
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < 4:
@@ -483,22 +490,29 @@ def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
     else:
         r0 = 1.0 / max(t[-1] - t[0], 1e-30)
 
-    def model_plain(tt: NDArray, rate: float, amp: float, off: float) -> NDArray:
-        return amp * np.exp(-rate * tt) + off
+    def residual(p: NDArray) -> NDArray:
+        return p[1] * np.exp(-p[0] * t) + p[2] - y
 
-    try:
-        with warnings.catch_warnings():
-            # a numerically perfect decay makes the covariance singular,
-            # which is fine because only popt is used
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                model_plain, t, y, p0=[r0, a0, c0], maxfev=20000
-            )
-    except RuntimeError as exc:
-        raise IllConditionedFitError(f"exponential fit did not converge: {exc}") from exc
+    p, damping = np.array([r0, a0, c0]), 1e-3
+    for _ in range(_FIT_STEPS):
+        decay = np.exp(-p[0] * t)
+        jac = np.column_stack([-p[1] * t * decay, decay, np.ones_like(t)])
+        res, norms = residual(p), np.linalg.norm(jac, axis=0)
+        step = np.linalg.lstsq(np.vstack([jac, np.diag(math.sqrt(damping) * norms)]),
+                               np.concatenate([-res, np.zeros(3)]), rcond=None)[0]
+        if np.linalg.norm(norms * step) <= _STEP_TOL * np.linalg.norm(norms * p):
+            p = p + step
+            break
+        trial = residual(p + step)
+        if trial @ trial < res @ res:
+            p, damping = p + step, 0.1 * damping
+        else:
+            damping *= 10.0
+    else:
+        raise IllConditionedFitError(f"exponential fit did not converge in {_FIT_STEPS} steps")
 
-    rate, amp, off = (float(v) for v in popt)
-    resid = float(np.sqrt(np.mean((model_plain(t, *popt) - y) ** 2)))
+    rate, amp, off = (float(v) for v in p)
+    resid = float(np.sqrt(np.mean(residual(p) ** 2)))
     norm = max(abs(amp), 1e-30)
     if resid / norm > _RESIDUAL_THRESHOLD:
         raise IllConditionedFitError(

@@ -41,7 +41,8 @@ from .coefficients import (
 from .config import DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
 from .spectrum import SqueezedVacuumParams, spectral_m, spectral_n
-from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
+from .weakmeas import DaviesModel, _require_within_cap, davies_max_deviation
+from .weakmeas import davies_propagator_column
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
     """Tabulate N and M on a frequency grid around the carrier."""
@@ -141,10 +142,11 @@ def cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
     if cfg.format == "csv":
         raise ConfigError("the oracle report is structured; use --format json")
     o = cfg.data["oracle"]
-    times = np.linspace(0.0, 3.0 / o["Gamma"], o["samples"])
     davies_rows = []
     for r_count, delta_e in o["schedule"]:
         model = DaviesModel(o["Gamma"], r_count, delta_e)
+        _require_within_cap(model, o["dim_cap"], o["samples"])  # before the time grid exists
+        times = np.linspace(0.0, 3.0 / o["Gamma"], o["samples"])
         max_dev = davies_max_deviation(model, times, dim_cap=o["dim_cap"])
         column = davies_propagator_column(model, float(times[-1]), dim_cap=o["dim_cap"])
         defect = abs(float(np.sum(np.abs(column) ** 2)) - 1.0)

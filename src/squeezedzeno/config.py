@@ -207,6 +207,14 @@ def _merge(base: Any, override: Any, path: str) -> Any:
     return override
 
 
+def _overlay(defaults: Any, doc: Any, override: Any) -> Any:
+    """override laid over a config document the way _merge lays one over
+    DEFAULTS: a section (a mapping in DEFAULTS) key by key, any other value whole."""
+    if not all(isinstance(v, dict) for v in (defaults, doc, override)):
+        return override
+    return {**doc, **{k: _overlay(defaults.get(k), doc.get(k), v) for k, v in override.items()}}
+
+
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -345,7 +353,7 @@ class RunConfig:
         path: str | Path | None = None,
         overrides: Mapping[str, Any] | None = None,
     ) -> "RunConfig":
-        """Read a config file (JSON or YAML), merge defaults and overrides."""
+        """Read a config file (JSON or YAML), merge defaults and overrides (None skipped)."""
         raw: dict = {}
         if path is not None:
             # the parse failures; matched when raised, so YAMLError joins once yaml is
@@ -363,15 +371,11 @@ class RunConfig:
                 raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"config file {path} must contain a mapping")
-        cfg = _merge(DEFAULTS, raw, "")
-        if overrides:
-            for key, value in overrides.items():
-                if value is None:
-                    continue
-                if key not in cfg:
-                    raise ConfigError(f"unknown override key: {key}")
-                cfg[key] = value
-        return cls(_normalize(cfg))
+        overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+        unknown = sorted(set(overrides) - set(DEFAULTS))
+        if unknown:
+            raise ConfigError(f"unknown override key: {', '.join(unknown)}")
+        return cls(_normalize(_merge(DEFAULTS, _overlay(DEFAULTS, raw, overrides), "")))
 
     def render(self, result: Any, columns: Sequence[str] | None = None) -> str:
         """The output document of result: a provenance header, then the data.

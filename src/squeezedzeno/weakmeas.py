@@ -287,37 +287,64 @@ class DaviesModel:
         return self.R * self.Delta_E
 
 
-def _ladder_sum(power: int, k: NDArray, d: NDArray, R: int) -> NDArray:
-    """Sum of (x - r)^-power over r = -R..R, r != 0, at x = k + d in gap k.
+# Bernoulli numbers B_2, B_4, ..., B_14 of the asymptotic tails below
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+# the explicit head terms j = 0..9 of a pole run
+_HEAD = np.arange(10.0)[:, None]
 
-    The poles below and above x are each a digamma (power 1) or Hurwitz
-    zeta (power 2) difference taken at the offset d, never at x, so roots
-    next to a pole keep their relative accuracy.  Gap R has no upper poles.
+
+def _pole_runs(z: NDArray, n: NDArray) -> tuple[NDArray, NDArray]:
+    """The runs sum_{j < n} (z + j)^-1 and sum_{j < n} (z + j)^-2, for 0 < z <= 1, n >= 0.
+
+    Each is the head sum_{j < 10} at z, less the head at z + n, plus psi(b) - psi(a)
+    or zeta(2, a) - zeta(2, b), a = z + 10, b = z + n + 10, from their asymptotic
+    series to B_14 (DLMF 5.11.2, 25.11.43), exact to 1e-16 there; ln(b/a) is log1p(n/a).
     """
-    from scipy import special  # only the Davies oracle needs scipy here
-    if power == 1:
-        def run(z, n):  # sum_{j < n} 1/(z + j)
-            return special.psi(z + n) - special.psi(z)
-    else:
-        def run(z, n):  # sum_{j < n} 1/(z + j)^2
-            return special.zeta(2, z) - special.zeta(2, z + n)
-    total = run(d, k + R + 1) - (k + d) ** -power
-    total[:-1] += (-1) ** power * run(1.0 - d[:-1], R - k[:-1])
-    return total
+    w = np.concatenate([z, z + n])
+    inv, v = 1.0 / (w + _HEAD), w + 10.0
+    u, series1, series2 = 1.0 / (v * v), 0.0, 0.0
+    for i in range(len(_BERNOULLI) - 1, -1, -1):
+        series1 = (series1 + _BERNOULLI[i] / (2 * i + 2)) * u
+        series2 = (series2 + _BERNOULLI[i]) * u
+    # each head plus ln(v) - psi(v), and plus zeta(2, v)
+    run1 = inv.sum(axis=0) + 0.5 / v + series1
+    run2 = (inv * inv).sum(axis=0) + (1.0 + 0.5 / v + series2) / v
+    return run1[:z.size] - run1[z.size:] + np.log1p(n / v[:z.size]), run2[:z.size] - run2[z.size:]
 
 
-def _davies_spectrum(model: DaviesModel, dim_cap: int) -> _Spectrum:
-    """The model's spectrum, solved once per instance and kept in its __dict__.
+def _ladder_sums(k: NDArray, d: NDArray, R: int) -> tuple[NDArray, NDArray]:
+    """S1, S2: the sums of (x - r)^-1 and (x - r)^-2 over r = -R..R, r != 0, at x = k + d.
 
-    A new model, even an equal one, solves again.  dim_cap bounds the
-    whole per-model cost and is checked on every call.
+    In an inner gap k < R the poles r = k, k - 1, ..., -R below x are the
+    run at d of length k + R + 1, less the reference level r = 0, and the
+    R - k poles above are the run at 1 - d, negated in S1.  Both are taken
+    at the offset d, never at x, so roots next to a pole keep their relative
+    accuracy.  In gap R, where d may far exceed 1, all 2R poles lie below x
+    and are summed directly.
     """
-    if model.dim > require_positive_int("dim_cap", dim_cap):
-        raise ResourceLimitError(
-            f"model dimension {model.dim} exceeds the cap {dim_cap}; raise dim_cap "
-            f"explicitly to allow the secular solve, the O(dim log dim) propagator "
-            f"column and the samples x dim amplitude matrix of this model"
-        )
+    inner, m = d[:-1], R - 1
+    run1, run2 = _pole_runs(np.concatenate([inner, 1.0 - inner]),
+                            np.concatenate([k[:-1] + R + 1.0, R - k[:-1]]))
+    x, outer = k[:-1] + inner, 1.0 / (np.delete(np.arange(2.0 * R + 1.0), R) + d[-1])
+    return (np.append(run1[:m] - 1.0 / x - run1[m:], outer.sum()),
+            np.append(run2[:m] - 1.0 / x**2 + run2[m:], (outer * outer).sum()))
+
+
+def _require_within_cap(model: DaviesModel, dim_cap: int, samples: int = 1) -> None:
+    """dim_cap bounds the whole per-model cost: dim <= dim_cap, and
+    samples x dim <= dim_cap^2 for the amplitude matrix at that many times."""
+    cap = require_positive_int("dim_cap", dim_cap)
+    if model.dim > cap or samples * model.dim > cap * cap:
+        over = (f"model dimension {model.dim} exceeds the cap {cap}" if model.dim > cap else
+                f"{samples} samples x dimension {model.dim} exceed the cap {cap} squared")
+        raise ResourceLimitError(f"{over}; raise dim_cap explicitly to allow the secular solve, "
+                                 f"propagator column and samples x dim amplitude matrix")
+
+
+def _davies_spectrum(model: DaviesModel, dim_cap: int, samples: int = 1) -> _Spectrum:
+    """The model's spectrum, solved once per instance and kept in its __dict__ (a new
+    model, even an equal one, solves again); the cap is checked on every call."""
+    _require_within_cap(model, dim_cap, samples)
     if "_spectrum" not in model.__dict__:
         model.__dict__["_spectrum"] = _solve_secular(model)
     return model.__dict__["_spectrum"]
@@ -326,25 +353,37 @@ def _davies_spectrum(model: DaviesModel, dim_cap: int) -> _Spectrum:
 def _solve_secular(model: DaviesModel) -> _Spectrum:
     """Eigenvalues lambda = Delta_E (pole + offset) and weights |v_k[0]|^2.
 
-    In units of Delta_E the eigenvalues solve x = c S(x), c = g^2/Delta_E^2,
-    S(x) = sum_{r != 0} 1/(x - r): x = 0 and pairs +-x, one in each gap
-    (k, k + 1), k < R, and one in (R, R + 2c) as x (x - R) <= 2 R c there.
-    x - c S(x) increases across a gap, so the offsets x - k are bisected.
-    The weights are w = 1 / (1 + c sum_{r != 0} 1/(x - r)^2).  The arrays
-    are shared by every caller of the model, so they are read-only.
+    In units of Delta_E the eigenvalues solve x = c S1(x), c = g^2/Delta_E^2:
+    x = 0 and pairs +-x, one in each gap (k, k + 1), k < R, and one above R
+    with 2Rc <= x^2 <= R^2 + 2Rc (so x - R < c), as 2R/x <= S1(x) <= 2Rx/(x^2 - R^2).
+    In each gap f(d) = k + d - c S1(k + d) rises between poles at the ends.
+    Newton steps on the pole-cleared h = d (1 - d) f (d f in gap R; f' = 1 + c S2)
+    from the continuum-limit root bisect when they leave the bracket of the signs
+    of h seen so far, ends included (LAPACK dlaed4; R.-C. Li, LAPACK Working Note
+    89, 1993), until each offset moves by a few ulps or lands on a bracket end.
+    The weights are w = 1 / (1 + c S2); the arrays are shared by every caller
+    of the model, so they are read-only.
     """
-    from scipy import special
     R, c = model.R, model.coupling**2 / model.Delta_E**2
     k = np.arange(1.0, R + 1.0)
     lo, hi = np.zeros(R), np.ones(R)
-    hi[-1] = max(1.0, 2.0 * c)
+    lo[-1], hi[-1] = max(0.0, math.sqrt(2.0 * R * c) - R), c
+    # S1(x) ~ pi cot(pi d) - 1/x + ln((R + 1/2 + x) / (R + 1/2 - x)) near x = k
+    guess = np.arctan2(np.pi * c, k + c / k - c * np.log((R + 0.5 + k) / (R + 0.5 - k)))
+    d, inner = np.clip(guess / np.pi, lo, hi), k < R
     for _ in range(64):
-        d = 0.5 * (lo + hi)
-        below = k + d < c * _ladder_sum(1, k, d, R)
-        lo, hi = np.where(below, d, lo), np.where(below, hi, d)
-    d = 0.5 * (lo + hi)
-    weights = 1.0 / (1.0 + c * _ladder_sum(2, k, d, R))
-    w_zero = 1.0 / (1.0 + 2.0 * c * (special.zeta(2, 1.0) - special.zeta(2, R + 1.0)))
+        s1, s2 = _ladder_sums(k, d, R)
+        f, upper = k + d - c * s1, np.where(inner, 1.0 - d, 1.0)
+        h, slope = d * upper * f, (upper - inner * d) * f + d * upper * (1.0 + c * s2)
+        lo, hi = np.where(h < 0.0, d, lo), np.where(h < 0.0, hi, d)
+        new = d - h / slope
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        done = (np.abs(new - d) <= 4.0 * np.spacing(d)) | (new == lo) | (new == hi)
+        d = new
+        if done.all():
+            break
+    weights = 1.0 / (1.0 + c * _ladder_sums(k, d, R)[1])
+    w_zero = 1.0 / (1.0 + 2.0 * c * _pole_runs(np.ones(1), np.full(1, R))[1][0])
     spectrum = (
         np.concatenate([-k[::-1], [0.0], k]),
         np.concatenate([-d[::-1], [0.0], d]),
@@ -411,7 +450,7 @@ def davies_amplitude(
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.isfinite(tarr).all():
         raise InvalidParamsError("t must be finite")
-    pole, offset, weights = _davies_spectrum(model, dim_cap)
+    pole, offset, weights = _davies_spectrum(model, dim_cap, tarr.size)
     eigvals = model.Delta_E * (pole + offset)
     amps = np.exp(-1j * np.outer(tarr, eigvals)) @ weights
     if np.ndim(t) == 0:

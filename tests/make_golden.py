@@ -22,7 +22,6 @@ import tempfile
 from pathlib import Path
 
 import numpy
-import scipy
 
 from squeezedzeno.cli import main
 
@@ -102,7 +101,6 @@ def versions() -> dict[str, str]:
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
     }
 
 

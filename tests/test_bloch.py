@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import curve_fit
 
 import squeezedzeno
 from squeezedzeno import (
@@ -393,7 +394,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("sc
 def _fresh_interpreter_modules(tmp_path, argv):
     """Exit code and loaded scipy/yaml modules of argv, run with a JSON config."""
     config = tmp_path / "c.json"
-    config.write_text('{"spectrum": {"points": 5}, "evolve": {"t_end": 1.0, "samples": 3}}')
+    config.write_text('{"spectrum": {"points": 5}, "evolve": {"t_end": 1.0, "samples": 3}, '
+                      '"oracle": {"schedule": [[20, 1.0]]}}')
     if argv is not None:
         argv = [*argv, "--config", str(config)]
     src = str(Path(squeezedzeno.__file__).resolve().parents[1])
@@ -409,8 +411,8 @@ def _fresh_interpreter_modules(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv, code",
     [(None, 0), (["spectrum"], 0), (["timescales"], 0), (["sweep"], 0), (["evolve"], 0),
-     (["oracle", "--format", "csv"], 1)],
-    ids=["import", "spectrum", "timescales", "sweep", "evolve", "config-error"],
+     (["oracle", "--format", "json"], 0), (["oracle", "--format", "csv"], 1)],
+    ids=["import", "spectrum", "timescales", "sweep", "evolve", "oracle", "config-error"],
 )
 def test_closed_form_runs_load_neither_scipy_nor_yaml(tmp_path, argv, code):
     assert _fresh_interpreter_modules(tmp_path, argv) == [code, []]
@@ -447,6 +449,56 @@ def test_fit_exponential_rejects_non_exponential():
     y = np.sin(3.0 * t)
     with pytest.raises(IllConditionedFitError):
         fit_exponential(t, y)
+
+
+def test_fit_exponential_rejects_two_exponentials():
+    t = np.linspace(0.0, 5.0, 200)
+    with pytest.raises(IllConditionedFitError, match="not a single exponential"):
+        fit_exponential(t, np.exp(-t) + np.exp(-10.0 * t))
+
+
+def test_fit_exponential_reports_non_convergence():
+    # a straight line is the rate -> 0 limit of a * exp(-rate t) + c: no finite best fit
+    t = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(IllConditionedFitError, match="did not converge"):
+        fit_exponential(t, t)
+
+
+def _curve_fit_reference(t, y):
+    """Reference fit: scipy's curve_fit (MINPACK Levenberg-Marquardt, which
+    stops at 1.5e-8 relative change), from a generic start."""
+    p0 = [1.0 / (t[-1] - t[0]), y[0] - y[-1], y[-1]]
+    return curve_fit(lambda tt, r, a, c: a * np.exp(-r * tt) + c, t, y, p0=p0, maxfev=20000)[0]
+
+
+def _fit_cases():
+    # (t, y, exact rate): the oracle's two rate probes, a clean and a rippled synthetic decay
+    bath = SqueezedVacuumParams(1.0, 0.5, math.pi, 100.0)
+    cases = []
+    for observable, omega, initial in (("sigma_z", 0.0, BlochState.excited()),
+                                       ("sigma_x", 10.0, BlochState.x_polarized())):
+        drive = DriveParams(omega, 0.0)
+        coeffs = effective_coefficients(bath, drive, SqueezingShifts.asymptotic(bath, drive))
+        rate = (population_decay_rate if observable == "sigma_z" else quadrature_decay_rate)(coeffs)
+        traj = evolve(initial, coeffs, drive, (0.0, 3.0 / rate), n_samples=600, method="bloch")
+        cases.append((traj.t, traj.observable(observable), rate))
+    t = np.linspace(0.0, 4.0, 300)
+    cases.append((t, 0.3 + 0.7 * np.exp(-2.5 * t), 2.5))
+    cases.append((t, 2.0 * np.exp(-0.7 * t) - 1.0 + 1e-4 * np.sin(37.0 * t), None))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4), ids=["Gamma_pop", "Gamma_dec", "clean", "rippled"])
+def test_fit_exponential_matches_curve_fit_reference(case):
+    t, y, rate = _fit_cases()[case]
+    fit = fit_exponential(t, y)
+    if rate is not None:  # the optimum of an exact exponential is its rate
+        assert fit.rate == pytest.approx(rate, rel=1e-13)
+    ref = _curve_fit_reference(t, y)
+    # curve_fit stops at 1.5e-8 relative change, so its optimum is good to about 1e-8
+    assert [fit.rate, fit.amplitude, fit.offset] == pytest.approx(list(ref), rel=1e-7, abs=1e-8)
+    residual = np.sqrt(np.mean((ref[1] * np.exp(-ref[0] * t) + ref[2] - y) ** 2))
+    assert fit.residual <= residual * (1.0 + 1e-12) + 1e-15
 
 
 def test_bloch_state_density_matrix_round_trip():

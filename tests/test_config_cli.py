@@ -64,6 +64,28 @@ def test_defaults_are_not_mutated():
     assert DEFAULTS["mode"] == "derived"
 
 
+def test_overrides_merge_like_a_config_file(tmp_path):
+    # a section override replaces only the keys it names, as a config file does
+    cfg = RunConfig.load(overrides={"oracle": {"schedule": [[500, 0.04]]}})
+    assert cfg.data["oracle"] == {**DEFAULTS["oracle"], "schedule": [[500, 0.04]]}
+    path = tmp_path / "c.json"
+    path.write_text('{"oracle": {"samples": 7}, "bath": {"gamma": 2.0}, '
+                    '"evolve": {"initial": {"s_z": 0.5}}}')
+    cfg = RunConfig.load(path, overrides={
+        "oracle": {"dim_cap": 100}, "evolve": {"initial": {"s_minus": [0.1, 0.0]}}, "out": None,
+    })
+    assert cfg.data["oracle"] == {**DEFAULTS["oracle"], "samples": 7, "dim_cap": 100}
+    assert cfg.data["bath"]["gamma"] == 2.0
+    # a value that is not a section (an explicit initial state) is replaced whole
+    assert cfg.data["evolve"]["initial"] == {"s_minus": [0.1, 0.0], "s_z": 0.0}
+    with pytest.raises(ConfigError, match="unknown config key: oracle.dim_cp"):
+        RunConfig.load(overrides={"oracle": {"dim_cp": 100}})
+    with pytest.raises(ConfigError, match="unknown override key: orcale"):
+        RunConfig.load(overrides={"orcale": {"dim_cap": 100}})
+    with pytest.raises(ConfigError, match="oracle.samples: expected an integer"):
+        RunConfig.load(overrides={"oracle": {"samples": "many"}})
+
+
 def test_unknown_keys_are_reported_with_path(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"bath": {"gamm": 1.0}}')
@@ -373,6 +395,19 @@ def test_cli_oracle_row_above_dim_cap_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "model dimension 161 exceeds the cap 100" in captured.err
+
+
+def test_cli_oracle_samples_times_dim_above_cap_squared_exits_2(tmp_path, capsys):
+    # 4 samples x dimension 3 exceed dim_cap^2 = 9; refused before the time grid is built
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"oracle": {"schedule": [[1, 1.0]], "dim_cap": 3, "samples": 4}}')
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "4 samples x dimension 3 exceed the cap 3 squared" in captured.err
+    # 3 samples x dimension 3 are within it
+    cfgp.write_text('{"oracle": {"schedule": [[1, 1.0]], "dim_cap": 3, "samples": 3}}')
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 0
 
 
 def test_help_epilog_matches_defaults():

@@ -1,7 +1,7 @@
 """Every pinned CLI payload keeps the hashes in tests/_artifacts/golden_sha256.json.
 
 The table was made by tests/make_golden.py on the stack it records.  On
-another Python/numpy/scipy stack a mismatch may come from the stack, so
+another Python/numpy stack a mismatch may come from the stack, so
 the failure names both; the test runs everywhere.
 """
 

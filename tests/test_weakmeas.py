@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from squeezedzeno import (
@@ -313,6 +314,14 @@ def test_davies_resource_cap():
         davies_propagator_column(model, 1.0, dim_cap=100)
 
 
+def test_davies_amplitude_caps_samples_times_dim():
+    # dimension 3 under dim_cap 3: 3 samples x 3 fit in dim_cap^2 = 9, 4 samples do not
+    model = DaviesModel(Gamma=1.0, R=1, Delta_E=1.0)
+    assert davies_amplitude(model, np.zeros(3), dim_cap=3) == pytest.approx(np.ones(3))
+    with pytest.raises(ResourceLimitError, match="4 samples x dimension 3 exceed the cap 3 squared"):
+        davies_amplitude(model, np.zeros(4), dim_cap=3)
+
+
 def _dense_davies(model):
     """Reference eigensystem: dense eigh of the arrowhead Hamiltonian."""
     ladder = np.concatenate([np.arange(-model.R, 0), np.arange(1, model.R + 1)])
@@ -349,6 +358,84 @@ def test_davies_secular_solve_matches_dense_eigh(model):
         ref_col = eigvecs @ (np.exp(-1j * eigvals * t) * eigvecs[0])
         col = davies_propagator_column(model, t)
         np.testing.assert_allclose(col, ref_col, rtol=0, atol=1e-12)
+
+
+def _bisected_spectrum(model):
+    """Reference offsets and weights of gaps 1..R, and the weight of the root x = 0.
+
+    The solve the package used before its Newton step: 64 rounds of
+    bisection on every gap at once, with the pole sums as digamma and
+    Hurwitz-zeta differences from scipy.special.
+    """
+    R, c = model.R, model.coupling**2 / model.Delta_E**2
+    k = np.arange(1.0, R + 1.0)
+
+    def ladder_sum(power, d):
+        if power == 1:
+            def run(z, n):  # sum_{j < n} 1/(z + j)
+                return special.psi(z + n) - special.psi(z)
+        else:
+            def run(z, n):  # sum_{j < n} 1/(z + j)^2
+                return special.zeta(2, z) - special.zeta(2, z + n)
+        total = run(d, k + R + 1) - (k + d) ** -power
+        total[:-1] += (-1) ** power * run(1.0 - d[:-1], R - k[:-1])
+        return total
+
+    lo, hi = np.zeros(R), np.ones(R)
+    hi[-1] = max(1.0, 2.0 * c)
+    for _ in range(64):
+        d = 0.5 * (lo + hi)
+        below = k + d < c * ladder_sum(1, d)
+        lo, hi = np.where(below, d, lo), np.where(below, hi, d)
+    d = 0.5 * (lo + hi)
+    weights = 1.0 / (1.0 + c * ladder_sum(2, d))
+    w_zero = 1.0 / (1.0 + 2.0 * c * (special.zeta(2, 1.0) - special.zeta(2, R + 1.0)))
+    return d, weights, w_zero
+
+
+# the Newton solve against the bisection: offsets within 1e-14 absolute (or 1e-14 of an
+# outer offset above 1, whose ulp exceeds 1e-14) and weights within 1e-14 relative
+_SOLVE_TOL = 1e-14
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        DaviesModel(Gamma=1.0, R=1, Delta_E=0.5),
+        DaviesModel(Gamma=1.0, R=30, Delta_E=0.5),
+        DaviesModel(Gamma=1.0, R=500, Delta_E=0.04),
+        DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01),
+        # c ~ 3e-3: every root sits just above a ladder level
+        DaviesModel(Gamma=0.01, R=60, Delta_E=1.0),
+        # c ~ 3e3: the outer offset is about 407
+        DaviesModel(Gamma=100.0, R=30, Delta_E=0.01),
+        # c ~ 3e5: the outer offset is about 1.7e4
+        DaviesModel(Gamma=1.0, R=500, Delta_E=1e-6),
+    ],
+    ids=["R1", "R30", "R500", "R2000", "weak", "strong", "tiny-spacing"],
+)
+def test_davies_newton_solve_matches_bisection_reference(model):
+    pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
+    ref_offset, ref_weights, ref_w_zero = _bisected_spectrum(model)
+    R = model.R
+    np.testing.assert_array_equal(pole[R + 1:], np.arange(1.0, R + 1.0))
+    np.testing.assert_array_equal(offset[:R], -offset[R + 1:][::-1])
+    np.testing.assert_array_equal(weights[:R], weights[R + 1:][::-1])
+    assert offset[R] == 0.0
+    np.testing.assert_allclose(offset[R + 1:], ref_offset, rtol=_SOLVE_TOL, atol=_SOLVE_TOL)
+    np.testing.assert_allclose(weights[R + 1:], ref_weights, rtol=_SOLVE_TOL, atol=0)
+    assert weights[R] == pytest.approx(ref_w_zero, rel=_SOLVE_TOL, abs=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 500, 4001])
+def test_pole_runs_match_direct_sums(n):
+    # the runs sum_{j < n} (z + j)^-p over the offsets z in (0, 1] the solve uses,
+    # against exactly rounded sums of the terms, to 1e-15 relative
+    z = np.array([1e-100, 1e-12, 1e-6, 0.3, 0.5, 0.999, 1.0 - 2.0**-52, 1.0])
+    run1, run2 = weakmeas._pole_runs(z, np.full(z.size, float(n)))
+    for got1, got2, zi in zip(run1, run2, z):
+        assert got1 == pytest.approx(math.fsum(1.0 / (zi + j) for j in range(n)), rel=1e-15, abs=0)
+        assert got2 == pytest.approx(math.fsum((zi + j) ** -2 for j in range(n)), rel=1e-15, abs=0)
 
 
 def _direct_column(model, t):
