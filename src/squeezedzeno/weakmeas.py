@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -331,14 +331,14 @@ def _ladder_sums(k: NDArray, d: NDArray, R: int) -> tuple[NDArray, NDArray]:
 
 
 def _require_within_cap(model: DaviesModel, dim_cap: int, samples: int = 1) -> None:
-    """dim_cap bounds the whole per-model cost: dim <= dim_cap, and
-    samples x dim <= dim_cap^2 for the amplitude matrix at that many times."""
+    """dim_cap bounds the per-model work, not memory (O(dim) per row): dim <= dim_cap,
+    and samples x dim <= dim_cap^2 terms of the amplitude sum at that many times."""
     cap = require_positive_int("dim_cap", dim_cap)
     if model.dim > cap or samples * model.dim > cap * cap:
         over = (f"model dimension {model.dim} exceeds the cap {cap}" if model.dim > cap else
                 f"{samples} samples x dimension {model.dim} exceed the cap {cap} squared")
         raise ResourceLimitError(f"{over}; raise dim_cap explicitly to allow the secular solve, "
-                                 f"propagator column and samples x dim amplitude matrix")
+                                 f"propagator column and samples x dim amplitude terms")
 
 
 def _davies_spectrum(model: DaviesModel, dim_cap: int, samples: int = 1) -> _Spectrum:
@@ -410,31 +410,35 @@ def davies_propagator_column(
     farther out, through 1/(u + d) = sum_p (-d)^p / u^(p+1): one FFT
     correlation per power p, the far-field step of the fast multipole
     method on the regular ladder.  The two outer roots, whose offsets
-    reach 2c, are summed directly.  O(dim log dim) after the solve;
-    dim_cap bounds both (above it: ResourceLimitError).
+    reach 2c, are summed directly.  After the solve: O(dim log dim) time and
+    O(dim) memory, the near field one diagonal and the far field one power
+    at a time; dim_cap bounds both (above it: ResourceLimitError).
     """
     pole, offset, weights = _davies_spectrum(model, dim_cap)
     amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * require_finite("t", t))
-    R, m, window = model.R, _NEAR, np.lib.stride_tricks.sliding_window_view
-    # near field of row r (index r + R) over 2m + 1 diagonals, padded with a = 0, d = 1/2;
-    # a zero denominator is row 0 meeting the reference root, and row 0 is dropped below
-    a, d, pad = amps[1:-1], offset[1:-1], np.zeros(m + 1)
-    denom = np.arange(-m, m + 1.0) + window(np.concatenate([pad + 0.5, d, pad + 0.5]), 2 * m + 1)
-    inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom != 0.0)
-    rows = np.einsum("ij,ij->i", window(np.concatenate([pad, a, pad]), 2 * m + 1), inv)
-    # far field: inner root q = k + R - 1 meets row i = r + R at k - r = 1 - (i - q)
-    n = 1 << (4 * R).bit_length()
-    u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
-    base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
-    kernel = np.cumprod(np.broadcast_to(base, (_POWERS, n)), axis=0)
-    moments = np.cumprod(np.vstack([a, np.broadcast_to(-d, (_POWERS - 1, d.size))]), axis=0)
-    rows += np.fft.ifft((np.fft.fft(moments, n) * np.fft.fft(kernel)).sum(axis=0))[:model.dim]
+    R, m, dim = model.R, _NEAR, model.dim
+    # near field of row r (index r + R) over those of 2m + 1 diagonals that reach the ladder,
+    # padded with a = 0, d = 1/2; a zero denominator keeps 0 as its reciprocal: it is row 0
+    # meeting the reference root, and row 0 is dropped below
+    a, d, pad, rows = amps[1:-1], offset[1:-1], np.zeros(m + 1), np.zeros(dim, complex)
+    a_pad, d_pad = np.concatenate([pad, a, pad]), np.concatenate([pad + 0.5, d, pad + 0.5])
+    for j in range(max(0, m - dim), min(2 * m, m + dim) + 1):
+        denom = (j - m) + d_pad[j:j + dim]
+        rows += a_pad[j:j + dim] * np.reciprocal(denom, out=denom, where=denom != 0.0)
+    # far field, if any |k - r| <= 2R - 1 exceeds m: inner root q = k + R - 1 meets row
+    # i = r + R at k - r = 1 - (i - q); running powers of kernel 1/u and moment a (-d)^p
+    if 2 * R - 1 > m:
+        n = 1 << (4 * R).bit_length()
+        u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
+        base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
+        kernel, moment, spectrum = base, a, np.zeros(n, complex)
+        for _ in range(_POWERS):
+            spectrum += np.fft.fft(moment, n) * np.fft.fft(kernel)
+            kernel, moment = kernel * base, moment * -d
+        rows += np.fft.ifft(spectrum)[:dim]
     ladder = pole[pole != 0.0]  # the two outer roots, summed directly
     rows = rows[pole != 0.0] + sum(amps[j] / ((pole[j] - ladder) + offset[j]) for j in (0, -1))
-    column = np.empty(model.dim, dtype=complex)
-    column[0] = amps.sum()
-    column[1:] = model.coupling / model.Delta_E * rows
-    return column
+    return np.concatenate([[amps.sum()], model.coupling / model.Delta_E * rows])
 
 
 def davies_amplitude(
@@ -442,25 +446,30 @@ def davies_amplitude(
 ) -> Union[complex, NDArray[np.complex128]]:
     """Survival amplitude U_00(t) = sum_k w_k e^{-i lambda_k t}.
 
-    Accepts a scalar or array of times; the secular equation is solved
-    once per model.  For bandwidth R Delta_E >> Gamma the amplitude
-    tracks e^{-Gamma t} on t in [0, 3/Gamma], with the deviation
-    shrinking as Delta_E decreases at fixed bandwidth.
+    Returns the shape of t (a complex for a scalar).  The secular equation
+    is solved once per model and the sum runs over blocks of times, in
+    O(dim) memory for any number of them.  For bandwidth R Delta_E >> Gamma
+    the amplitude tracks e^{-Gamma t} on t in [0, 3/Gamma], with the
+    deviation shrinking as Delta_E decreases at fixed bandwidth.
     """
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
+    tarr = np.asarray(t, dtype=float)
     if not np.isfinite(tarr).all():
         raise InvalidParamsError("t must be finite")
     pole, offset, weights = _davies_spectrum(model, dim_cap, tarr.size)
-    eigvals = model.Delta_E * (pole + offset)
-    amps = np.exp(-1j * np.outer(tarr, eigvals)) @ weights
-    if np.ndim(t) == 0:
-        return complex(amps[0])
-    return amps
+    eigvals, flat = model.Delta_E * (pole + offset), tarr.ravel()
+    # blocks of <= max(2^16, 16 dim) entries, no lone row (another BLAS path, other last digits)
+    amps, step = [], max(16, (1 << 16) // eigvals.size)
+    for block in np.array_split(flat, max(1, -(-flat.size // step))):
+        phases = -1j * np.outer(block, eigvals)
+        amps.append(np.exp(phases, out=phases) @ weights)
+    if tarr.ndim == 0:
+        return complex(amps[0][0])
+    return np.concatenate(amps).reshape(tarr.shape)
 
 
 def davies_max_deviation(
     model: DaviesModel,
-    times: Sequence[float] | None = None,
+    times: ArrayLike | None = None,
     *,
     dim_cap: int = 6000,
 ) -> float:

@@ -1,6 +1,7 @@
 """Tests for weak-measurement survival, decay times and the discrete-bath model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,25 @@ def test_davies_amplitude_scalar_array_consistency():
     assert arr[1] == pytest.approx(davies_amplitude(model, 0.5), abs=1e-14)
 
 
+def test_davies_amplitude_keeps_the_shape_of_t():
+    model = DaviesModel(Gamma=1.0, R=30, Delta_E=0.5)
+    grid = [[0.0, 1.0], [2.0, 3.0]]
+    amps = davies_amplitude(model, grid)
+    assert amps.shape == (2, 2)
+    np.testing.assert_array_equal(amps.ravel(), davies_amplitude(model, np.ravel(grid)))
+    assert davies_max_deviation(model, grid) == davies_max_deviation(model, np.ravel(grid))
+
+
+def test_davies_amplitude_blocks_match_the_full_phase_matrix():
+    # 500 samples at dimension 4001 run in 32 blocks of 15-16 times; each entry keeps the
+    # bits of the one-shot samples x dim phase matrix
+    model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
+    pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
+    times = np.linspace(0.0, 3.0, 500)
+    full = np.exp(-1j * np.outer(times, model.Delta_E * (pole + offset))) @ weights
+    np.testing.assert_array_equal(davies_amplitude(model, times), full)
+
+
 def test_davies_tracks_exponential_and_refines():
     # fixed bandwidth R Delta_E = 18, halving Delta_E must shrink the error
     coarse = davies_max_deviation(DaviesModel(Gamma=1.0, R=60, Delta_E=0.3))
@@ -496,3 +516,30 @@ def test_oracle_solves_each_row_once_per_call(monkeypatch):
     # a repeated call builds new models and solves again: no cross-call cache
     cmd_oracle(cfg)
     assert len(solves) == 2 * rows
+
+
+def _peak_traced_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+# per-row arrays at R = 2000 (dimension 4001) are O(dim): 4 MB is about 60 complex vectors
+_ROW_MEMORY_MB = 4.0
+
+
+def test_davies_column_memory_is_linear_in_dim():
+    model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
+    _davies_spectrum(model, dim_cap=model.dim)  # the solve is not part of the column
+    assert _peak_traced_mb(lambda: davies_propagator_column(model, 3.0)) <= _ROW_MEMORY_MB
+
+
+@pytest.mark.parametrize("samples", [13, 500])
+def test_davies_amplitude_memory_is_linear_in_dim(samples):
+    model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
+    _davies_spectrum(model, dim_cap=model.dim)
+    times = np.linspace(0.0, 3.0, samples)
+    assert _peak_traced_mb(lambda: davies_amplitude(model, times)) <= _ROW_MEMORY_MB
