@@ -40,6 +40,7 @@ import cmath
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -239,7 +240,7 @@ def evaluate_regime(
     columns, (fault,) = _regime_columns(grid, shifts)
     if isinstance(fault, Exception):
         raise fault
-    return RegimeVerdict(*(column[0] for column in columns.values()), fault or ())
+    return RegimeVerdict(*(column.item(0) for column in columns.values()), fault or ())
 
 
 SWEEP_COLUMNS = (
@@ -338,7 +339,8 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
     arithmetic repeats the scalar formulas operation for operation
     (complex products as CPython forms them, math functions per element),
     so every number has the bits of a point-by-point evaluation.  Returns
-    the RegimeVerdict columns in grid order and per point None, the
+    the RegimeVerdict columns as arrays in grid order (float64, or objects
+    for the booleans, None where skipped) and per point None, the
     exception that skips it, or the ("margin", exception) pair it records.
     """
     shape = tuple(map(len, grid.axes))
@@ -442,7 +444,7 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
     report = {}
     for name, column in columns.items():
         blank = None if column.dtype == bool else nan
-        report[name] = np.broadcast_to(np.where(skipped, blank, column), shape).ravel().tolist()
+        report[name] = np.broadcast_to(np.where(skipped, blank, column), shape).ravel()
     return report, np.broadcast_to(faults, shape).ravel().tolist()
 
 
@@ -454,21 +456,42 @@ def _status(fault) -> str:
     return "partial: " + "; ".join(f"{label}: {exc}" for label, exc in fault)
 
 
-def regime_sweep(grid: SweepGrid, *, shifts: ShiftSpec = "asymptotic") -> list[SweepRow]:
+class _SweepTable(Sequence):
+    """The rows of a sweep, held as its columns: one array per SWEEP_COLUMNS
+    entry.  A SweepRow of Python values is built only when a row is read."""
+
+    def __init__(self, columns: list[np.ndarray]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return SweepRow._make(column.item(i) for column in self.columns)
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return map(SweepRow._make, zip(*(column.tolist() for column in self.columns)))
+
+
+def regime_sweep(grid: SweepGrid, *, shifts: ShiftSpec = "asymptotic") -> Sequence[SweepRow]:
     """Classify every grid point; rows come back in grid order.
 
     shifts is resolved as in evaluate_regime: the asymptotic preset per
     point, explicit values unchanged everywhere.  The grid goes through
-    the array kernel in one call.  Invalid points are emitted as skipped
-    rows rather than aborting the sweep.
+    the array kernel in one call, and the rows stay its columns until
+    read.  Invalid points are emitted as skipped rows rather than
+    aborting the sweep.
     """
     columns, faults = _regime_columns(grid, shifts)
     shape = tuple(map(len, grid.axes))
     points = (
-        np.broadcast_to(_along(axis, (i,), shape, object), shape).ravel().tolist()
+        np.broadcast_to(_along(axis, (i,), shape, None), shape).ravel()
         for i, axis in enumerate(grid.axes)
     )
     statuses = {fault: _status(fault) for fault in set(faults)}
-    return list(map(SweepRow._make, zip(
-        *points, *(columns[name] for name in SWEEP_COLUMNS[7:-1]), map(statuses.get, faults)
-    )))
+    return _SweepTable([
+        *points, *(columns[name] for name in SWEEP_COLUMNS[7:-1]),
+        np.array(list(map(statuses.get, faults)), dtype=object),
+    ])

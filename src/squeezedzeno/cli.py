@@ -52,9 +52,8 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
     omega = bath.omega_L + x
     n_vals = spectral_n(bath, omega)
     m_vals = spectral_m(bath, omega)
-    columns = (omega, x, n_vals, np.abs(m_vals), m_vals.real, m_vals.imag)
-    rows = list(zip(*(c.tolist() for c in columns)))
-    return cfg.render(rows, ("omega", "x", "N", "M_abs", "M_re", "M_im")), 0
+    table = (omega, x, n_vals, np.abs(m_vals), m_vals.real, m_vals.imag)
+    return cfg.render(table, ("omega", "x", "N", "M_abs", "M_re", "M_im")), 0
 
 
 def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
@@ -71,10 +70,8 @@ def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
         n_samples=ev["samples"],
         method=ev["method"],
     )
-    values = (traj.t, traj.s_minus.real, traj.s_minus.imag, traj.s_z, traj.trace_error)
-    rows = list(zip(*(v.tolist() for v in values)))
-    columns = ("t", "re_s_minus", "im_s_minus", "s_z", "trace_error")
-    return cfg.render(rows, columns), 0
+    table = (traj.t, traj.s_minus.real, traj.s_minus.imag, traj.s_z, traj.trace_error)
+    return cfg.render(table, ("t", "re_s_minus", "im_s_minus", "s_z", "trace_error")), 0
 
 
 def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
@@ -93,13 +90,13 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
     result = verdict.report()
     if cfg.format == "json":
         return cfg.render(result), 0
-    return cfg.render([tuple(result.values())], tuple(result)), 0
+    return cfg.render([[value] for value in result.values()], tuple(result)), 0
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Classify the configured grid; skipped points stay in the table."""
-    rows = regime_sweep(cfg.sweep_grid(), shifts=cfg.data["shifts"])
-    return cfg.render(rows, SWEEP_COLUMNS), 0
+    table = regime_sweep(cfg.sweep_grid(), shifts=cfg.data["shifts"])
+    return cfg.render(table.columns, SWEEP_COLUMNS), 0
 
 
 def _rate_comparisons(cfg: RunConfig) -> list[dict]:

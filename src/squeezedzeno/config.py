@@ -6,9 +6,10 @@ to a documented default, flag overrides win over file values, and the
 fully resolved config is echoed into each output's provenance header.
 
 This module is the one place that decides how output looks: the text
-of each scalar in JSON and in CSV (one formatter, _scalar), the JSON
-layout, CSV quoting and the provenance header.  RunConfig.render writes
-every CLI document; canonical_json is the serializer on its own.
+of each scalar in JSON and in CSV (_column formats a whole column, an
+array in one pass, and _scalar one value), the JSON layout, CSV quoting
+and the provenance header.  RunConfig.render writes every CLI document,
+taking tables as columns; canonical_json is the serializer on its own.
 Serialization is canonical (fixed key order, 17 significant digits) so
 that parse -> serialize -> parse is the identity and outputs are
 byte-stable.
@@ -21,7 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Mapping, Sequence
@@ -95,6 +96,8 @@ def _layout(value: Any, level: int) -> tuple[str, str]:
     text = _scalar(value)
     if text is not None:
         return text, text
+    if isinstance(value, _Columns):
+        return _rows([_column(c) for c in value], level)
     if isinstance(value, Mapping):
         keys = [json.dumps(str(k)) for k in value]
         texts = [_layout(v, level + 1) for v in value.values()]
@@ -121,18 +124,24 @@ def _layout_items(seq: list, level: int) -> tuple[str, str]:
         and len(set(map(len, seq))) == 1
     columns = [_column(c) for c in (zip(*seq) if table else [seq])]
     if columns and all(None not in texts for texts in columns):
-        if not table:
-            return _join("[]", columns[0], columns[0], level)
-        rows = list(zip(*columns))
-        pad = "\n" + "  " * (level + 2)
-        return _join("[]", ["[" + ",".join(row) + "]" for row in rows],
-                     ["[" + pad + ("," + pad).join(row) + pad[:-2] + "]" for row in rows], level)
+        return _rows(columns, level) if table else _join("[]", columns[0], columns[0], level)
     texts = [_layout(v, level + 1) for v in seq]
     return _join("[]", [c for c, _ in texts], [i for _, i in texts], level)
 
 
-# quotes every string cell: writerow returns what write returns, here the row's text;
-# it runs in C and never releases the GIL, so threads may share it
+def _rows(columns: list[list[str]], level: int) -> tuple[str, str]:
+    """Both layouts of a table, a list of rows, from its columns' texts."""
+    pad = "\n" + "  " * (level + 2)
+    return _join("[]", ["[" + ",".join(row) + "]" for row in zip(*columns)],
+                 ["[" + pad + ("," + pad).join(row) + pad[:-2] + "]" for row in zip(*columns)],
+                 level)
+
+
+class _Columns(tuple):
+    """A table of scalars given as its columns; laid out as a list of rows."""
+
+
+# quotes every string cell: writerow returns what write returns, here the row's text
 _CELL_WRITER = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
@@ -162,14 +171,25 @@ def _scalar(value: Any, cell: bool = False) -> str | None:
 def _column(values, cell: bool = False) -> list:
     """_scalar of each value of one column (a JSON text, or with cell a CSV cell).
 
-    Floats are formatted once per distinct bit pattern, so 0.0 and -0.0
-    stay apart; None, strings and either bools or ints once per distinct
-    value (a column of both would take True for 1).
+    A float64 array, or a list of floats, is formatted once per distinct
+    bit pattern, so 0.0 and -0.0 stay apart, and an int64 array once per
+    distinct value, each in one %-format pass ('%.17g' % x is
+    format(x, '.17g')).  A column of None, strings and either bools or
+    ints goes through _scalar once per distinct value (a column of both
+    would take True for 1), anything else once per value.
     """
-    kinds = set(map(type, values))
+    if isinstance(values, np.ndarray) and values.dtype not in (np.float64, np.int64):
+        values = values.tolist()
+    kinds = set() if isinstance(values, np.ndarray) else set(map(type, values))
     if kinds == {float}:
-        bits, where = np.unique(np.array(values).view(np.int64), return_inverse=True)
-        texts = list(map(_scalar, bits.view(np.float64).tolist(), repeat(cell)))
+        values = np.array(values)
+    if isinstance(values, np.ndarray):
+        floats = values.dtype == np.float64
+        keys, where = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = (keys.view(np.float64) if floats else keys).tolist()
+        texts = (" ".join(["%.17g" if floats else "%d"] * len(distinct)) % tuple(distinct)).split()
+        if floats and not cell:
+            texts = ["null" if t in ("nan", "inf", "-inf") else t for t in texts]
         return np.array(texts, dtype=object)[where].tolist()
     if kinds <= {type(None), str, bool} or kinds <= {type(None), str, int}:
         texts = {v: _scalar(v, cell) for v in set(values)}
@@ -380,12 +400,14 @@ class RunConfig:
     def render(self, result: Any, columns: Sequence[str] | None = None) -> str:
         """The output document of result: a provenance header, then the data.
 
-        With columns, result is a list of rows, written as a CSV table
-        or, in JSON, as {"columns": [...], "rows": [...]}; without, it is
-        written as JSON whatever the configured format.  The provenance
-        names the tool, echoes the resolved config and gives the sha256
-        of the data section (the CSV body, or the compact JSON of the
-        payload).  It holds no timestamp, so equal inputs give equal bytes.
+        With columns (the column names), result is a table given as its
+        columns, 1-D arrays or lists parallel to the names, written as a
+        CSV table or, in JSON, as {"columns": [...], "rows": [...]};
+        without, it is written as JSON whatever the configured format.
+        The provenance names the tool, echoes the resolved config and
+        gives the sha256 of the data section (the CSV body, or the compact
+        JSON of the payload).  It holds no timestamp, so equal inputs give
+        equal bytes.
         """
         from . import __version__  # not at import: the package imports this module first
 
@@ -393,12 +415,14 @@ class RunConfig:
         # the output path is where the result goes, not part of what it is
         config = {k: v for k, v in self.data.items() if k != "out"}
         if columns is not None and self.format == "csv":
-            cells = zip(*(_column(column, cell=True) for column in zip(*result)))
-            body = "\n".join(map(",".join, (_column(columns, cell=True), *cells))) + "\n"
+            # chain, not a tuple display, so zip reuses one row tuple throughout
+            rows = chain([_column(columns, cell=True)],
+                         zip(*(_column(column, cell=True) for column in result)))
+            body = "\n".join(map(",".join, rows)) + "\n"
             return (f"# tool: {tool}\n# config: {canonical_json(config)}\n"
                     f"# content-sha256: {_sha256(body)}\n{body}")
         if columns is not None:
-            result = {"columns": list(columns), "rows": result}
+            result = {"columns": list(columns), "rows": _Columns(result)}
         compact, indented = _layout(result, 1)
         provenance = {"tool": tool, "config": config, "content_sha256": _sha256(compact)}
         return f'{{\n  "provenance": {_layout(provenance, 1)[1]},\n  "result": {indented}\n}}\n'

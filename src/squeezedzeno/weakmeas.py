@@ -462,6 +462,7 @@ def davies_amplitude(
     for block in np.array_split(flat, max(1, -(-flat.size // step))):
         phases = -1j * np.outer(block, eigvals)
         amps.append(np.exp(phases, out=phases) @ weights)
+        del phases  # before the next block is built, so one block is held at a time
     if tarr.ndim == 0:
         return complex(amps[0][0])
     return np.concatenate(amps).reshape(tarr.shape)

@@ -1,10 +1,13 @@
 """Tests for config loading, canonical serialization and the command line."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +16,11 @@ import numpy as np
 import pytest
 
 import squeezedzeno
-from squeezedzeno import BlochState
+import squeezedzeno.cli as cli
+from squeezedzeno import BlochState, SweepGrid
+from squeezedzeno.analysis import SWEEP_COLUMNS
 from squeezedzeno.cli import build_parser, main
-from squeezedzeno.config import DEFAULTS, ConfigError, RunConfig, canonical_json
+from squeezedzeno.config import DEFAULTS, ConfigError, RunConfig, _column, _scalar, canonical_json
 
 
 def test_defaults_round_trip(tmp_path):
@@ -264,14 +269,107 @@ def test_scalar_json_text_and_csv_cell(value, text, cell):
     assert canonical_json(value) == text
     # a list is formatted column by column, floats once per bit pattern
     assert canonical_json([value, value]) == f"[{text},{text}]"
-    document = RunConfig.load().render([(value,), (value,)], ("v",))
+    document = RunConfig.load().render([[value, value]], ("v",))
     assert document.split("\n", 3)[3] == f"v\n{cell}\n{cell}\n"
 
 
 def test_zero_and_negative_zero_stay_apart_in_a_column():
     assert canonical_json([0.0, -0.0, 0.0, -0.0]) == "[0,-0,0,-0]"
-    document = RunConfig.load().render([(0.0, -0.0), (-0.0, 0.0)], ("a", "b"))
+    document = RunConfig.load().render([[0.0, -0.0], [-0.0, 0.0]], ("a", "b"))
     assert document.split("\n", 3)[3] == "a,b\n0,-0\n-0,0\n"
+
+
+def _reference_column(values, cell: bool) -> list:
+    """The per-value loop that _column replaces: _scalar of each value in turn."""
+    return [_scalar(v, cell) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    _float(0xFFF8_0000_DEAD_BEEF),  # a NaN with the sign bit and payload bits set
+    _float(0x7FF0_0000_0000_0001),  # a signalling NaN
+    5e-324, -5e-324, _float(0x000F_FFFF_FFFF_FFFF), 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, -1e16, 1e-5, 0.1, 1.0,
+]
+
+
+def _reference_columns() -> dict:
+    """Columns in every form _column takes: float64 and int64 arrays of random
+    bit patterns with repeats, subnormals and the edge values, and lists."""
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20000,
+                        dtype=np.int64, endpoint=True)
+    subnormal = rng.integers(1, 1 << 52, 2000, dtype=np.int64) * rng.choice([1, -1], 2000)
+    subnormal[subnormal < 0] = (-subnormal[subnormal < 0]) | np.int64(-1 << 63)
+    floats = np.concatenate([bits.view(np.float64), subnormal.view(np.float64), EDGE_FLOATS])
+    floats = rng.permutation(np.concatenate([floats, rng.choice(floats, 5000)]))
+    ints = np.concatenate([bits[:3000], bits[:100], [0, -1, 1, np.iinfo(np.int64).min,
+                                                     np.iinfo(np.int64).max]])
+    strings = ["a,b", 'say "hi"', "two\nlines", "", "\u00b5s", "ok", " lead", "x"]
+    return {
+        "float64": floats,
+        "float-list": floats[:3000].tolist(),
+        "int64": rng.permutation(ints),
+        "int-list": ints[:500].tolist(),
+        "bool-none": [[True, False, None][i] for i in rng.integers(0, 3, 500)],
+        "str-none": [(strings + [None])[i] for i in rng.integers(0, len(strings) + 1, 500)],
+    }
+
+
+@pytest.mark.parametrize("cell", [False, True], ids=["json", "csv"])
+def test_column_matches_the_per_value_reference(cell):
+    for kind, values in _reference_columns().items():
+        got, want = _column(values, cell), _reference_column(values, cell)
+        assert len(got) == len(want), kind
+        bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert not bad, f"{kind}: {[(values[i], got[i], want[i]) for i in bad[:5]]}"
+
+
+def test_cli_sweep_rows_keep_the_sequence_contract(monkeypatch, tmp_path, capsys):
+    # what a caller wrapping cli.regime_sweep may rely on: one call with the grid
+    # first, and a sequence of SweepRows of Python values whose statuses are the CSV's
+    calls = []
+    regime_sweep = cli.regime_sweep
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, regime_sweep(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cli, "regime_sweep", spy)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"sweep": {
+        "gamma": [1.0], "epsilon": [0.0, 0.5, 2.0], "Delta": [0.0, 5.0], "Omega": [10.0],
+        "phi": [math.pi, 0.0], "omega_L": [100.0], "n": [7, 100],
+    }}))
+    assert main(["sweep", "--config", str(config), "--format", "csv"]) == 0
+    ((args, kwargs, rows),) = calls
+    grid = args[0]
+    assert isinstance(grid, SweepGrid) and kwargs == {"shifts": "asymptotic"}
+    assert len(rows) == grid.size == 24
+    body = capsys.readouterr().out.split("\n", 3)[3]
+    table = list(csv.reader(io.StringIO(body)))
+    assert table[0] == list(SWEEP_COLUMNS)
+    first, *_, last = rows
+    listed = list(rows)
+    assert repr(rows[0]) == repr(first) == repr(listed[0])
+    assert repr(rows[-1]) == repr(last) == repr(listed[-1])
+    assert [repr(r) for r in rows[1:3]] == [repr(r) for r in listed[1:3]]
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    types = {name: {float} for name in SWEEP_COLUMNS}
+    types.update(n={int}, cond_derived={bool, type(None)}, cond_paper={bool, type(None)},
+                 status={str})
+    for i, row in enumerate(rows):
+        assert row._fields == SWEEP_COLUMNS
+        assert all(type(v) in types[name] for name, v in zip(SWEEP_COLUMNS, row)), row
+        assert all(type(v) in types[name] for name, v in zip(SWEEP_COLUMNS, rows[i])), i
+    statuses = [row.status for row in rows]
+    assert statuses == [line[-1] for line in table[1:]]
+    assert {s.split(":")[0] for s in statuses} == {"ok", "partial", "skipped"}
 
 
 def test_indented_and_compact_json_hold_the_same_value():

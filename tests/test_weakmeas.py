@@ -537,9 +537,15 @@ def test_davies_column_memory_is_linear_in_dim():
     assert _peak_traced_mb(lambda: davies_propagator_column(model, 3.0)) <= _ROW_MEMORY_MB
 
 
+# a multi-block amplitude holds one block of phases (at most 2^16 complex entries,
+# 1 MB) at a time: two blocks alive at once read 2.7 MB at 500 samples
+_BLOCK_MEMORY_MB = 2.0
+
+
 @pytest.mark.parametrize("samples", [13, 500])
 def test_davies_amplitude_memory_is_linear_in_dim(samples):
     model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
     _davies_spectrum(model, dim_cap=model.dim)
     times = np.linspace(0.0, 3.0, samples)
-    assert _peak_traced_mb(lambda: davies_amplitude(model, times)) <= _ROW_MEMORY_MB
+    limit = _BLOCK_MEMORY_MB if samples == 500 else _ROW_MEMORY_MB
+    assert _peak_traced_mb(lambda: davies_amplitude(model, times)) <= limit
