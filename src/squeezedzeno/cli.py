@@ -17,6 +17,7 @@ codes: 0 success, 1 usage error, 2 computation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -165,7 +166,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared by every later one:
+    parsing reads it and never changes it."""
     parser = _Parser(
         prog="squeezedzeno",
         description="Squeezed-bath atom dynamics: spectra, trajectories, "

@@ -289,8 +289,8 @@ class DaviesModel:
 
 # Bernoulli numbers B_2, B_4, ..., B_14 of the asymptotic tails below
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-# the explicit head terms j = 0..9 of a pole run
-_HEAD = np.arange(10.0)[:, None]
+# the explicit head terms j = 0..9 of a pole run, summed one term at a time
+_HEAD = 10
 
 
 def _pole_runs(z: NDArray, n: NDArray) -> tuple[NDArray, NDArray]:
@@ -299,16 +299,22 @@ def _pole_runs(z: NDArray, n: NDArray) -> tuple[NDArray, NDArray]:
     Each is the head sum_{j < 10} at z, less the head at z + n, plus psi(b) - psi(a)
     or zeta(2, a) - zeta(2, b), a = z + 10, b = z + n + 10, from their asymptotic
     series to B_14 (DLMF 5.11.2, 25.11.43), exact to 1e-16 there; ln(b/a) is log1p(n/a).
+    The heads are summed one term at a time, in order of j, into two 1-D sums.
     """
     w = np.concatenate([z, z + n])
-    inv, v = 1.0 / (w + _HEAD), w + 10.0
+    head1, head2, inv = np.zeros(w.size), np.zeros(w.size), np.empty(w.size)
+    for j in range(_HEAD):
+        np.reciprocal(np.add(w, float(j), out=inv), out=inv)
+        head1 += inv
+        head2 += np.multiply(inv, inv, out=inv)
+    v = w + float(_HEAD)
     u, series1, series2 = 1.0 / (v * v), 0.0, 0.0
     for i in range(len(_BERNOULLI) - 1, -1, -1):
         series1 = (series1 + _BERNOULLI[i] / (2 * i + 2)) * u
         series2 = (series2 + _BERNOULLI[i]) * u
     # each head plus ln(v) - psi(v), and plus zeta(2, v)
-    run1 = inv.sum(axis=0) + 0.5 / v + series1
-    run2 = (inv * inv).sum(axis=0) + (1.0 + 0.5 / v + series2) / v
+    run1 = head1 + 0.5 / v + series1
+    run2 = head2 + (1.0 + 0.5 / v + series2) / v
     return run1[:z.size] - run1[z.size:] + np.log1p(n / v[:z.size]), run2[:z.size] - run2[z.size:]
 
 
@@ -399,6 +405,39 @@ def _solve_secular(model: DaviesModel) -> _Spectrum:
 _NEAR, _POWERS = 48, 12
 
 
+def _add_near_field(rows: NDArray, a: NDArray, d: NDArray) -> None:
+    """Add to rows (index r + R) the inner roots with |k - r| <= m, through two dim-length
+    buffers, over those diagonals that reach the ladder, padded with a = 0, d = 1/2.  A zero
+    denominator keeps 0 as its reciprocal: row 0 meeting the reference root, on the diagonal
+    j = m only (|d| < 1 elsewhere); the caller drops row 0."""
+    m, dim, pad = _NEAR, rows.size, np.zeros(_NEAR + 1)
+    a_pad, d_pad = np.concatenate([pad, a, pad]), np.concatenate([pad + 0.5, d, pad + 0.5])
+    denom, term = np.empty(dim), np.empty(dim, complex)
+    for j in range(max(0, m - dim), min(2 * m, m + dim) + 1):
+        np.add(j - m, d_pad[j:j + dim], out=denom)
+        np.reciprocal(denom, out=denom, where=denom != 0.0 if j == m else True)
+        rows += np.multiply(a_pad[j:j + dim], denom, out=term)
+
+
+def _add_far_field(rows: NDArray, a: NDArray, d: NDArray) -> None:
+    """Add to rows the inner roots with |k - r| > m: inner root q = k + R - 1 meets row
+    i = r + R at k - r = 1 - (i - q).  The running powers of kernel 1/u and moment a (-d)^p
+    are updated in place, their transforms written into two length-n buffers."""
+    m, n = _NEAR, 1 << (2 * rows.size - 2).bit_length()  # n > 4R = 2 (dim - 1)
+    u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
+    base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
+    kernel, moment, minus_d = base.copy(), a.copy(), -d
+    spectrum, f_moment, f_kernel = (np.zeros(n, complex) for _ in range(3))
+    for _ in range(_POWERS):
+        f_moment[:] = kernel  # the complex cast fft would otherwise allocate
+        np.fft.fft(f_moment, out=f_kernel)
+        np.fft.fft(moment, n, out=f_moment)
+        spectrum += np.multiply(f_moment, f_kernel, out=f_moment)
+        kernel *= base
+        moment *= minus_d
+    rows += np.fft.ifft(spectrum, out=f_kernel)[:rows.size]
+
+
 def davies_propagator_column(
     model: DaviesModel, t: float, *, dim_cap: int = 6000
 ) -> NDArray[np.complex128]:
@@ -416,26 +455,10 @@ def davies_propagator_column(
     """
     pole, offset, weights = _davies_spectrum(model, dim_cap)
     amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * require_finite("t", t))
-    R, m, dim = model.R, _NEAR, model.dim
-    # near field of row r (index r + R) over those of 2m + 1 diagonals that reach the ladder,
-    # padded with a = 0, d = 1/2; a zero denominator keeps 0 as its reciprocal: it is row 0
-    # meeting the reference root, and row 0 is dropped below
-    a, d, pad, rows = amps[1:-1], offset[1:-1], np.zeros(m + 1), np.zeros(dim, complex)
-    a_pad, d_pad = np.concatenate([pad, a, pad]), np.concatenate([pad + 0.5, d, pad + 0.5])
-    for j in range(max(0, m - dim), min(2 * m, m + dim) + 1):
-        denom = (j - m) + d_pad[j:j + dim]
-        rows += a_pad[j:j + dim] * np.reciprocal(denom, out=denom, where=denom != 0.0)
-    # far field, if any |k - r| <= 2R - 1 exceeds m: inner root q = k + R - 1 meets row
-    # i = r + R at k - r = 1 - (i - q); running powers of kernel 1/u and moment a (-d)^p
-    if 2 * R - 1 > m:
-        n = 1 << (4 * R).bit_length()
-        u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
-        base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
-        kernel, moment, spectrum = base, a, np.zeros(n, complex)
-        for _ in range(_POWERS):
-            spectrum += np.fft.fft(moment, n) * np.fft.fft(kernel)
-            kernel, moment = kernel * base, moment * -d
-        rows += np.fft.ifft(spectrum)[:dim]
+    a, d, rows = amps[1:-1], offset[1:-1], np.zeros(model.dim, complex)
+    _add_near_field(rows, a, d)
+    if 2 * model.R - 1 > _NEAR:  # some |k - r| <= 2R - 1 is beyond the near field
+        _add_far_field(rows, a, d)
     ladder = pole[pole != 0.0]  # the two outer roots, summed directly
     rows = rows[pole != 0.0] + sum(amps[j] / ((pole[j] - ladder) + offset[j]) for j in (0, -1))
     return np.concatenate([[amps.sum()], model.coupling / model.Delta_E * rows])

@@ -520,3 +520,28 @@ def test_cli_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "squeezedzeno" in capsys.readouterr().out
+
+
+def test_one_parser_per_process_answers_like_a_fresh_interpreter(monkeypatch, capsys):
+    # main parses with one parser per process; a failed parse (exit 1, raised inside the
+    # sweep subparser) leaves nothing behind for the next call: every call gives the exit
+    # code, stdout and stderr of the same argv in a fresh interpreter
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "100")  # the help text wraps to the terminal width
+    src = str(Path(squeezedzeno.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = {}
+    calls = [["sweep", "--threads", "zero"], ["timescales", "--format", "json"], ["--help"]]
+    for argv in calls + calls[:2]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = (code, *capsys.readouterr())
+        if tuple(argv) not in fresh:
+            run = subprocess.run([sys.executable, "-m", "squeezedzeno.cli", *argv],
+                                 env=env, capture_output=True, text=True)
+            fresh[tuple(argv)] = (run.returncode, run.stdout, run.stderr)
+        assert got == fresh[tuple(argv)]
+    assert [fresh[tuple(argv)][0] for argv in calls] == [1, 0, 0]

@@ -458,6 +458,47 @@ def test_pole_runs_match_direct_sums(n):
         assert got2 == pytest.approx(math.fsum((zi + j) ** -2 for j in range(n)), rel=1e-15, abs=0)
 
 
+def _matrix_pole_runs(z, n):
+    """Reference pole runs: the ten head terms as a (10, 2 z.size) matrix, summed over axis 0.
+
+    The form the package used before it summed the heads one term at a time; numpy
+    reduces axis 0 of a C-contiguous matrix row by row, in the same order.
+    """
+    w = np.concatenate([z, z + n])
+    inv, v = 1.0 / (w + np.arange(10.0)[:, None]), w + 10.0
+    u, series1, series2 = 1.0 / (v * v), 0.0, 0.0
+    for i in range(len(weakmeas._BERNOULLI) - 1, -1, -1):
+        series1 = (series1 + weakmeas._BERNOULLI[i] / (2 * i + 2)) * u
+        series2 = (series2 + weakmeas._BERNOULLI[i]) * u
+    run1 = inv.sum(axis=0) + 0.5 / v + series1
+    run2 = (inv * inv).sum(axis=0) + (1.0 + 0.5 / v + series2) / v
+    return run1[:z.size] - run1[z.size:] + np.log1p(n / v[:z.size]), run2[:z.size] - run2[z.size:]
+
+
+def test_pole_runs_match_the_matrix_form_bit_for_bit():
+    rng = np.random.default_rng(15)
+    z = np.concatenate([[1e-100, 1e-12, 1.0 - 2.0**-52, 1.0], 1.0 - rng.random(20000)])
+    n = np.concatenate([[0.0, 4001.0, 1.0, 10.0], rng.integers(0, 4002, 20000).astype(float)])
+    for got, ref in zip(weakmeas._pole_runs(z, n), _matrix_pole_runs(z, n)):
+        assert np.array_equal(got, ref)
+
+
+_BIT_MODELS = [
+    DaviesModel(Gamma=1.0, R=30, Delta_E=0.5),
+    DaviesModel(Gamma=1.0, R=500, Delta_E=0.04),
+    DaviesModel(Gamma=1.0, R=1000, Delta_E=0.02),
+    DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01),
+]
+
+
+@pytest.mark.parametrize("model", _BIT_MODELS, ids=["R30", "R500", "R1000", "R2000"])
+def test_secular_solve_matches_the_matrix_form_bit_for_bit(model, monkeypatch):
+    solved = weakmeas._solve_secular(model)
+    monkeypatch.setattr(weakmeas, "_pole_runs", _matrix_pole_runs)
+    for got, ref in zip(solved, weakmeas._solve_secular(model)):
+        assert np.array_equal(got, ref)
+
+
 def _direct_column(model, t):
     """Reference column: U_{r,0} = g sum_k w_k e^{-i lambda_k t} / (lambda_k - E_r).
 
@@ -501,6 +542,41 @@ def test_davies_column_matches_direct_sum(model):
             np.testing.assert_allclose(col, e0, rtol=0, atol=_COLUMN_ATOL)
 
 
+def _allocating_column(model, t):
+    """Reference near/far-field column with a new array for every step.
+
+    The form the package used before its near field ran through two dim-length
+    buffers and its far field through in-place kernel, moment and transforms: the
+    zero-denominator mask on every diagonal and two fresh transforms per power.
+    """
+    pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
+    amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * t)
+    R, m, dim = model.R, weakmeas._NEAR, model.dim
+    a, d, pad, rows = amps[1:-1], offset[1:-1], np.zeros(m + 1), np.zeros(dim, complex)
+    a_pad, d_pad = np.concatenate([pad, a, pad]), np.concatenate([pad + 0.5, d, pad + 0.5])
+    for j in range(max(0, m - dim), min(2 * m, m + dim) + 1):
+        denom = (j - m) + d_pad[j:j + dim]
+        rows += a_pad[j:j + dim] * np.reciprocal(denom, out=denom, where=denom != 0.0)
+    if 2 * R - 1 > m:
+        n = 1 << (4 * R).bit_length()
+        u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
+        base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
+        kernel, moment, spectrum = base, a, np.zeros(n, complex)
+        for _ in range(weakmeas._POWERS):
+            spectrum += np.fft.fft(moment, n) * np.fft.fft(kernel)
+            kernel, moment = kernel * base, moment * -d
+        rows += np.fft.ifft(spectrum)[:dim]
+    ladder = pole[pole != 0.0]
+    rows = rows[pole != 0.0] + sum(amps[j] / ((pole[j] - ladder) + offset[j]) for j in (0, -1))
+    return np.concatenate([[amps.sum()], model.coupling / model.Delta_E * rows])
+
+
+@pytest.mark.parametrize("model", _BIT_MODELS, ids=["R30", "R500", "R1000", "R2000"])
+def test_davies_column_matches_the_allocating_form_bit_for_bit(model):
+    for t in (0.0, 1.0 / model.Gamma, 3.0 / model.Gamma):
+        assert np.array_equal(davies_propagator_column(model, t), _allocating_column(model, t))
+
+
 def test_oracle_solves_each_row_once_per_call(monkeypatch):
     solves, solve = [], weakmeas._solve_secular
 
@@ -535,6 +611,16 @@ def test_davies_column_memory_is_linear_in_dim():
     model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
     _davies_spectrum(model, dim_cap=model.dim)  # the solve is not part of the column
     assert _peak_traced_mb(lambda: davies_propagator_column(model, 3.0)) <= _ROW_MEMORY_MB
+
+
+# the solve's working set at R = 2000 is a few dozen vectors of 2R or 4R doubles (32 or
+# 64 kB each): 0.98 MB; heads summed as (10, 4R) matrices of 320 kB each read 1.98 MB
+_SOLVE_MEMORY_MB = 1.2
+
+
+def test_davies_solve_memory_holds_no_head_matrix():
+    model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
+    assert _peak_traced_mb(lambda: weakmeas._solve_secular(model)) <= _SOLVE_MEMORY_MB
 
 
 # a multi-block amplitude holds one block of phases (at most 2^16 complex entries,
