@@ -2,9 +2,9 @@
 
 The package models a driven two-level atom coupled to a
 finite-bandwidth squeezed vacuum: squeezing spectra, effective
-master-equation coefficients, Bloch/superoperator dynamics, weak-value
-survival machinery with decoherence and Zeno timescales, a discrete
-bath-mode oracle, and sustainable-coherence classification over
+master-equation coefficients, Bloch/superoperator dynamics, the weak
+survival probability with its exact and leading-order decay times, a
+discrete bath-mode oracle, and sustainable-coherence classification over
 parameter grids.  The squeezedzeno console script exposes the same
 functionality from the command line.
 """
@@ -55,7 +55,6 @@ from .errors import (
     EmptyGridError,
     IllConditionedFitError,
     InvalidParamsError,
-    OrthogonalSelectionError,
     OutOfWindowError,
     ResourceLimitError,
     SingularDenominatorError,
@@ -72,17 +71,12 @@ from .spectrum import (
 from .weakmeas import (
     DaviesModel,
     MeasurementSchedule,
-    PrePostSelection,
     davies_amplitude,
     davies_max_deviation,
     davies_propagator_column,
     decay_time_approx,
     decay_time_exact,
-    decoherence_time,
-    propagator,
     weak_survival,
-    weak_value,
-    zeno_time,
 )
 
 __version__ = "0.1.0"

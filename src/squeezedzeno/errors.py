@@ -24,10 +24,6 @@ class UnphysicalCoefficientsError(SqueezedZenoError, ValueError):
     """Effective coefficients left the validity domain (n_tilde < 0)."""
 
 
-class OrthogonalSelectionError(SqueezedZenoError, ZeroDivisionError):
-    """Pre/post-selection overlap vanishes; the weak value diverges."""
-
-
 class OutOfWindowError(SqueezedZenoError, ValueError):
     """A time argument lies outside the measurement window [t_i, t_f]."""
 

@@ -1,15 +1,16 @@
-"""Pre/post-selected weak measurements and the survival-time machinery.
+"""Survival probability, decay times and the discrete bath of a probed level.
 
-A two-level system with splitting omega_A evolves freely between a
-pre-selection at t_i and a post-selection at t_f.  The weak value of an
-operator A probed at an intermediate time t is
+The paper reaches its survival probability through the weak value of an
+operator A probed at a time t between a pre-selection at t_i and a
+post-selection at t_f of a two-level system with splitting omega_A,
 
     A_w(t) = <psi_f| U(t_f - t) A U(t - t_i) |psi_i>
-             / <psi_f| U(t_f - t_i) |psi_i>
+             / <psi_f| U(t_f - t_i) |psi_i>,
 
-with U(t) = diag(e^{i omega_A t / 2}, e^{-i omega_A t / 2}).  Feeding
-the excited-state projector of a decaying system (amplitude e^{-Gamma t})
-through this expression yields the weak survival probability
+with U(t) = diag(e^{i omega_A t / 2}, e^{-i omega_A t / 2}).  For the
+excited-state projector of a level decaying as e^{-Gamma t} that route,
+not implemented here, ends in the weak survival probability this module
+starts from,
 
     P_w(t) = e^{-Gamma (t - t_i)}
              (1 - e^{-Gamma (t_f - t)}) / (1 - e^{-Gamma (t_f - t_i)}),
@@ -23,13 +24,17 @@ approximated for n measurements spaced by tau_M = 1/omega_L as
 
     tau_approx = 1 / (Gamma + 2 omega_L / n).
 
-Applying the approximation to the coherence and population decay
-constants of the damped atom gives the decoherence and Zeno timescales.
-A discrete bath of 2R equispaced modes coupled equally to a reference
-level (a Davies-type single-excitation model) provides an exactly
-solvable check that the exponential amplitude e^{-Gamma t} emerges in
-the dense-spectrum limit.  Its arrowhead Hamiltonian is solved through
-the secular equation, one root per gap of the ladder, never as a matrix.
+Applied to the coherence and population decay constants of the damped
+atom, the approximation gives the decoherence and Zeno timescales (the
+tau_dec and tau_zeno of analysis.evaluate_regime).  A discrete bath of
+2R equispaced modes coupled equally to a reference level (a Davies-type
+single-excitation model) is an exactly solvable check of the amplitude
+e^{-Gamma t}: at fixed bandwidth its deviation falls to a bandwidth
+floor as the spacing shrinks, the first-order part coming from the
+omitted ladder level r = 0 (Bixon and Jortner 1968); the spacing itself
+sets the recurrence time 2 pi / Delta_E.  Its arrowhead Hamiltonian is
+solved through the secular equation, one root per gap of the ladder,
+never as a matrix.
 """
 
 from __future__ import annotations
@@ -41,11 +46,8 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .bloch import population_decay_rate, quadrature_decay_rate
-from .coefficients import EffectiveCoefficients
 from .errors import (
     InvalidParamsError,
-    OrthogonalSelectionError,
     OutOfWindowError,
     ResourceLimitError,
     require_finite,
@@ -53,7 +55,6 @@ from .errors import (
     require_positive_int,
 )
 
-_X_POLARIZED = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 # pole, offset and weight arrays of a solved Davies model
 _Spectrum = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
@@ -109,77 +110,6 @@ class MeasurementSchedule:
         return cls(t_i=t_i, t_f=t_f, n=n, tau_M=(t_f - t_i) / n)
 
 
-@dataclass(frozen=True)
-class PrePostSelection:
-    """Normalized pre- and post-selection states.
-
-    Defaults to the x-polarized state (1, 1)/sqrt(2) on both ends.
-    """
-
-    pre: tuple[complex, complex] = _X_POLARIZED
-    post: tuple[complex, complex] = _X_POLARIZED
-
-    def __post_init__(self) -> None:
-        for name in ("pre", "post"):
-            vec = np.asarray(getattr(self, name), dtype=complex)
-            if vec.shape != (2,):
-                raise InvalidParamsError(f"{name} must have 2 components")
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > 1e-12:
-                raise InvalidParamsError(
-                    f"{name} selection state must be normalized to 1e-12 "
-                    f"(|norm - 1| = {abs(norm - 1.0):.3g})"
-                )
-            object.__setattr__(self, name, (complex(vec[0]), complex(vec[1])))
-
-    def pre_vector(self) -> NDArray[np.complex128]:
-        return np.array(self.pre, dtype=complex)
-
-    def post_vector(self) -> NDArray[np.complex128]:
-        return np.array(self.post, dtype=complex)
-
-
-def propagator(omega_A: float, t: float) -> NDArray[np.complex128]:
-    """Free evolution diag(e^{i omega_A t/2}, e^{-i omega_A t/2})."""
-    phase = 0.5 * require_finite("omega_A", omega_A) * require_finite("t", t)
-    return np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
-
-
-def weak_value(
-    a: ArrayLike,
-    sel: PrePostSelection,
-    omega_A: float,
-    t_i: float,
-    t: float,
-    t_f: float,
-) -> complex:
-    """Time-dependent weak value of the operator a.
-
-    Raises OrthogonalSelectionError when the post-selected amplitude
-    <psi_f|U(t_f - t_i)|psi_i> has modulus below 1e-12, where the weak
-    value diverges.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise InvalidParamsError(f"operator must be 2x2, got shape {a.shape}")
-    psi_i = sel.pre_vector()
-    psi_f = sel.post_vector()
-    denom = psi_f.conj() @ propagator(omega_A, t_f - t_i) @ psi_i
-    if abs(denom) < 1e-12:
-        raise OrthogonalSelectionError(
-            "pre- and post-selection are (nearly) orthogonal after free "
-            "evolution; the weak value diverges"
-        )
-    numer = (
-        psi_f.conj()
-        @ propagator(omega_A, t_f - t)
-        @ a
-        @ propagator(omega_A, t - t_i)
-        @ psi_i
-    )
-    return complex(numer / denom)
-
-
 def weak_survival(Gamma: float, sched: MeasurementSchedule, t: float) -> float:
     """Weak survival probability P_w(t) on the schedule window.
 
@@ -211,7 +141,9 @@ def decay_time_exact(Gamma: float, sched: MeasurementSchedule) -> float:
 
     Continuously extended to Gamma = 0 where tau = T/2.  The small-g
     branch evaluates the series expansion instead of the closed form to
-    avoid catastrophic cancellation between the two large terms.
+    avoid catastrophic cancellation between the two large terms.  Past
+    g = 709, where T/(e^g - 1) is below 1e-300 of 1/Gamma, the argument of
+    expm1 is clamped so that it cannot overflow; tau is then 1/Gamma.
     """
     if require_finite("Gamma", Gamma) < 0.0:
         raise InvalidParamsError(f"Gamma must be >= 0, got {Gamma}")
@@ -222,7 +154,7 @@ def decay_time_exact(Gamma: float, sched: MeasurementSchedule) -> float:
         for power, coeff in _SERIES:
             acc += coeff * g**power
         return T * acc
-    return 1.0 / Gamma - T / math.expm1(g)
+    return 1.0 / Gamma - T / math.expm1(min(g, 709.0))
 
 
 def decay_time_approx(Gamma: float, omega_L: float, n: int) -> float:
@@ -240,16 +172,6 @@ def decay_time_approx(Gamma: float, omega_L: float, n: int) -> float:
     if total <= 0.0:
         raise InvalidParamsError("Gamma and omega_L cannot both be zero")
     return 1.0 / total
-
-
-def decoherence_time(coeffs: EffectiveCoefficients, omega_L: float, n: int) -> float:
-    """Weak-measurement decoherence time 1/(Gamma_dec + 2 omega_L / n)."""
-    return decay_time_approx(quadrature_decay_rate(coeffs), omega_L, n)
-
-
-def zeno_time(coeffs: EffectiveCoefficients, omega_L: float, n: int) -> float:
-    """Weak-measurement population (Zeno) time 1/(Gamma_pop + 2 omega_L / n)."""
-    return decay_time_approx(population_decay_rate(coeffs), omega_L, n)
 
 
 @dataclass(frozen=True)
@@ -472,8 +394,9 @@ def davies_amplitude(
     Returns the shape of t (a complex for a scalar).  The secular equation
     is solved once per model and the sum runs over blocks of times, in
     O(dim) memory for any number of them.  For bandwidth R Delta_E >> Gamma
-    the amplitude tracks e^{-Gamma t} on t in [0, 3/Gamma], with the
-    deviation shrinking as Delta_E decreases at fixed bandwidth.
+    the amplitude tracks e^{-Gamma t} on t in [0, 3/Gamma]; as Delta_E
+    decreases at fixed bandwidth the deviation falls, at first order in
+    Delta_E from the omitted level r = 0, to a floor set by the bandwidth.
     """
     tarr = np.asarray(t, dtype=float)
     if not np.isfinite(tarr).all():
@@ -502,8 +425,10 @@ def davies_max_deviation(
     The default grid covers [0, 3/Gamma] in steps of 0.25/Gamma.  The
     first quarter-lifetime is where the universal short-time (quadratic)
     transient lives; it depends on the bandwidth but not on Delta_E, so
-    grids much finer near t = 0 measure the transient rather than the
-    spectral-discreteness error this diagnostic is after.
+    grids much finer near t = 0 measure the transient alone.  On this grid
+    the deviation is a bandwidth floor (about 0.0126 at bandwidth 20 Gamma)
+    plus a part first order in Delta_E from the omitted level r = 0; the
+    grid ends long before the recurrence at t = 2 pi / Delta_E.
     """
     if times is None:
         times = np.arange(0.0, 3.0 + 1e-9, 0.25) / model.Gamma

@@ -26,7 +26,7 @@ from squeezedzeno import (
     UnphysicalCoefficientsError,
     angular_condition,
     angular_theta,
-    decoherence_time,
+    decay_time_approx,
     effective_coefficients,
     evaluate_regime,
     population_decay_rate,
@@ -36,7 +36,6 @@ from squeezedzeno import (
     sufficient_condition_margin,
     sustainable_condition,
     timescale_ratio,
-    zeno_time,
 )
 
 
@@ -59,8 +58,8 @@ def reference_verdict(bath, drive, n, *, shifts="asymptotic") -> RegimeVerdict:
     return RegimeVerdict(
         Gamma_dec=g_dec,
         Gamma_pop=population_decay_rate(coeffs),
-        tau_dec=decoherence_time(coeffs, omega_L, n),
-        tau_zeno=zeno_time(coeffs, omega_L, n),
+        tau_dec=decay_time_approx(quadrature_decay_rate(coeffs), omega_L, n),
+        tau_zeno=decay_time_approx(population_decay_rate(coeffs), omega_L, n),
         ratio_derived=timescale_ratio(coeffs, omega_L, n, "derived"),
         ratio_paper=timescale_ratio(coeffs, omega_L, n, "paper"),
         cond_derived=sustainable_condition(coeffs, "derived"),
