@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -112,7 +112,8 @@ class BlochState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2x2 density matrix over {|e>, |g>}.
+    """2x2 density matrix over {|e>, |g>}, as BlochState.to_density_matrix
+    gives it; evolve's superoperator form starts from its matrix.
 
     Construction checks hermiticity and unit trace to 1e-12 and warns if
     an eigenvalue dips below -1e-10.  The squeezing terms saturate the
@@ -137,17 +138,6 @@ class DensityMatrix:
         lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
         if lo < -1e-10:
             warnings.warn(f"density matrix has eigenvalue {lo:.3g} < -1e-10", stacklevel=2)
-
-    @property
-    def s_minus(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def s_z(self) -> float:
-        return float((self.matrix[0, 0] - self.matrix[1, 1]).real)
-
-    def to_bloch(self) -> BlochState:
-        return BlochState(self.s_minus, self.s_z)
 
 
 @dataclass(frozen=True)
@@ -288,33 +278,18 @@ class Trajectory:
     trace_error: NDArray[np.float64] = field(repr=False)
 
     def observable(self, name: str) -> NDArray[np.float64]:
-        """Time series of a named observable.
-
-        Accepted names: sigma_x, sigma_y, sigma_z, re_s_minus,
-        im_s_minus, abs_s_minus.
-        """
+        """Time series of sigma_x, sigma_y or sigma_z."""
         if name == "sigma_x":
             return 2.0 * self.s_minus.real
         if name == "sigma_y":
             return -2.0 * self.s_minus.imag
         if name == "sigma_z":
             return np.asarray(self.s_z, dtype=float)
-        if name == "re_s_minus":
-            return self.s_minus.real.copy()
-        if name == "im_s_minus":
-            return self.s_minus.imag.copy()
-        if name == "abs_s_minus":
-            return np.abs(self.s_minus)
         raise InvalidParamsError(f"unknown observable {name!r}")
-
-    def state_at(self, index: int) -> BlochState:
-        return BlochState(complex(self.s_minus[index]), float(self.s_z[index]))
 
     def __len__(self) -> int:
         return int(self.t.size)
 
-
-InitialState = Union[BlochState, DensityMatrix]
 
 # [13/13] Pade coefficients of exp (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), kept as
 # the exact integers: normalized to b0 = 1 they triple the trace drift after long squarings
@@ -322,6 +297,9 @@ _PADE13 = (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428
            129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
            40840800, 960960, 16380, 182, 1)
 _THETA13 = 5.371920351148152  # largest 1-norm that [13/13] takes without scaling
+# largest |G t|_1 that evolve takes, 32 squarings in _expm: beyond it the squarings carry
+# the round-off past 1e-6 of the trace, and far beyond it to a zero state, then NaN
+_MAX_REACH = _THETA13 * 2.0 ** 32
 
 
 def _expm(a: NDArray) -> NDArray:
@@ -349,77 +327,55 @@ def _expm(a: NDArray) -> NDArray:
 
 
 def evolve(
-    initial: InitialState,
+    initial: BlochState,
     coeffs: EffectiveCoefficients,
     drive: DriveParams,
     t_span: tuple[float, float],
     *,
     n_samples: int = 400,
-    t_eval: Sequence[float] | None = None,
     method: str = "superoperator",
 ) -> Trajectory:
-    """Propagate the dynamics over t_span and sample the solution.
+    """Propagate the dynamics from initial at t_span[0] and sample it at
+    n_samples >= 1 uniform times over the finite t_span.
 
     The generator G is constant in time, so each sample is the exact
     solution exp(G (t - t_span[0])) y0, by a batched numpy Pade-13 scaling
     and squaring (_expm).  Samples are independent, so no error
     accumulates along the grid, and the exponential stays accurate at
-    exceptional points of G where an eigendecomposition would not.
+    exceptional points of G where an eigendecomposition would not.  A span
+    whose |G|_1 (t_span[1] - t_span[0]) passes _MAX_REACH (about 2.3e10)
+    raises InvalidParamsError rather than return a state the squarings
+    have ruined.
 
-    Parameters
-    ----------
-    initial:
-        BlochState or DensityMatrix at t_span[0].
-    coeffs, drive:
-        Generator inputs.
-    n_samples, t_eval:
-        Either an explicit sample grid or a uniform grid of n_samples >= 1
-        points.  An explicit grid must be non-empty, 1-D, finite,
-        non-decreasing and inside t_span.
-    method:
-        "superoperator" propagates vec(rho) under the full 4x4 generator
-        (default; exposes trace drift as a diagnostic), "bloch" the real
-        expectation values (u, w, z, 1) under the homogeneous form
-        [[A, b], [0, 0]] of the affine Bloch generator.
+    method "superoperator" propagates vec(rho) under the full 4x4
+    generator (default; exposes trace drift as a diagnostic), "bloch" the
+    real expectation values (u, w, z, 1) under the homogeneous form
+    [[A, b], [0, 0]] of the affine Bloch generator.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = (require_finite("t_span", v) for v in t_span)
     if not (t1 > t0):
         raise InvalidParamsError(f"t_span end must exceed start, got {t_span}")
-    if t_eval is None:
-        t = np.linspace(t0, t1, require_positive_int("n_samples", n_samples))
-    else:
-        t = np.array(t_eval, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise InvalidParamsError(f"t_eval must be a non-empty 1-D grid, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise InvalidParamsError("t_eval must be finite")
-    if np.any(np.diff(t) < 0.0):
-        raise InvalidParamsError("t_eval must be non-decreasing")
-    if t[0] < t0 or t[-1] > t1:
-        raise InvalidParamsError(f"t_eval must lie inside t_span {t_span}")
-
-    if isinstance(initial, DensityMatrix):
-        bloch0 = initial.to_bloch()
-        rho0 = initial.matrix
-    elif isinstance(initial, BlochState):
-        bloch0 = initial
-        rho0 = initial.to_density_matrix().matrix
-    else:
-        raise InvalidParamsError(
-            f"initial must be a BlochState or DensityMatrix, got {type(initial).__name__}"
-        )
+    n_samples = require_positive_int("n_samples", n_samples)
+    if not isinstance(initial, BlochState):
+        raise InvalidParamsError(f"initial must be a BlochState, got {type(initial).__name__}")
 
     if method == "superoperator":
         gen = build_liouvillian(coeffs, drive).matrix
-        y0 = rho0.reshape(4, order="F")
+        y0 = initial.to_density_matrix().matrix.reshape(4, order="F")
     elif method == "bloch":
         mat, aff = bloch_generator(coeffs, drive)
         gen = np.zeros((4, 4))
         gen[:3, :3], gen[:3, 3] = mat, aff
-        y0 = np.array([2.0 * bloch0.s_minus.real, 2.0 * bloch0.s_minus.imag, bloch0.s_z, 1.0])
+        y0 = np.array([2.0 * initial.s_minus.real, 2.0 * initial.s_minus.imag, initial.s_z, 1.0])
     else:
         raise InvalidParamsError(f"unknown method {method!r}")
+    # Python floats: an out-of-range span overflows to inf here, without a numpy warning
+    reach = float(np.abs(gen).sum(axis=0).max()) * (t1 - t0)
+    if not reach <= _MAX_REACH:
+        raise InvalidParamsError(f"t_span too long: |G|_1 t = {reach:.3g} exceeds "
+                                 f"{_MAX_REACH:.3g}, more than 32 squarings of exp(G t)")
 
+    t = np.linspace(t0, t1, n_samples)
     y = (_expm(gen * (t - t0)[:, None, None]) @ y0).T
     if method == "superoperator":
         # column-major vec(rho) = (rho_ee, rho_ge, rho_eg, rho_gg)

@@ -17,6 +17,7 @@ codes: 0 success, 1 usage error, 2 computation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -41,7 +42,7 @@ from .coefficients import (
 )
 from .config import DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
-from .spectrum import SqueezedVacuumParams, spectral_m, spectral_n
+from .spectrum import spectral_m, spectral_n
 from .weakmeas import DaviesModel, _require_within_cap, davies_max_deviation
 from .weakmeas import davies_propagator_column
 
@@ -107,12 +108,11 @@ def _rate_comparisons(cfg: RunConfig) -> list[dict]:
     that puts Im M~ + delta = 0 exactly, so each observable is a clean
     single exponential and the fit isolates the analytic rate.
     """
-    base = cfg.data["bath"]
-    bath = SqueezedVacuumParams(base["gamma"], base["epsilon"], math.pi, base["omega_L"])
+    bath = dataclasses.replace(cfg.bath(), phi=math.pi)
     rows = []
     for label, observable, omega, initial in (
         ("Gamma_pop", "sigma_z", 0.0, BlochState.excited()),
-        ("Gamma_dec", "sigma_x", cfg.data["drive"]["Omega"], BlochState.x_polarized()),
+        ("Gamma_dec", "sigma_x", cfg.drive().Omega, BlochState.x_polarized()),
     ):
         drive = DriveParams(omega, 0.0)
         coeffs = effective_coefficients(bath, drive, SqueezingShifts.asymptotic(bath, drive))
@@ -139,6 +139,7 @@ def cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
     """Discrete-bath convergence table plus rate-fit cross-checks."""
     if cfg.format == "csv":
         raise ConfigError("the oracle report is structured; use --format json")
+    rates = _rate_comparisons(cfg)  # first, so a bad bath or drive fails before any solve
     o = cfg.data["oracle"]
     davies_rows = []
     for r_count, delta_e in o["schedule"]:
@@ -151,11 +152,11 @@ def cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
         davies_rows.append({
             "R": r_count,
             "Delta_E": delta_e,
-            "bandwidth": r_count * delta_e,
+            "bandwidth": model.bandwidth,
             "max_deviation": max_dev,
             "unitarity_defect": defect,
         })
-    result = {"davies": davies_rows, "rates": _rate_comparisons(cfg)}
+    result = {"davies": davies_rows, "rates": rates}
     return cfg.render(result), 0
 
 

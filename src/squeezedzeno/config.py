@@ -34,6 +34,7 @@ from .bloch import BlochState
 from .coefficients import SHIFT_PRESETS, DriveParams, SqueezingShifts, resolve_shifts
 from .errors import ConfigError, InvalidParamsError
 from .spectrum import SqueezedVacuumParams
+from .weakmeas import DEFAULT_DIM_CAP
 
 DEFAULTS: dict[str, Any] = {
     "bath": {"gamma": 1.0, "epsilon": 0.5, "phi": math.pi, "omega_L": 100.0},
@@ -63,7 +64,7 @@ DEFAULTS: dict[str, Any] = {
         "Gamma": 1.0,
         "schedule": [[500, 0.04], [1000, 0.02], [2000, 0.01]],
         "samples": 13,
-        "dim_cap": 6000,
+        "dim_cap": DEFAULT_DIM_CAP,
     },
 }
 
@@ -118,13 +119,10 @@ def _join(pair: str, compact: list[str], indented: list[str], level: int) -> tup
 
 
 def _layout_items(seq: list, level: int) -> tuple[str, str]:
-    """Both layouts of a list.  A list of scalars, or of equal-length rows
-    of scalars (a table), is formatted column by column."""
-    table = bool(seq) and all(isinstance(v, (list, tuple)) for v in seq) \
-        and len(set(map(len, seq))) == 1
-    columns = [_column(c) for c in (zip(*seq) if table else [seq])]
-    if columns and all(None not in texts for texts in columns):
-        return _rows(columns, level) if table else _join("[]", columns[0], columns[0], level)
+    """Both layouts of a list; a list of scalars is formatted as one column."""
+    texts = _column(seq)
+    if None not in texts:
+        return _join("[]", texts, texts, level)
     texts = [_layout(v, level + 1) for v in seq]
     return _join("[]", [c for c, _ in texts], [i for _, i in texts], level)
 
@@ -154,8 +152,6 @@ def _scalar(value: Any, cell: bool = False) -> str | None:
     """
     if isinstance(value, float):
         return format(value, ".17g") if cell or math.isfinite(value) else "null"
-    if isinstance(value, np.floating):
-        return _scalar(float(value), cell)
     if value is None:
         return "nan" if cell else "null"
     if isinstance(value, bool):
@@ -348,10 +344,13 @@ def _normalize(cfg: dict) -> dict:
     for i, item in enumerate(schedule):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError(f"oracle.schedule[{i}]: expected [R, Delta_E]")
-        rows.append([
-            _as_int(item[0], f"oracle.schedule[{i}][0]"),
-            _as_float(item[1], f"oracle.schedule[{i}][1]"),
-        ])
+        r_count = _as_int(item[0], f"oracle.schedule[{i}][0]")
+        delta_e = _as_float(item[1], f"oracle.schedule[{i}][1]")
+        if r_count < 1:
+            raise ConfigError(f"oracle.schedule[{i}][0]: R must be >= 1")
+        if delta_e <= 0.0:
+            raise ConfigError(f"oracle.schedule[{i}][1]: Delta_E must be > 0")
+        rows.append([r_count, delta_e])
     oracle["schedule"] = rows
     return cfg
 

@@ -55,6 +55,8 @@ from .errors import (
     require_positive_int,
 )
 
+# the default dim_cap of the Davies functions and of the oracle.dim_cap config key
+DEFAULT_DIM_CAP = 6000
 # pole, offset and weight arrays of a solved Davies model
 _Spectrum = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
@@ -361,7 +363,7 @@ def _add_far_field(rows: NDArray, a: NDArray, d: NDArray) -> None:
 
 
 def davies_propagator_column(
-    model: DaviesModel, t: float, *, dim_cap: int = 6000
+    model: DaviesModel, t: float, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> NDArray[np.complex128]:
     """Full first column U_{r,0}(t) of the discrete-model propagator.
 
@@ -387,7 +389,7 @@ def davies_propagator_column(
 
 
 def davies_amplitude(
-    model: DaviesModel, t: ArrayLike, *, dim_cap: int = 6000
+    model: DaviesModel, t: ArrayLike, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> Union[complex, NDArray[np.complex128]]:
     """Survival amplitude U_00(t) = sum_k w_k e^{-i lambda_k t}.
 
@@ -418,7 +420,7 @@ def davies_max_deviation(
     model: DaviesModel,
     times: ArrayLike | None = None,
     *,
-    dim_cap: int = 6000,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> float:
     """Largest deviation |U_00(t) - e^{-Gamma t}| on a sampling grid.
 

@@ -508,6 +508,39 @@ def test_cli_oracle_samples_times_dim_above_cap_squared_exits_2(tmp_path, capsys
     assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 0
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [('{"bath": {"gamma": -1}}', "bath"),
+     ('{"drive": {"Omega": -1}}', "drive"),
+     ('{"oracle": {"schedule": [[0, 0.04]]}}', "oracle.schedule[0][0]"),
+     ('{"oracle": {"schedule": [[500, 0.0]]}}', "oracle.schedule[0][1]")],
+    ids=["bath-gamma", "drive-Omega", "schedule-R", "schedule-Delta_E"],
+)
+def test_cli_oracle_config_errors_exit_1_naming_the_key(tmp_path, capsys, payload, key):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(payload)
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(re.escape(f"error: {key}: ") + r"[^\n]+\n", captured.err)
+
+
+@pytest.mark.parametrize("method", ["superoperator", "bloch"])
+def test_cli_evolve_past_the_squaring_limit_exits_2(tmp_path, method):
+    # in a fresh interpreter, so that a numpy overflow warning would show on stderr
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"evolve": {"t_end": 1e308, "method": method}}))
+    src = str(Path(squeezedzeno.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "squeezedzeno.cli", "evolve", "--config", str(cfgp)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert re.fullmatch(r"error: t_span too long: [^\n]+\n", run.stderr)
+
+
 def test_help_epilog_matches_defaults():
     header, summary = build_parser().epilog.split("\n", 1)
     assert header.startswith("Defaults")
