@@ -183,6 +183,8 @@ def _tangent_term(drive: DriveParams) -> float:
             f"Omega must be > 0 for the phase profile, got {drive.Omega}"
         )
     x = math.pi * drive.Delta / drive.Omega
+    if not math.isfinite(x):
+        raise InvalidParamsError(f"pi Delta / Omega must be finite, got {x}")
     # distance from the nearest odd multiple of pi/2, where tan blows up
     residue = math.remainder(x - 0.5 * math.pi, math.pi)
     if abs(residue) < 1e-9:

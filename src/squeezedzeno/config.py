@@ -1,9 +1,11 @@
 """Run configuration: defaults, file parsing, and the output format.
 
 Configs are nested key/value documents. JSON is accepted everywhere;
-YAML is accepted for hand-written files. Every omitted key falls back
-to a documented default, flag overrides win over file values, and the
-fully resolved config is echoed into each output's provenance header.
+YAML is accepted for hand-written files. DEFAULTS holds each default
+once (the default sweep grid is the default point) and types each
+numeric key; sections and a shifts mapping merge over it key by key
+into a copy, flag overrides win over file values, and the fully
+resolved config is echoed into each output's provenance header.
 
 This module is the one place that decides how output looks: the text
 of each scalar in JSON and in CSV (_column formats a whole column, an
@@ -17,6 +19,7 @@ byte-stable.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -29,7 +32,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import SweepGrid
+from .analysis import SWEEP_COLUMNS, SweepGrid
 from .bloch import BlochState
 from .coefficients import SHIFT_PRESETS, DriveParams, SqueezingShifts, resolve_shifts
 from .errors import ConfigError, InvalidParamsError
@@ -51,15 +54,7 @@ DEFAULTS: dict[str, Any] = {
         "samples": 400,
         "method": "superoperator",
     },
-    "sweep": {
-        "gamma": [1.0],
-        "epsilon": [0.5],
-        "Delta": [0.0],
-        "Omega": [10.0],
-        "phi": [math.pi],
-        "omega_L": [100.0],
-        "n": [100],
-    },
+    "sweep": {},  # the default point as a one-point grid, filled in below
     "oracle": {
         "Gamma": 1.0,
         "schedule": [[500, 0.04], [1000, 0.02], [2000, 0.01]],
@@ -67,6 +62,8 @@ DEFAULTS: dict[str, Any] = {
         "dim_cap": DEFAULT_DIM_CAP,
     },
 }
+_POINT = {**DEFAULTS["bath"], **DEFAULTS["drive"], **DEFAULTS["schedule"]}
+DEFAULTS["sweep"] = {axis: [_POINT[axis]] for axis in SWEEP_COLUMNS[:7]}
 
 # the named evolve.initial states
 _INITIAL_STATES = {
@@ -213,7 +210,8 @@ def _merge(base: Any, override: Any, path: str) -> Any:
             if key in override:
                 merged[key] = _merge(default, override[key], sub)
             else:
-                merged[key] = default
+                # a copy, so that no loaded config shares an object with DEFAULTS
+                merged[key] = copy.deepcopy(default)
         return merged
     # a numeric leaf takes its type from its default
     if isinstance(base, float):
@@ -248,8 +246,8 @@ def _as_int(value: Any, path: str) -> int:
     return int(value)
 
 
-def _normalize_axis(value: Any, path: str, integer: bool = False) -> list:
-    """One sweep axis: scalar, explicit list, or {min, max, count} range."""
+def _normalize_axis(value: Any, path: str, default: Any) -> list:
+    """One sweep axis (scalar, explicit list or {min, max, count} range), typed by its default."""
     if isinstance(value, dict):
         if set(value) != {"min", "max", "count"}:
             raise ConfigError(f"{path}: range spec needs exactly min, max, count")
@@ -265,9 +263,8 @@ def _normalize_axis(value: Any, path: str, integer: bool = False) -> list:
         values = [value]
     if not values:
         raise ConfigError(f"{path}: axis is empty")
-    if integer:
-        return [_as_int(v, path) for v in values]
-    return [_as_float(v, path) for v in values]
+    cast = _as_int if isinstance(default, int) else _as_float
+    return [cast(v, path) for v in values]
 
 
 def _normalize(cfg: dict) -> dict:
@@ -279,21 +276,11 @@ def _normalize(cfg: dict) -> dict:
         raise ConfigError("out: must be a path string")
 
     shifts = cfg["shifts"]
-    if isinstance(shifts, str):
-        if shifts not in SHIFT_PRESETS:
-            raise ConfigError(
-                f"shifts: preset must be 'asymptotic' or 'zero', got {shifts!r}"
-            )
-    elif isinstance(shifts, dict):
-        extra = set(shifts) - {"delta_N", "delta_M"}
-        if extra:
-            raise ConfigError(f"shifts: unknown keys {sorted(extra)}")
-        cfg["shifts"] = {
-            "delta_N": _as_float(shifts.get("delta_N", 0.0), "shifts.delta_N"),
-            "delta_M": _as_float(shifts.get("delta_M", 0.0), "shifts.delta_M"),
-        }
-    else:
-        raise ConfigError("shifts: must be a preset name or {delta_N, delta_M}")
+    if not isinstance(shifts, str):
+        cfg["shifts"] = _merge({"delta_N": 0.0, "delta_M": 0.0}, shifts, "shifts")
+    elif shifts not in SHIFT_PRESETS:
+        presets = " or ".join(map(repr, SHIFT_PRESETS))
+        raise ConfigError(f"shifts: preset must be {presets}, got {shifts!r}")
 
     if cfg["schedule"]["n"] < 1:
         raise ConfigError("schedule.n: must be >= 1")
@@ -307,28 +294,11 @@ def _normalize(cfg: dict) -> dict:
     if cfg["evolve"]["method"] not in ("superoperator", "bloch"):
         raise ConfigError("evolve.method: must be 'superoperator' or 'bloch'")
     initial = cfg["evolve"]["initial"]
-    if isinstance(initial, dict):
-        extra = set(initial) - {"s_minus", "s_z"}
-        if extra:
-            raise ConfigError(f"evolve.initial: unknown keys {sorted(extra)}")
-        sm = initial.get("s_minus", [0.0, 0.0])
-        if not (isinstance(sm, (list, tuple)) and len(sm) == 2):
-            raise ConfigError("evolve.initial.s_minus: expected [re, im]")
-        cfg["evolve"]["initial"] = {
-            "s_minus": [_as_float(sm[0], "evolve.initial.s_minus[0]"),
-                        _as_float(sm[1], "evolve.initial.s_minus[1]")],
-            "s_z": _as_float(initial.get("s_z", 0.0), "evolve.initial.s_z"),
-        }
-    elif not (isinstance(initial, str) and initial in _INITIAL_STATES):
-        raise ConfigError(
-            f"evolve.initial: must be {'/'.join(_INITIAL_STATES)} or an explicit "
-            f"state, got {initial!r}"
-        )
+    if not (isinstance(initial, str) and initial in _INITIAL_STATES):
+        raise ConfigError(f"evolve.initial: must be {'/'.join(_INITIAL_STATES)}, got {initial!r}")
 
-    sweep = cfg["sweep"]
-    for axis, defaults in DEFAULTS["sweep"].items():
-        integer = isinstance(defaults[0], int)  # the axis type comes from its default
-        sweep[axis] = _normalize_axis(sweep[axis], f"sweep.{axis}", integer)
+    for axis, (default,) in DEFAULTS["sweep"].items():
+        cfg["sweep"][axis] = _normalize_axis(cfg["sweep"][axis], f"sweep.{axis}", default)
 
     oracle = cfg["oracle"]
     if oracle["Gamma"] <= 0.0:
@@ -429,27 +399,24 @@ class RunConfig:
     # typed accessors; parameter errors surface as config errors naming
     # the section so the CLI can map them to a usage failure
 
-    def bath(self) -> SqueezedVacuumParams:
+    def _record(self, section: str, build):
+        """build(**section), an InvalidParamsError raised as a ConfigError naming it."""
         try:
-            return SqueezedVacuumParams(**self.data["bath"])
+            return build(**self.data[section])
         except InvalidParamsError as exc:
-            raise ConfigError(f"bath: {exc}") from exc
+            raise ConfigError(f"{section}: {exc}") from exc
+
+    def bath(self) -> SqueezedVacuumParams:
+        return self._record("bath", SqueezedVacuumParams)
 
     def drive(self) -> DriveParams:
-        try:
-            return DriveParams(**self.data["drive"])
-        except InvalidParamsError as exc:
-            raise ConfigError(f"drive: {exc}") from exc
+        return self._record("drive", DriveParams)
 
     def shifts(self, bath: SqueezedVacuumParams, drive: DriveParams) -> SqueezingShifts:
         return resolve_shifts(self.data["shifts"], bath, drive)
 
     def initial_state(self) -> BlochState:
-        spec = self.data["evolve"]["initial"]
-        if isinstance(spec, dict):
-            re, im = spec["s_minus"]
-            return BlochState(complex(re, im), spec["s_z"])
-        return _INITIAL_STATES[spec]()
+        return _INITIAL_STATES[self.data["evolve"]["initial"]]()
 
     @property
     def n_measurements(self) -> int:
@@ -464,7 +431,4 @@ class RunConfig:
         return self.data["format"]
 
     def sweep_grid(self) -> SweepGrid:
-        try:
-            return SweepGrid.from_mapping(self.data["sweep"])
-        except InvalidParamsError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+        return self._record("sweep", SweepGrid)

@@ -19,6 +19,7 @@ identity |M|^2 = N (N + 1) at every frequency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -41,6 +42,7 @@ class SqueezedVacuumParams:
     epsilon:
         Real amplification coefficient, same units, 0 <= epsilon < gamma
         (below-threshold operation; epsilon = 0 is an ordinary vacuum).
+        gamma - epsilon and gamma + epsilon lie between about 1e-77 and 1e77.
     phi:
         Squeezing phase in radians.
     omega_L:
@@ -65,6 +67,11 @@ class SqueezedVacuumParams:
             )
         if self.omega_L <= 0.0:
             raise InvalidParamsError(f"omega_L must be > 0, got {self.omega_L}")
+        # N and |M| divide by lambda^2 mu^2, so lambda^4 must be finite and mu^4 normal
+        lam2, mu2 = self.lam * self.lam, self.mu * self.mu  # * gives inf where ** raises
+        if not (lam2 * lam2 < math.inf and mu2 * mu2 >= sys.float_info.min):
+            raise InvalidParamsError(f"gamma +/- epsilon must lie between about 1e-77 and 1e77, "
+                                     f"got lambda={self.lam}, mu={self.mu}")
 
     @property
     def lam(self) -> float:

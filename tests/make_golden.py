@@ -9,17 +9,23 @@ the sha256 of the whole output, provenance included; tests/test_golden.py
 regenerates each run and compares.  A change that moves numbers on
 purpose reruns this script and states the tolerance; a change to the
 provenance alone (tool version, config keys) moves only the document
-hashes.
+hashes.  The help-* entries pin the --help texts, top level and per
+subcommand, at a 100-column terminal: their exit code and the sha256 of
+the text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy
 
@@ -76,8 +82,13 @@ ERRORS = {
 }
 
 
+COMMANDS = ("spectrum", "evolve", "timescales", "sweep", "oracle")
+
+
 def _payloads() -> dict[str, tuple[str, str, dict]]:
-    runs: dict[str, tuple[str, str, dict]] = {}
+    runs: dict[str, tuple[str, str, dict]] = {"help": ("", "help", {})}
+    for command in COMMANDS:
+        runs[f"help-{command}"] = (command, "help", {})
     for fmt in ("csv", "json"):
         for command in ("spectrum", "evolve", "timescales", "sweep"):
             runs[f"{command}-default-{fmt}"] = (command, fmt, {})
@@ -104,9 +115,22 @@ def versions() -> dict[str, str]:
     }
 
 
+def _help(argv: list[str]) -> dict:
+    """The exit code of a --help run at COLUMNS=100 and the sha256 of its text."""
+    text = io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="100"), contextlib.redirect_stdout(text):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "document_sha256": hashlib.sha256(text.getvalue().encode()).hexdigest()}
+
+
 def run(name: str, workdir: Path) -> dict:
     """One payload's exit code and hashes."""
     command, fmt, config = PAYLOADS[name]
+    if fmt == "help":
+        return _help([command, "--help"] if command else ["--help"])
     out = workdir / f"{name}.out"
     argv = [command, "--format", fmt, "--out", str(out)]
     if config:

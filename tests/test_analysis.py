@@ -199,6 +199,16 @@ def test_sufficient_margin_singularities():
         sufficient_condition_margin(BATH, DriveParams(Omega=0.0, Delta=0.0))
 
 
+@pytest.mark.parametrize("omega, delta", [(1e-310, 1.0), (1e308, 1e308), (10.0, 1e308)])
+def test_sufficient_margin_refuses_an_infinite_phase(omega, delta):
+    # pi Delta / Omega overflows: recorded like Omega = 0, never a bare ValueError
+    drive = DriveParams(Omega=omega, Delta=delta)
+    with pytest.raises(InvalidParamsError, match="pi Delta / Omega must be finite"):
+        sufficient_condition_margin(BATH, drive)
+    verdict = evaluate_regime(BATH, drive, 100)
+    assert verdict.errors[0][0] == "margin" and math.isnan(verdict.sufficient_margin)
+
+
 def test_evaluate_regime_bundles_everything():
     verdict = evaluate_regime(BATH, DRIVE, 100)
     assert verdict.ratio_derived == pytest.approx(0.35624344176285416, rel=1e-13)

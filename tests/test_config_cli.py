@@ -1,5 +1,6 @@
 """Tests for config loading, canonical serialization and the command line."""
 
+import copy
 import csv
 import hashlib
 import io
@@ -69,20 +70,31 @@ def test_defaults_are_not_mutated():
     assert DEFAULTS["mode"] == "derived"
 
 
+def test_loads_share_nothing_with_defaults():
+    before = copy.deepcopy(DEFAULTS)
+    cfg = RunConfig.load()
+    cfg.data["bath"]["gamma"] = 7.0
+    cfg.data["sweep"]["gamma"].append(7.0)
+    cfg.data["oracle"]["schedule"][0][0] = 7
+    cfg.data["oracle"]["schedule"].append([7, 0.5])
+    assert DEFAULTS == before
+    assert RunConfig.load().data == before
+
+
 def test_overrides_merge_like_a_config_file(tmp_path):
     # a section override replaces only the keys it names, as a config file does
     cfg = RunConfig.load(overrides={"oracle": {"schedule": [[500, 0.04]]}})
     assert cfg.data["oracle"] == {**DEFAULTS["oracle"], "schedule": [[500, 0.04]]}
     path = tmp_path / "c.json"
     path.write_text('{"oracle": {"samples": 7}, "bath": {"gamma": 2.0}, '
-                    '"evolve": {"initial": {"s_z": 0.5}}}')
+                    '"shifts": {"delta_N": 0.5}}')
     cfg = RunConfig.load(path, overrides={
-        "oracle": {"dim_cap": 100}, "evolve": {"initial": {"s_minus": [0.1, 0.0]}}, "out": None,
+        "oracle": {"dim_cap": 100}, "shifts": {"delta_M": 0.1}, "out": None,
     })
     assert cfg.data["oracle"] == {**DEFAULTS["oracle"], "samples": 7, "dim_cap": 100}
     assert cfg.data["bath"]["gamma"] == 2.0
-    # a value that is not a section (an explicit initial state) is replaced whole
-    assert cfg.data["evolve"]["initial"] == {"s_minus": [0.1, 0.0], "s_z": 0.0}
+    # a value that is not a section (explicit shifts) is replaced whole
+    assert cfg.data["shifts"] == {"delta_N": 0.0, "delta_M": 0.1}
     with pytest.raises(ConfigError, match="unknown config key: oracle.dim_cp"):
         RunConfig.load(overrides={"oracle": {"dim_cp": 100}})
     with pytest.raises(ConfigError, match="unknown override key: orcale"):
@@ -124,7 +136,7 @@ def test_unparsable_config_file_exits_1(tmp_path, capsys, name, content):
     assert capsys.readouterr().err.startswith(f"error: cannot parse config file {path}: ")
 
 
-def test_value_validation(tmp_path):
+def test_value_validation(tmp_path, capsys):
     path = tmp_path / "c.json"
     for payload in (
         '{"mode": "exact"}',
@@ -138,6 +150,32 @@ def test_value_validation(tmp_path):
         path.write_text(payload)
         with pytest.raises(ConfigError):
             RunConfig.load(path)
+    # through the CLI: exit 1 and one error line naming the key
+    for payload, start in (
+        ('{"bath": 5}', "bath: expected a mapping"),
+        ('{"bath": {"gamma": 1e999}}', "bath.gamma: must be finite"),
+        ('{"sweep": {"gamma": {"min": 0.5, "max": 1.0}}}', "sweep.gamma: range spec"),
+        ('{"sweep": {"gamma": {"min": 0.5, "max": 1.0, "count": 0}}}', "sweep.gamma.count"),
+        ('{"sweep": {"gamma": []}}', "sweep.gamma: axis is empty"),
+        ('{"out": 5}', "out: must be a path string"),
+        ('{"shifts": 5}', "shifts: expected a mapping"),
+        ('{"shifts": {"delta_X": 1}}', "unknown config key: shifts.delta_X"),
+        ('{"evolve": {"samples": 1}}', "evolve.samples: must be >= 2"),
+        ('{"evolve": {"t_end": 0}}', "evolve.t_end: must be > 0"),
+        ('{"evolve": {"method": "rk4"}}', "evolve.method: must be"),
+        ('{"evolve": {"initial": {"s_z": 0.5}}}', "evolve.initial: must be excited/ground/x+/x-"),
+        ('{"oracle": {"Gamma": 0}}', "oracle.Gamma: must be > 0"),
+        ('{"oracle": {"samples": 1}}', "oracle.samples: must be >= 2"),
+        ('{"oracle": {"dim_cap": 2}}', "oracle.dim_cap: must be >= 3"),
+        ('{"oracle": {"schedule": []}}', "oracle.schedule: expected a non-empty list"),
+        ('{"oracle": {"schedule": [[1]]}}', "oracle.schedule[0]: expected [R, Delta_E]"),
+        ('{"sweep": {"n": [0]}}', "sweep: n must be a positive integer"),
+    ):
+        path.write_text(payload)
+        assert main(["sweep", "--config", str(path)]) == 1, payload
+        captured = capsys.readouterr()
+        assert captured.out == "", payload
+        assert re.fullmatch(re.escape(f"error: {start}") + r"[^\n]*\n", captured.err), payload
 
 
 def _numeric_leaves(tree, path=""):
@@ -195,12 +233,11 @@ def test_initial_states(tmp_path):
         ("ground", BlochState(0.0, -1.0)),
         ("x+", BlochState(0.5, 0.0)),
         ("x-", BlochState(-0.5, 0.0)),
-        ({"s_minus": [0.1, -0.2], "s_z": 0.3}, BlochState(0.1 - 0.2j, 0.3)),
     ):
         path.write_text(json.dumps({"evolve": {"initial": name}}))
         assert RunConfig.load(path).initial_state() == state
     path.write_text('{"evolve": {"initial": ["excited"]}}')
-    with pytest.raises(ConfigError, match="excited/ground/x\\+/x- or an explicit state"):
+    with pytest.raises(ConfigError, match="must be excited/ground/x\\+/x-, got \\['excited'\\]"):
         RunConfig.load(path)
 
 
@@ -523,6 +560,48 @@ def test_cli_oracle_config_errors_exit_1_naming_the_key(tmp_path, capsys, payloa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(re.escape(f"error: {key}: ") + r"[^\n]+\n", captured.err)
+
+
+# baths whose spectra leave the float range: lambda^4 overflows or mu^4 is subnormal
+FLOAT_RANGE_BATHS = {
+    "1e100": {"gamma": 1e100, "epsilon": 5e99},
+    "1e300": {"gamma": 1e300, "epsilon": 5e299},
+    "1e308": {"gamma": 1e308},
+    "1e-100": {"gamma": 1e-100, "epsilon": 5e-101},
+    "1e-170": {"gamma": 1e-170, "epsilon": 5e-171},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bath", FLOAT_RANGE_BATHS)
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "timescales", "oracle"])
+def test_cli_bath_outside_the_float_range_exits_1(tmp_path, capsys, command, bath):
+    # one error line naming the section, no traceback, no NaN payload
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"bath": FLOAT_RANGE_BATHS[bath]}))
+    assert main([command, "--format", "json", "--config", str(cfgp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: bath: gamma \+/- epsilon must lie between about 1e-77 and "
+                        r"1e77, got [^\n]+\n", captured.err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("drive", [{"Omega": 1e-310, "Delta": 1.0}, {"Omega": 1e308, "Delta": 1e308}])
+def test_cli_margin_with_an_infinite_phase_is_a_computation_error(tmp_path, capsys, drive):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"drive": drive}))
+    assert main(["timescales", "--format", "json", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["result"] == {"error": {
+        "type": "InvalidParamsError", "message": "pi Delta / Omega must be finite, got inf"}}
+    cfgp.write_text(json.dumps({"sweep": {**drive, "gamma": [1.0, 1e308]}}))
+    assert main(["sweep", "--config", str(cfgp)]) == 0
+    statuses = [row[-1] for row in csv.reader(capsys.readouterr().out.splitlines()[4:])]
+    assert statuses == ["partial: margin: pi Delta / Omega must be finite, got inf",
+                        "skipped: gamma +/- epsilon must lie between about 1e-77 and 1e77, "
+                        "got lambda=1e+308, mu=1e+308"]
 
 
 @pytest.mark.parametrize("method", ["superoperator", "bloch"])

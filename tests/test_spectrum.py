@@ -105,3 +105,25 @@ def test_vectorized_and_scalar():
 def test_parameter_validation(kwargs):
     with pytest.raises(InvalidParamsError):
         SqueezedVacuumParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "gamma, epsilon",
+    [(2e77, 0.0), (1e100, 5e99), (1e300, 5e299), (1e308, 0.5), (1e-77, 0.0),
+     (1e-100, 5e-101), (1e-170, 5e-171)],
+)
+def test_widths_outside_the_float_range_are_refused(gamma, epsilon):
+    # lambda^4 would overflow, or mu^4 leave the normal range
+    with pytest.raises(InvalidParamsError, match="between about 1e-77 and 1e77"):
+        SqueezedVacuumParams(gamma, epsilon, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, epsilon", [(1e77, 1e76), (1e76, 9e75), (3e-77, 1e-77)])
+def test_spectra_stay_finite_at_the_edge_of_the_float_range(gamma, epsilon):
+    # near the carrier, where the CLI samples them
+    bath = SqueezedVacuumParams(gamma, epsilon, 0.0, 1.0)
+    x = np.array([0.0, 1.0, -10.0])
+    n, m = spectral_n(bath, bath.omega_L + x), spectral_m_abs(bath, bath.omega_L + x)
+    assert np.all(np.isfinite(n)) and np.all(np.isfinite(m))
+    assert n[0] > 0.0 and m[0] >= n[0]

@@ -152,6 +152,21 @@ def test_random_grid_matches_scalar_reference():
     assert set(seen) == set(STATUS_CLASSES), seen
 
 
+def test_float_range_edges_match_scalar_reference():
+    # baths past the float range are skipped; a phase pi Delta / Omega that
+    # overflows leaves the row partial; finite phases keep their bits
+    grid = SweepGrid(
+        gamma=(1.0, 1e77, 1e308, 3e-77, 1e-170), epsilon=(0.0, 1e-77, 0.5), Delta=(1.0, 3.0),
+        Omega=(1e-310, 10.0), phi=(math.pi,), omega_L=(100.0,), n=(100,),
+    )
+    classes = ("ok", "partial: margin: pi Delta / Omega must be finite",
+               "skipped: gamma +/- epsilon must lie between about 1e-77 and 1e77",
+               "skipped: epsilon must satisfy epsilon < gamma")
+    rows = _rows_match_reference(grid, "asymptotic")
+    assert {next((c for c in classes if r.status.startswith(c)), r.status) for r in rows} == set(
+        classes)
+
+
 @pytest.mark.parametrize(
     "shifts, usable",
     [("zero", True), ({"delta_N": 0.05, "delta_M": 0.2}, True),
