@@ -152,21 +152,13 @@ class Liouvillian:
         return (self.matrix @ vec).reshape((2, 2), order="F")
 
 
-def _left(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    return np.kron(_ID, a)
-
-
-def _right(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    return np.kron(a.T, _ID)
-
-
 def _sandwich(a: NDArray, b: NDArray) -> NDArray[np.complex128]:
     # vec(A rho B) = kron(B.T, A) vec(rho) for column stacking
     return np.kron(b.T, a)
 
 
 def _commutator_super(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    return _left(a) - _right(a)
+    return _sandwich(a, _ID) - _sandwich(_ID, a)
 
 
 def build_liouvillian(coeffs: EffectiveCoefficients, drive: DriveParams) -> Liouvillian:
@@ -183,10 +175,10 @@ def build_liouvillian(coeffs: EffectiveCoefficients, drive: DriveParams) -> Liou
     omega = drive.Omega
 
     diss_down = (
-        2.0 * _sandwich(_SM, _SP) - _left(_SP @ _SM) - _right(_SP @ _SM)
+        2.0 * _sandwich(_SM, _SP) - _sandwich(_SP @ _SM, _ID) - _sandwich(_ID, _SP @ _SM)
     )
     diss_up = (
-        2.0 * _sandwich(_SP, _SM) - _left(_SM @ _SP) - _right(_SM @ _SP)
+        2.0 * _sandwich(_SP, _SM) - _sandwich(_SM @ _SP, _ID) - _sandwich(_ID, _SM @ _SP)
     )
     cz = _commutator_super(_SZ)
     lio = (

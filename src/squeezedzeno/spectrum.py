@@ -104,7 +104,12 @@ def _n_at(x, lam2, mu2):
     # product form of amp * (1/(x^2+mu^2) - 1/(x^2+lam^2)): algebraically
     # identical, but the explicit difference cancels catastrophically in
     # the wings (|x| >> lam) and would spoil |M|^2 = N(N+1) at 1e-12
-    return 4.0 * amp * amp / ((x * x + mu2) * (x * x + lam2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xx = x * x
+        den = (xx + mu2) * (xx + lam2)
+        # past 1.8e308 the product overflows; the same quotient as two factors does not
+        split = (2.0 * amp / (xx + mu2)) * (2.0 * amp / (xx + lam2))
+        return np.where(np.isinf(den), split, 4.0 * amp * amp / den)
 
 
 def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
@@ -119,7 +124,11 @@ def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArr
 def _m_abs_at(x, lam2, mu2):
     """|M| at carrier offsets x for squared widths lam2, mu2 (arrays broadcast)."""
     amp = (lam2 - mu2) / 4.0
-    return amp * (1.0 / (x * x + mu2) + 1.0 / (x * x + lam2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xx = x * x
+        # past |x| ~ 1.34e154 x * x overflows; |M| is then 2 amp / x^2, taken as 2 amp / x / x
+        wing = 2.0 * amp / x / x
+        return np.where(np.isinf(xx), wing, amp * (1.0 / (xx + mu2) + 1.0 / (xx + lam2)))
 
 
 def spectral_m(params: SqueezedVacuumParams, omega: ArrayLike):

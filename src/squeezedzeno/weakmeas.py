@@ -63,35 +63,32 @@ _Spectrum = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 @dataclass(frozen=True)
 class MeasurementSchedule:
-    """Measurement window [t_i, t_f] split into n intervals of tau_M.
+    """Measurement window [t_i, t_f] split into n equal intervals.
 
-    The window length is tied to the measurement count by
-    t_f - t_i = n tau_M; the interval tau_M is conventionally the
-    inverse carrier frequency 1/omega_L, but it is stored explicitly so
-    the assumption stays visible.
+    The interval tau_M = (t_f - t_i) / n is derived, never stored, so the
+    window and the count cannot disagree; it is conventionally the
+    inverse carrier frequency 1/omega_L (see from_carrier).
     """
 
     t_i: float
     t_f: float
     n: int
-    tau_M: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", require_positive_int("n", self.n))
-        require_finite_fields(self, "t_i", "t_f", "tau_M")
-        if self.tau_M <= 0.0:
-            raise InvalidParamsError(f"tau_M must be > 0, got {self.tau_M}")
-        window = self.t_f - self.t_i
-        if abs(window - self.n * self.tau_M) > 1e-12 * max(abs(window), self.tau_M):
-            raise InvalidParamsError(
-                f"schedule inconsistent: t_f - t_i = {window!r} but "
-                f"n * tau_M = {self.n * self.tau_M!r}"
-            )
+        require_finite_fields(self, "t_i", "t_f")
+        if not self.t_f > self.t_i:
+            raise InvalidParamsError("t_f must exceed t_i")
 
     @property
     def window(self) -> float:
         """Total duration T = t_f - t_i."""
         return self.t_f - self.t_i
+
+    @property
+    def tau_M(self) -> float:
+        """Interval between measurements, T / n."""
+        return self.window / self.n
 
     @classmethod
     def from_carrier(
@@ -100,16 +97,12 @@ class MeasurementSchedule:
         """Schedule with tau_M = 1/omega_L and t_f = t_i + n/omega_L."""
         if require_finite("omega_L", omega_L) <= 0.0:
             raise InvalidParamsError(f"omega_L must be > 0, got {omega_L}")
-        tau_m = 1.0 / omega_L
-        return cls(t_i=t_i, t_f=t_i + n * tau_m, n=n, tau_M=tau_m)
+        return cls(t_i=t_i, t_f=t_i + n * (1.0 / omega_L), n=n)
 
     @classmethod
     def from_window(cls, t_i: float, t_f: float, n: int) -> "MeasurementSchedule":
         """Schedule over [t_i, t_f] with tau_M derived as (t_f - t_i)/n."""
-        if not t_f > t_i:
-            raise InvalidParamsError("t_f must exceed t_i")
-        n = require_positive_int("n", n)
-        return cls(t_i=t_i, t_f=t_f, n=n, tau_M=(t_f - t_i) / n)
+        return cls(t_i=t_i, t_f=t_f, n=n)
 
 
 def weak_survival(Gamma: float, sched: MeasurementSchedule, t: float) -> float:
@@ -417,25 +410,20 @@ def davies_amplitude(
 
 
 def davies_max_deviation(
-    model: DaviesModel,
-    times: ArrayLike | None = None,
-    *,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    model: DaviesModel, samples: int = 13, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> float:
-    """Largest deviation |U_00(t) - e^{-Gamma t}| on a sampling grid.
+    """Largest deviation |U_00(t) - e^{-Gamma t}| at samples uniform times on [0, 3/Gamma].
 
-    The default grid covers [0, 3/Gamma] in steps of 0.25/Gamma.  The
-    first quarter-lifetime is where the universal short-time (quadratic)
-    transient lives; it depends on the bandwidth but not on Delta_E, so
-    grids much finer near t = 0 measure the transient alone.  On this grid
-    the deviation is a bandwidth floor (about 0.0126 at bandwidth 20 Gamma)
-    plus a part first order in Delta_E from the omitted level r = 0; the
-    grid ends long before the recurrence at t = 2 pi / Delta_E.
+    The cap is checked before the grid is built.  The default 13 samples
+    step by 0.25/Gamma.  The first quarter-lifetime is where the universal
+    short-time (quadratic) transient lives; it depends on the bandwidth but
+    not on Delta_E, so grids much finer near t = 0 measure the transient
+    alone.  On this grid the deviation is a bandwidth floor (about 0.0126 at
+    bandwidth 20 Gamma) plus a part first order in Delta_E from the omitted
+    level r = 0; the grid ends long before the recurrence at t = 2 pi / Delta_E.
     """
-    if times is None:
-        times = np.arange(0.0, 3.0 + 1e-9, 0.25) / model.Gamma
-    tarr = np.asarray(times, dtype=float)
-    if tarr.size == 0:
-        raise InvalidParamsError("times must not be empty")
-    amps = davies_amplitude(model, tarr, dim_cap=dim_cap)
-    return float(np.max(np.abs(amps - np.exp(-model.Gamma * tarr))))
+    samples = require_positive_int("samples", samples)
+    _require_within_cap(model, dim_cap, samples)
+    times = np.linspace(0.0, 3.0 / model.Gamma, samples)
+    amps = davies_amplitude(model, times, dim_cap=dim_cap)
+    return float(np.max(np.abs(amps - np.exp(-model.Gamma * times))))

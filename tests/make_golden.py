@@ -70,6 +70,13 @@ MIXED_6400 = {
     "n": [74, 215],
 }
 
+# an oracle ladder away from Gamma = 1, on a 7-point sample grid
+ORACLE_SCALED = {
+    "Gamma": 0.37,
+    "schedule": [[500, 0.0148], [1000, 0.0074], [2000, 0.0037]],
+    "samples": 7,
+}
+
 # timescales points that end in an error document
 ERRORS = {
     "negative-n-tilde": {"bath": {"phi": 0.0}},
@@ -100,6 +107,7 @@ def _payloads() -> dict[str, tuple[str, str, dict]]:
         )
         runs[f"sweep-mixed-6400-{fmt}"] = ("sweep", fmt, {"sweep": MIXED_6400})
     runs["oracle-default-json"] = ("oracle", "json", {})
+    runs["oracle-scaled-json"] = ("oracle", "json", {"oracle": ORACLE_SCALED})
     for name, config in ERRORS.items():
         runs[f"timescales-error-{name}-json"] = ("timescales", "json", config)
     return runs

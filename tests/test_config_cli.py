@@ -540,6 +540,13 @@ def test_cli_oracle_samples_times_dim_above_cap_squared_exits_2(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "4 samples x dimension 3 exceed the cap 3 squared" in captured.err
+    # a grid of 10^12 times would not fit in memory: the cap refuses it first
+    cfgp.write_text(json.dumps({"oracle": {"schedule": [[1, 1.0]], "dim_cap": 3,
+                                           "samples": 10**12}}))
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: 1000000000000 samples x dimension 3 exceed [^\n]+\n", captured.err)
     # 3 samples x dimension 3 are within it
     cfgp.write_text('{"oracle": {"schedule": [[1, 1.0]], "dim_cap": 3, "samples": 3}}')
     assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 0

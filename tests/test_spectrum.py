@@ -1,10 +1,17 @@
 """Tests for the finite-bandwidth squeezed-vacuum spectra."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squeezedzeno
 from squeezedzeno import (
     InvalidParamsError,
     SqueezedVacuumParams,
@@ -127,3 +134,44 @@ def test_spectra_stay_finite_at_the_edge_of_the_float_range(gamma, epsilon):
     n, m = spectral_n(bath, bath.omega_L + x), spectral_m_abs(bath, bath.omega_L + x)
     assert np.all(np.isfinite(n)) and np.all(np.isfinite(m))
     assert n[0] > 0.0 and m[0] >= n[0]
+
+
+def _exact_n_m_abs(bath, x):
+    """N and |M| at carrier offset x in exact rational arithmetic, rounded once."""
+    lam2, mu2, xx = Fraction(bath.lam) ** 2, Fraction(bath.mu) ** 2, Fraction(x) ** 2
+    amp = (lam2 - mu2) / 4
+    n = 4 * amp * amp / ((xx + mu2) * (xx + lam2))
+    return float(n), float(amp * (1 / (xx + mu2) + 1 / (xx + lam2)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bath", [SqueezedVacuumParams(1e77, 1e76, 0.0, 1.0), BATH],
+                         ids=["wide", "default"])
+def test_spectra_in_the_far_wings_match_exact_arithmetic(bath):
+    # past 1.8e308 the denominator (x^2 + mu^2)(x^2 + lambda^2) overflows, and past
+    # |x| ~ 1.34e154 so does x^2; neither may turn into a warning or a wrong zero
+    x = np.array([1.1e77, 1e100, 1e150, 1e154, 1e200, 1e300])
+    omega = bath.omega_L + x
+    n, m = spectral_n(bath, omega), spectral_m_abs(bath, omega)
+    for k, offset in enumerate(omega - bath.omega_L):
+        scalar = spectral_n(bath, omega[k]), spectral_m_abs(bath, omega[k])
+        for got, want in zip((n[k], m[k], *scalar), 2 * _exact_n_m_abs(bath, offset)):
+            if want >= sys.float_info.min:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            else:
+                assert 0.0 <= got <= sys.float_info.min
+
+
+def test_cli_spectrum_over_a_far_wing_grid_is_quiet(tmp_path):
+    # in a fresh interpreter, so that a numpy overflow warning would show on stderr
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"bath": {"gamma": 1e77, "epsilon": 1e76},
+                                "spectrum": {"x_min": -1e200, "x_max": 1e200}}))
+    src = str(Path(squeezedzeno.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "squeezedzeno.cli", "spectrum", "--config", str(cfgp)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")

@@ -44,9 +44,7 @@ def test_schedule_constructors():
 
 def test_schedule_validation():
     with pytest.raises(InvalidParamsError):
-        MeasurementSchedule(t_i=0.0, t_f=1.0, n=0, tau_M=0.1)
-    with pytest.raises(InvalidParamsError):
-        MeasurementSchedule(t_i=0.0, t_f=1.0, n=5, tau_M=0.3)  # window mismatch
+        MeasurementSchedule(t_i=0.0, t_f=1.0, n=0)
     with pytest.raises(InvalidParamsError):
         MeasurementSchedule.from_window(1.0, 1.0, 4)
     with pytest.raises(InvalidParamsError):
@@ -174,7 +172,7 @@ _DAVIES = DaviesModel(1.0, 10, 0.1)
 _NONFINITE_CASES = {
     "davies_R_inf": lambda: DaviesModel(1.0, math.inf, 0.1),
     "davies_R_nan": lambda: DaviesModel(1.0, math.nan, 0.1),
-    "schedule_n_nan": lambda: MeasurementSchedule(0.0, 1.0, math.nan, 0.1),
+    "schedule_n_nan": lambda: MeasurementSchedule(0.0, 1.0, math.nan),
     "from_window_n_0": lambda: MeasurementSchedule.from_window(0.0, 1.0, 0),
     "timescale_ratio_n_0": lambda: timescale_ratio(
         effective_coefficients(_BATH, _DRIVE), 100.0, 0
@@ -195,7 +193,9 @@ _NONFINITE_CASES = {
     "davies_amplitude_t_nan": lambda: davies_amplitude(_DAVIES, math.nan),
     "davies_amplitude_t_array_inf": lambda: davies_amplitude(_DAVIES, [0.0, math.inf]),
     "davies_column_t_inf": lambda: davies_propagator_column(_DAVIES, math.inf),
-    "davies_max_deviation_times_empty": lambda: davies_max_deviation(_DAVIES, []),
+    "davies_max_deviation_samples_0": lambda: davies_max_deviation(_DAVIES, 0),
+    "davies_max_deviation_samples_nan": lambda: davies_max_deviation(_DAVIES, math.nan),
+    "davies_max_deviation_samples_inf": lambda: davies_max_deviation(_DAVIES, math.inf),
 }
 
 
@@ -228,7 +228,6 @@ def test_davies_amplitude_keeps_the_shape_of_t():
     amps = davies_amplitude(model, grid)
     assert amps.shape == (2, 2)
     np.testing.assert_array_equal(amps.ravel(), davies_amplitude(model, np.ravel(grid)))
-    assert davies_max_deviation(model, grid) == davies_max_deviation(model, np.ravel(grid))
 
 
 def test_davies_amplitude_blocks_match_the_full_phase_matrix():
@@ -270,8 +269,11 @@ def test_davies_deviation_grid(monkeypatch):
     assert t[-1] == pytest.approx(1.5, rel=1e-12)  # 3 / Gamma
     np.testing.assert_allclose(np.diff(t), 0.125, rtol=1e-12)
     assert got == deviation(t)
-    explicit = np.array([0.0, 0.3])
-    assert davies_max_deviation(model, explicit) == deviation(explicit)
+    seen.clear()
+    three = davies_max_deviation(model, 3)
+    (t,) = seen
+    np.testing.assert_array_equal(t, np.linspace(0.0, 1.5, 3))
+    assert three == deviation(t)
 
 
 def test_davies_resource_cap():
