@@ -27,9 +27,7 @@ from .analysis import (
 )
 from .bloch import (
     BlochState,
-    DensityMatrix,
     FitResult,
-    Liouvillian,
     Trajectory,
     bloch_derivative,
     bloch_generator,

@@ -65,7 +65,8 @@ from .errors import (
     require_finite,
     require_positive_int,
 )
-from .spectrum import SqueezedVacuumParams, _m_abs_at, _n_at, spectral_m_abs, spectral_n
+from .spectrum import (SqueezedVacuumParams, _m_abs_at, _m_abs_times, _n_at, spectral_m_abs,
+                       spectral_n)
 
 _MODES = ("paper", "derived")
 
@@ -374,7 +375,8 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
         x1 = (omega_L + op) - omega_L
         n0, m0 = _n_at(0.0, lam2, mu2), _m_abs_at(0.0, lam2, mu2)  # x = omega_L - omega_L
         n1, m1 = _n_at(x1, lam2, mu2), _m_abs_at(x1, lam2, mu2)
-        delta_M = m1 * op * lam_sum / lam_prod if asymptotic else getattr(fixed, "delta_M", nan)
+        delta_M = (_m_abs_times(x1, op, lam2, mu2) * lam_sum / lam_prod if asymptotic
+                   else getattr(fixed, "delta_M", nan))
         # upsilon and the effective coefficients, real parts where enough
         cr, ci = _cmul(m0 - m1, 0.0, p_re, p_im)
         ups_re, ups_im = (n0 - n1) - cr, 0.0 - ci

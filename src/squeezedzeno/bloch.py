@@ -83,7 +83,7 @@ class BlochState:
         if excess > _BALL_TOL or abs(sz) > 1.0 + _BALL_TOL:
             warnings.warn(
                 f"state outside the Bloch ball by {max(excess, abs(sz) - 1.0):.3g}",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @classmethod
@@ -99,57 +99,15 @@ class BlochState:
         """Pure state along +/- x: <sigma_x> = sign, <sigma_z> = 0."""
         return cls(sign * 0.5 + 0.0j, 0.0)
 
-    def to_density_matrix(self) -> "DensityMatrix":
-        rho = np.array(
+    def to_density_matrix(self) -> NDArray:
+        """The 2x2 density matrix over {|e>, |g>}; <sigma_-> = rho_eg is above the diagonal."""
+        return np.array(
             [
                 [(1.0 + self.s_z) / 2.0, self.s_minus],
                 [np.conj(self.s_minus), (1.0 - self.s_z) / 2.0],
             ],
             dtype=complex,
         )
-        return DensityMatrix(rho)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """2x2 density matrix over {|e>, |g>}, as BlochState.to_density_matrix
-    gives it; evolve's superoperator form starts from its matrix.
-
-    Construction checks hermiticity and unit trace to 1e-12 and warns if
-    an eigenvalue dips below -1e-10.  The squeezing terms saturate the
-    positivity boundary |M|^2 = N (N + 1), so trajectories can run along
-    it and round-off alone gives tolerance-level violations; they are
-    not bugs.
-    """
-
-    matrix: NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidParamsError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise InvalidParamsError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise InvalidParamsError("density matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-            raise InvalidParamsError("density matrix trace differs from 1 by > 1e-12")
-        object.__setattr__(self, "matrix", m)
-        lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-        if lo < -1e-10:
-            warnings.warn(f"density matrix has eigenvalue {lo:.3g} < -1e-10", stacklevel=2)
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """4x4 generator acting on column-vectorized (column-major) rho."""
-
-    matrix: NDArray[np.complex128]
-
-    def apply(self, rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """Return d(rho)/dt for a 2x2 matrix rho."""
-        vec = np.asarray(rho, dtype=complex).reshape(4, order="F")
-        return (self.matrix @ vec).reshape((2, 2), order="F")
 
 
 def _sandwich(a: NDArray, b: NDArray) -> NDArray[np.complex128]:
@@ -161,9 +119,10 @@ def _commutator_super(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return _sandwich(a, _ID) - _sandwich(_ID, a)
 
 
-def build_liouvillian(coeffs: EffectiveCoefficients, drive: DriveParams) -> Liouvillian:
-    """Assemble the full master-equation generator.
+def build_liouvillian(coeffs: EffectiveCoefficients, drive: DriveParams) -> NDArray:
+    """Assemble the full master-equation generator as a 4x4 matrix.
 
+    It acts on the column-stacked vec(rho) = (rho_ee, rho_ge, rho_eg, rho_gg).
     All seven lines of the equation of motion are included: the delta
     rotation, both thermal dissipators, the two squeezing terms, the
     drive commutator, and the beta double commutators.
@@ -181,7 +140,7 @@ def build_liouvillian(coeffs: EffectiveCoefficients, drive: DriveParams) -> Liou
         2.0 * _sandwich(_SP, _SM) - _sandwich(_SM @ _SP, _ID) - _sandwich(_ID, _SM @ _SP)
     )
     cz = _commutator_super(_SZ)
-    lio = (
+    return (
         0.5j * g * coeffs.delta * cz
         + 0.5 * g * (nt + 1.0) * diss_down
         + 0.5 * g * nt * diss_up
@@ -193,7 +152,6 @@ def build_liouvillian(coeffs: EffectiveCoefficients, drive: DriveParams) -> Liou
             - np.conj(beta) * (_commutator_super(_SM) @ cz)
         )
     )
-    return Liouvillian(lio)
 
 
 def bloch_derivative(
@@ -352,8 +310,8 @@ def evolve(
         raise InvalidParamsError(f"initial must be a BlochState, got {type(initial).__name__}")
 
     if method == "superoperator":
-        gen = build_liouvillian(coeffs, drive).matrix
-        y0 = initial.to_density_matrix().matrix.reshape(4, order="F")
+        gen = build_liouvillian(coeffs, drive)
+        y0 = initial.to_density_matrix().reshape(4, order="F")
     elif method == "bloch":
         mat, aff = bloch_generator(coeffs, drive)
         gen = np.zeros((4, 4))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import InvalidParamsError, UnphysicalCoefficientsError, require_finite_fields
-from .spectrum import SqueezedVacuumParams, spectral_m_abs, spectral_n
+from .spectrum import SqueezedVacuumParams, _m_abs_times, spectral_m_abs, spectral_n
 
 
 @dataclass(frozen=True)
@@ -104,18 +104,15 @@ class SqueezingShifts:
         require_finite_fields(self, "delta_N", "delta_M")
 
     @classmethod
-    def zero(cls) -> "SqueezingShifts":
-        return cls(0.0, 0.0)
-
-    @classmethod
     def asymptotic(
         cls, bath: SqueezedVacuumParams, drive: DriveParams
     ) -> "SqueezingShifts":
         """Far-detuned closed forms: delta_N = 0 and
         delta_M = |M(omega_L + Omega')| Omega' (lam + mu) / (lam mu)."""
         op = drive.omega_prime
-        m_abs = spectral_m_abs(bath, bath.omega_L + op)
-        delta_m = m_abs * op * (bath.lam + bath.mu) / (bath.lam * bath.mu)
+        x = (bath.omega_L + op) - bath.omega_L
+        m_op = float(_m_abs_times(x, op, bath.lam ** 2, bath.mu ** 2))
+        delta_m = m_op * (bath.lam + bath.mu) / (bath.lam * bath.mu)
         return cls(delta_N=0.0, delta_M=delta_m)
 
 
@@ -140,7 +137,7 @@ def resolve_shifts(
     if spec == "asymptotic":
         return SqueezingShifts.asymptotic(bath, drive)
     if spec == "zero":
-        return SqueezingShifts.zero()
+        return SqueezingShifts()
     raise InvalidParamsError(f"shifts preset must be one of {SHIFT_PRESETS}, got {spec!r}")
 
 
@@ -174,7 +171,7 @@ def upsilon(bath: SqueezedVacuumParams, drive: DriveParams) -> complex:
 def effective_coefficients(
     bath: SqueezedVacuumParams,
     drive: DriveParams,
-    shifts: SqueezingShifts | None = None,
+    shifts: SqueezingShifts = SqueezingShifts(),
     validate: bool = True,
 ) -> EffectiveCoefficients:
     """Evaluate the effective coefficients for a bath/drive combination.
@@ -195,9 +192,6 @@ def effective_coefficients(
     -------
     EffectiveCoefficients
     """
-    if shifts is None:
-        shifts = SqueezingShifts.zero()
-
     ups = upsilon(bath, drive)
     dt = drive.delta_tilde
     ot = drive.omega_tilde

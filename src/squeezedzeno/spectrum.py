@@ -131,6 +131,17 @@ def _m_abs_at(x, lam2, mu2):
         return np.where(np.isinf(xx), wing, amp * (1.0 / (xx + mu2) + 1.0 / (xx + lam2)))
 
 
+def _m_abs_times(x, y, lam2, mu2):
+    """|M| y at carrier offsets x (arrays broadcast).  Past |x| ~ 1e154 |M| alone goes
+    subnormal, then to 0; there |M| y is amp (y/x) (1/(x + mu^2/x) + 1/(x + lam^2/x))."""
+    x = np.asarray(x, dtype=float)  # x / 0 then gives inf, not ZeroDivisionError
+    m = _m_abs_at(x, lam2, mu2)
+    amp = (lam2 - mu2) / 4.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        far = amp * (y / x) * (1.0 / (x + mu2 / x) + 1.0 / (x + lam2 / x))
+        return np.where((m < sys.float_info.min) & (x != 0.0), far, m * y)
+
+
 def spectral_m(params: SqueezedVacuumParams, omega: ArrayLike):
     """Complex correlator M(omega) = |M(omega)| e^{i phi}.
 

@@ -99,11 +99,6 @@ class MeasurementSchedule:
             raise InvalidParamsError(f"omega_L must be > 0, got {omega_L}")
         return cls(t_i=t_i, t_f=t_i + n * (1.0 / omega_L), n=n)
 
-    @classmethod
-    def from_window(cls, t_i: float, t_f: float, n: int) -> "MeasurementSchedule":
-        """Schedule over [t_i, t_f] with tau_M derived as (t_f - t_i)/n."""
-        return cls(t_i=t_i, t_f=t_f, n=n)
-
 
 def weak_survival(Gamma: float, sched: MeasurementSchedule, t: float) -> float:
     """Weak survival probability P_w(t) on the schedule window.

@@ -82,7 +82,7 @@ def test_angular_theta_limits():
     assert angular_theta(BATH, DRIVE, shifts) == pytest.approx(math.pi / 2, rel=1e-15)
     # unsqueezed bath with no shift: zero by convention
     bare = SqueezedVacuumParams(1.0, 0.0, 0.0, 100.0)
-    assert angular_theta(bare, DRIVE, SqueezingShifts.zero()) == 0.0
+    assert angular_theta(bare, DRIVE, SqueezingShifts()) == 0.0
 
 
 def test_tan_theta_closed_form():
@@ -104,7 +104,7 @@ def test_angular_condition_frozen():
 
 def test_angular_condition_zero_magnitude():
     bare = SqueezedVacuumParams(1.0, 0.0, 0.5, 100.0)
-    lhs, holds = angular_condition(bare, DRIVE, SqueezingShifts.zero())
+    lhs, holds = angular_condition(bare, DRIVE, SqueezingShifts())
     assert lhs == 0.0 and holds is True
 
 
@@ -164,7 +164,7 @@ def test_angular_denominator_is_bounded_where_n_tilde_is_nonnegative():
         omega_prime = 10.0 ** rng.uniform(-3.0, 4.0)
         Delta = 0.0 if i % 2 else omega_prime * rng.uniform(-1.0, 1.0)
         drive = DriveParams(Omega=math.sqrt(omega_prime**2 - Delta**2), Delta=Delta)
-        coeffs = effective_coefficients(bath, drive, SqueezingShifts.zero(), validate=False)
+        coeffs = effective_coefficients(bath, drive, SqueezingShifts(), validate=False)
         if coeffs.n_tilde < 0.0:
             continue
         dt = drive.delta_tilde

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import squeezedzeno
 from squeezedzeno import (
     BlochState,
     DegenerateFitError,
-    DensityMatrix,
     DriveParams,
     EffectiveCoefficients,
     IllConditionedFitError,
@@ -88,7 +88,8 @@ def test_superoperator_matches_bloch_derivative():
         drive = DriveParams(Omega=rng.uniform(0.0, 10.0), Delta=rng.normal())
         state = random_state(rng)
         liou = build_liouvillian(coeffs, drive)
-        drho = liou.apply(state.to_density_matrix().matrix)
+        rho = state.to_density_matrix()
+        drho = (liou @ rho.reshape(4, order="F")).reshape(2, 2, order="F")
         ds_minus, ds_z = bloch_derivative(state, coeffs, drive)
         worst = max(worst, abs(drho[0, 1] - ds_minus))
         worst = max(worst, abs((drho[0, 0] - drho[1, 1]).real - ds_z))
@@ -103,7 +104,7 @@ def test_liouvillian_is_trace_free():
         liou = build_liouvillian(
             random_coefficients(rng), DriveParams(rng.uniform(0, 5), rng.normal())
         )
-        assert np.abs(trace_row @ liou.matrix).max() < 1e-12
+        assert np.abs(trace_row @ liou).max() < 1e-12
 
 
 def test_generator_matches_derivative():
@@ -330,11 +331,11 @@ def homogeneous_bloch_generator(coeffs, drive):
 def expm_stack(case):
     rng = np.random.default_rng(5)
     if case == "superoperator":
-        return build_liouvillian(COEFFS, DRIVE).matrix * EXPM_TIMES[:, None, None]
+        return build_liouvillian(COEFFS, DRIVE) * EXPM_TIMES[:, None, None]
     if case == "bloch":
         return homogeneous_bloch_generator(COEFFS, DRIVE) * EXPM_TIMES[:, None, None]
     if case == "exceptional-superoperator":
-        gen = build_liouvillian(EP_COEFFS, DriveParams(Omega=0.0, Delta=0.0)).matrix
+        gen = build_liouvillian(EP_COEFFS, DriveParams(Omega=0.0, Delta=0.0))
         return gen * EXPM_TIMES[:, None, None]
     if case == "exceptional-bloch":
         gen = homogeneous_bloch_generator(EP_COEFFS, DriveParams(Omega=3.0, Delta=0.0))
@@ -503,20 +504,20 @@ def test_fit_exponential_matches_curve_fit_reference(case):
 def test_density_matrix_conventions():
     rho = BlochState.excited().to_density_matrix()
     # basis ordering puts the excited level first
-    assert rho.matrix[0, 0] == 1.0
-    assert rho.matrix[1, 1] == 0.0
+    assert rho[0, 0] == 1.0
+    assert rho[1, 1] == 0.0
     # <sigma_-> = rho_eg sits above the diagonal
     mixed = BlochState(0.3 + 0.2j, 0.1).to_density_matrix()
-    np.testing.assert_allclose(mixed.matrix, [[0.55, 0.3 + 0.2j], [0.3 - 0.2j, 0.45]], atol=1e-15)
-
-
-def test_density_matrix_validation():
-    with pytest.raises(InvalidParamsError):
-        DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
-    with pytest.raises(InvalidParamsError):
-        DensityMatrix(np.array([[0.9, 0.0], [0.0, 0.5]], dtype=complex))
+    np.testing.assert_allclose(mixed, [[0.55, 0.3 + 0.2j], [0.3 - 0.2j, 0.45]], atol=1e-15)
 
 
 def test_bloch_ball_violation_warns():
-    with pytest.warns(UserWarning):
-        BlochState(0.6 + 0.0j, 0.8)
+    with pytest.warns(UserWarning) as record:
+        state = BlochState(0.6 + 0.0j, 0.8)
+    # the warning names the line that built the state, not the generated __init__
+    assert [w.filename for w in record] == [__file__]
+    # propagating the state warns no further, in either form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("superoperator", "bloch"):
+            evolve(state, COEFFS, DRIVE, (0.0, 1.0), n_samples=3, method=method)

@@ -1,6 +1,7 @@
 """Tests for the effective master-equation coefficients."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,8 +69,20 @@ def test_asymptotic_shift_values():
     assert sh.delta_M == pytest.approx(0.2634001792584553, rel=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega_prime", [1e150, 1e155, 1e160, 1e200, 1e300])
+def test_asymptotic_shift_far_in_the_wing_matches_exact_arithmetic(omega_prime):
+    # |M| alone goes subnormal past Omega' ~ 1e154 and to 0 past ~ 1e162
+    sh = SqueezingShifts.asymptotic(BATH, DriveParams(Omega=omega_prime, Delta=0.0))
+    lam, mu = Fraction(BATH.lam), Fraction(BATH.mu)
+    x = Fraction(BATH.omega_L + omega_prime) - Fraction(BATH.omega_L)
+    m_abs = (lam * lam - mu * mu) / 4 * (1 / (x * x + mu * mu) + 1 / (x * x + lam * lam))
+    expected = float(m_abs * Fraction(omega_prime) * (lam + mu) / (lam * mu))
+    assert sh.delta_M == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_zero_shifts():
-    sh = SqueezingShifts.zero()
+    sh = SqueezingShifts()
     assert sh.delta_N == 0.0 and sh.delta_M == 0.0
 
 
@@ -102,7 +115,7 @@ def test_squeezing_enhances_n_tilde():
     # sideband occupation for every epsilon > 0
     for eps in (0.1, 0.4, 0.8):
         bath = SqueezedVacuumParams(1.0, eps, math.pi, 100.0)
-        co = effective_coefficients(bath, DRIVE, SqueezingShifts.zero())
+        co = effective_coefficients(bath, DRIVE, SqueezingShifts())
         n1 = spectral_n(bath, bath.omega_L + DRIVE.omega_prime)
         assert co.n_tilde > n1
 
@@ -119,13 +132,13 @@ def test_negative_n_tilde_raises_by_default():
 
 def test_default_shifts_are_zero():
     co_default = effective_coefficients(BATH, DRIVE)
-    co_zero = effective_coefficients(BATH, DRIVE, SqueezingShifts.zero())
+    co_zero = effective_coefficients(BATH, DRIVE, SqueezingShifts())
     assert co_default == co_zero
 
 
 def test_unsqueezed_bath_is_vacuum():
     bath = SqueezedVacuumParams(1.0, 0.0, 0.0, 100.0)
-    co = effective_coefficients(bath, DRIVE, SqueezingShifts.zero())
+    co = effective_coefficients(bath, DRIVE, SqueezingShifts())
     assert co.n_tilde == 0.0
     assert co.m_tilde == 0.0
     assert co.beta == 0.0
@@ -138,7 +151,7 @@ def test_detuning_moves_delta():
         gamma = rng.uniform(0.5, 2.0)
         bath = SqueezedVacuumParams(gamma, 0.3 * gamma, math.pi, 200.0)
         drive = DriveParams(Omega=rng.uniform(0.0, 10.0), Delta=delta)
-        co = effective_coefficients(bath, drive, SqueezingShifts.zero())
+        co = effective_coefficients(bath, drive, SqueezingShifts())
         # with zero shifts and phi = pi the Im Upsilon correction vanishes
         assert co.delta == pytest.approx(delta / gamma, rel=1e-12, abs=1e-12)
 

@@ -611,6 +611,15 @@ def test_cli_margin_with_an_infinite_phase_is_a_computation_error(tmp_path, caps
                         "got lambda=1e+308, mu=1e+308"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_theta_far_in_the_wing_keeps_the_closed_form(tmp_path, capsys):
+    # Delta~ delta_M < 0 and |M| = 0 in floats: theta = atan2(|M|, Delta~ delta_M) = pi
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"drive": {"Omega": 1e200, "Delta": -1e200}}))
+    assert main(["timescales", "--format", "json", "--config", str(cfgp)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["theta"] == math.pi
+
+
 @pytest.mark.parametrize("method", ["superoperator", "bloch"])
 def test_cli_evolve_past_the_squaring_limit_exits_2(tmp_path, method):
     # in a fresh interpreter, so that a numpy overflow warning would show on stderr

@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "BlochState", "ConfigError", "DEFAULTS", "DaviesModel", "DegenerateFitError",
-    "DensityMatrix", "DriveParams", "EffectiveCoefficients", "EmptyGridError", "FitResult",
-    "IllConditionedFitError", "InvalidParamsError", "Liouvillian", "MeasurementSchedule",
+    "DriveParams", "EffectiveCoefficients", "EmptyGridError", "FitResult",
+    "IllConditionedFitError", "InvalidParamsError", "MeasurementSchedule",
     "OutOfWindowError", "RegimeVerdict", "ResourceLimitError", "RunConfig", "SWEEP_COLUMNS",
     "SingularDenominatorError", "SqueezedVacuumParams", "SqueezedZenoError", "SqueezingShifts",
     "SweepGrid", "SweepRow", "TangentSingularityError", "Trajectory",

@@ -156,8 +156,9 @@ def test_float_range_edges_match_scalar_reference():
     # baths past the float range are skipped; a phase pi Delta / Omega that
     # overflows leaves the row partial; finite phases keep their bits
     grid = SweepGrid(
-        gamma=(1.0, 1e77, 1e308, 3e-77, 1e-170), epsilon=(0.0, 1e-77, 0.5), Delta=(1.0, 3.0),
-        Omega=(1e-310, 10.0), phi=(math.pi,), omega_L=(100.0,), n=(100,),
+        gamma=(1.0, 1e77, 1e308, 3e-77, 1e-170), epsilon=(0.0, 1e-77, 0.5),
+        Delta=(1.0, 3.0, -1e200), Omega=(1e-310, 10.0, 1e200), phi=(math.pi,), omega_L=(100.0,),
+        n=(100,),
     )
     classes = ("ok", "partial: margin: pi Delta / Omega must be finite",
                "skipped: gamma +/- epsilon must lie between about 1e-77 and 1e77",

@@ -37,7 +37,7 @@ def test_schedule_constructors():
     sched = MeasurementSchedule.from_carrier(10.0, 100)
     assert sched.tau_M == 0.1
     assert sched.window == pytest.approx(10.0, rel=1e-15)
-    sched2 = MeasurementSchedule.from_window(1.0, 3.0, 8)
+    sched2 = MeasurementSchedule(1.0, 3.0, 8)
     assert sched2.tau_M == 0.25
     assert sched2.t_i == 1.0 and sched2.t_f == 3.0
 
@@ -46,7 +46,7 @@ def test_schedule_validation():
     with pytest.raises(InvalidParamsError):
         MeasurementSchedule(t_i=0.0, t_f=1.0, n=0)
     with pytest.raises(InvalidParamsError):
-        MeasurementSchedule.from_window(1.0, 1.0, 4)
+        MeasurementSchedule(1.0, 1.0, 4)
     with pytest.raises(InvalidParamsError):
         MeasurementSchedule.from_carrier(0.0, 4)
     # a non-finite carrier is named, not the tau_M derived from it
@@ -56,13 +56,13 @@ def test_schedule_validation():
 
 
 def test_survival_endpoints_are_exact():
-    sched = MeasurementSchedule.from_window(0.5, 2.5, 10)
+    sched = MeasurementSchedule(0.5, 2.5, 10)
     assert weak_survival(2.0, sched, 0.5) == 1.0
     assert weak_survival(2.0, sched, 2.5) == 0.0
 
 
 def test_survival_frozen_midpoint_and_monotonicity():
-    sched = MeasurementSchedule.from_window(0.0, 1.0, 10)
+    sched = MeasurementSchedule(0.0, 1.0, 10)
     assert weak_survival(1.0, sched, 0.5) == pytest.approx(
         0.3775406687981454, rel=1e-15
     )
@@ -72,7 +72,7 @@ def test_survival_frozen_midpoint_and_monotonicity():
 
 
 def test_survival_outside_window_raises():
-    sched = MeasurementSchedule.from_window(0.0, 1.0, 10)
+    sched = MeasurementSchedule(0.0, 1.0, 10)
     with pytest.raises(OutOfWindowError):
         weak_survival(1.0, sched, -0.01)
     with pytest.raises(OutOfWindowError):
@@ -80,7 +80,7 @@ def test_survival_outside_window_raises():
 
 
 def test_decay_time_closed_form_matches_quadrature():
-    sched = MeasurementSchedule.from_window(0.0, 2.0, 10)
+    sched = MeasurementSchedule(0.0, 2.0, 10)
     tau = decay_time_exact(1.0, sched)
     assert tau == pytest.approx(0.6869647145006688, rel=1e-15)
     integral, _ = quad(lambda t: weak_survival(1.0, sched, t), 0.0, 2.0)
@@ -90,7 +90,7 @@ def test_decay_time_closed_form_matches_quadrature():
 def test_decay_time_series_branch():
     # below the branch threshold the series must agree with the closed
     # form where the latter is still well conditioned
-    sched = MeasurementSchedule.from_window(0.0, 1.0, 4)
+    sched = MeasurementSchedule(0.0, 1.0, 4)
     g = 0.2
     closed = 1.0 / g - 1.0 / math.expm1(g)
     assert decay_time_exact(g, sched) == pytest.approx(closed, rel=1e-12)
@@ -115,7 +115,7 @@ def test_decay_time_large_rate_limit():
 
 
 def test_decay_time_zero_rate_limit():
-    sched = MeasurementSchedule.from_window(0.0, 3.0, 6)
+    sched = MeasurementSchedule(0.0, 3.0, 6)
     assert decay_time_exact(0.0, sched) == pytest.approx(1.5, rel=1e-15)
 
 
@@ -173,7 +173,7 @@ _NONFINITE_CASES = {
     "davies_R_inf": lambda: DaviesModel(1.0, math.inf, 0.1),
     "davies_R_nan": lambda: DaviesModel(1.0, math.nan, 0.1),
     "schedule_n_nan": lambda: MeasurementSchedule(0.0, 1.0, math.nan),
-    "from_window_n_0": lambda: MeasurementSchedule.from_window(0.0, 1.0, 0),
+    "schedule_n_0": lambda: MeasurementSchedule(0.0, 1.0, 0),
     "timescale_ratio_n_0": lambda: timescale_ratio(
         effective_coefficients(_BATH, _DRIVE), 100.0, 0
     ),
