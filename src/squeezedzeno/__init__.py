@@ -44,7 +44,6 @@ from .coefficients import (
     SqueezingShifts,
     effective_coefficients,
     resolve_shifts,
-    upsilon,
 )
 from .config import DEFAULTS, RunConfig, canonical_json
 from .errors import (

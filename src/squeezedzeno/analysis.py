@@ -32,6 +32,8 @@ which is what the grid classifier reports per point.
 One array kernel evaluates all of this over a grid's axes at once;
 regime_sweep reads its columns and evaluate_regime is its one-point
 case, so the timescales report and every sweep row share each number.
+Its coefficients come from the array function that effective_coefficients
+and the angular forms evaluate on one point.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ from .coefficients import (
     EffectiveCoefficients,
     ShiftSpec,
     SqueezingShifts,
+    _asymptotic_delta_m,
+    _coefficient_arrays,
     _negative_n_tilde,
+    _one_point,
     resolve_shifts,
-    upsilon,
 )
 from .errors import (
     EmptyGridError,
@@ -65,8 +69,7 @@ from .errors import (
     require_finite,
     require_positive_int,
 )
-from .spectrum import (SqueezedVacuumParams, _m_abs_at, _m_abs_times, _n_at, spectral_m_abs,
-                       spectral_n)
+from .spectrum import SqueezedVacuumParams
 
 _MODES = ("paper", "derived")
 
@@ -113,7 +116,7 @@ def angular_theta(
     unsqueezed bath with the asymptotic preset); the angular left side
     is exactly zero there, so the angle carries no information.
     """
-    m1 = spectral_m_abs(bath, bath.omega_L + drive.omega_prime)
+    m1 = _one_point(bath, drive)[1]
     x = drive.delta_tilde * shifts.delta_M
     if m1 == 0.0 and x == 0.0:
         return 0.0
@@ -133,14 +136,12 @@ def angular_condition(
     is smaller than 1e-12 in modulus.
     """
     dt = drive.delta_tilde
-    m1 = spectral_m_abs(bath, bath.omega_L + drive.omega_prime)
-    n1 = spectral_n(bath, bath.omega_L + drive.omega_prime)
+    n1, m1, ups = _one_point(bath, drive)[:3]
     x = dt * shifts.delta_M
     magnitude = math.hypot(x, m1)
     if magnitude == 0.0:
         return 0.0, True
-    ups_re = upsilon(bath, drive).real
-    denominator = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re
+    denominator = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups.real
     if abs(denominator) < 1e-12:
         raise SingularDenominatorError(
             f"angular-condition denominator is {denominator:.3g}; "
@@ -320,11 +321,6 @@ def _math(fn, *arrays) -> np.ndarray:
     return np.reshape(list(map(fn, *(a.ravel().tolist() for a in arrays))), arrays[0].shape)
 
 
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) as CPython forms it, a float x being (x, 0.0)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _caught(fn, *args):
     """fn(*args), or the library error it raises (without its traceback)."""
     try:
@@ -339,31 +335,31 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
     The seven axes broadcast in grid order (n fastest), so each quantity
     is computed once per combination of the axes it depends on, and each
     distinct bath and drive record is built and validated once.  The
-    arithmetic repeats the scalar formulas operation for operation
-    (complex products as CPython forms them, math functions per element),
-    so every number has the bits of a point-by-point evaluation.  Returns
-    the RegimeVerdict columns as arrays in grid order (float64, or objects
+    coefficients come from coefficients._coefficient_arrays, and the rest
+    repeats the scalar formulas with math functions per element, so every
+    number has the bits of a point-by-point evaluation.  Returns the
+    RegimeVerdict columns as arrays in grid order (float64, or objects
     for the booleans, None where skipped) and per point None, the
     exception that skips it, or the ("margin", exception) pair it records.
     """
     shape = tuple(map(len, grid.axes))
     nan = math.nan
-    gamma, _, _, _, phi, omega_L, n = (
+    gamma, _, Delta, _, phi, omega_L, n = (
         _along([float(v) for v in axis], (i,), shape) for i, axis in enumerate(grid.axes)
     )
     baths = [_caught(SqueezedVacuumParams, *key)
              for key in itertools.product(*(grid.axes[i] for i in _BATH_AXES))]
-    lam2, mu2, lam_sum, lam_prod, offset = (_along(c, _BATH_AXES, shape) for c in zip(*(
+    lam2, mu2, lam, mu, offset = (_along(c, _BATH_AXES, shape) for c in zip(*(
         (nan,) * 5 if isinstance(b, Exception)
-        else (b.lam ** 2, b.mu ** 2, b.lam + b.mu, b.lam * b.mu, _margin_offset(b))
+        else (b.lam ** 2, b.mu ** 2, b.lam, b.mu, _margin_offset(b))
         for b in baths
     )))
     drives = [_caught(DriveParams, Omega, Delta)
               for Delta, Omega in itertools.product(grid.Delta, grid.Omega)]
     tangents = [d if isinstance(d, Exception) else _caught(_tangent_term, d) for d in drives]
-    op, dt, tangent = (_along(c, _DRIVE_AXES, shape) for c in zip(*(
-        (nan,) * 3 if isinstance(d, Exception)
-        else (d.omega_prime, d.delta_tilde, nan if isinstance(t, Exception) else t)
+    op, dt, ot, tangent = (_along(c, _DRIVE_AXES, shape) for c in zip(*(
+        (nan,) * 4 if isinstance(d, Exception)
+        else (d.omega_prime, d.delta_tilde, d.omega_tilde, nan if isinstance(t, Exception) else t)
         for d, t in zip(drives, tangents)
     )))
     phases = [cmath.exp(1j * p) for p in grid.phi]
@@ -373,19 +369,10 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
 
     with np.errstate(all="ignore"):
         x1 = (omega_L + op) - omega_L
-        n0, m0 = _n_at(0.0, lam2, mu2), _m_abs_at(0.0, lam2, mu2)  # x = omega_L - omega_L
-        n1, m1 = _n_at(x1, lam2, mu2), _m_abs_at(x1, lam2, mu2)
-        delta_M = (_m_abs_times(x1, op, lam2, mu2) * lam_sum / lam_prod if asymptotic
-                   else getattr(fixed, "delta_M", nan))
-        # upsilon and the effective coefficients, real parts where enough
-        cr, ci = _cmul(m0 - m1, 0.0, p_re, p_im)
-        ups_re, ups_im = (n0 - n1) - cr, 0.0 - ci
-        transverse = 0.5 * (1.0 - dt * dt)
-        n_tilde = n1 + transverse * ups_re
-        shift = _cmul(*_cmul(*_cmul(0.0, 1.0, dt, 0.0), delta_M, 0.0), p_re, p_im)
-        m_re = (
-            _cmul(m1, 0.0, p_re, p_im)[0] - _cmul(transverse, 0.0, ups_re, ups_im)[0]
-        ) + shift[0]
+        delta_N, delta_M = ((0.0, _asymptotic_delta_m(x1, op, lam2, mu2, lam, mu)) if asymptotic
+                            else (getattr(fixed, "delta_N", nan), getattr(fixed, "delta_M", nan)))
+        n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _ = _coefficient_arrays(
+            gamma, lam2, mu2, x1, Delta, dt, ot, p_re, p_im, delta_N, delta_M)
         g_dec = gamma * (0.5 + n_tilde + m_re)
         g_pop = gamma * (1.0 + 2.0 * n_tilde)
         meas = omega_L / n

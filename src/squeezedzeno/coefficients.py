@@ -35,6 +35,8 @@ sampling) regime they reduce to delta_N = 0 and
 A physically meaningful reduced description requires N~ >= 0; inside
 the secular approximation some parameter regions violate this, which is
 reported as an error unless validation is disabled for diagnostics.
+One array function holds this arithmetic for evolve, oracle, timescales
+and sweep; the tests keep the scalar complex formulas as its reference.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import InvalidParamsError, UnphysicalCoefficientsError, require_finite_fields
-from .spectrum import SqueezedVacuumParams, _m_abs_times, spectral_m_abs, spectral_n
+from .spectrum import SqueezedVacuumParams, _m_abs_at, _m_abs_times, _n_at
 
 
 @dataclass(frozen=True)
@@ -74,17 +78,13 @@ class DriveParams:
     def omega_tilde(self) -> float:
         """Omega / Omega', with the convention 1 at the Omega = Delta = 0 corner."""
         op = self.omega_prime
-        if op == 0.0:
-            return 1.0
-        return self.Omega / op
+        return self.Omega / op if op else 1.0
 
     @property
     def delta_tilde(self) -> float:
         """Delta / Omega', with the convention 0 at the Omega = Delta = 0 corner."""
         op = self.omega_prime
-        if op == 0.0:
-            return 0.0
-        return self.Delta / op
+        return self.Delta / op if op else 0.0
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,18 @@ class SqueezingShifts:
         require_finite_fields(self, "delta_N", "delta_M")
 
     @classmethod
-    def asymptotic(
-        cls, bath: SqueezedVacuumParams, drive: DriveParams
-    ) -> "SqueezingShifts":
+    def asymptotic(cls, bath: SqueezedVacuumParams, drive: DriveParams) -> "SqueezingShifts":
         """Far-detuned closed forms: delta_N = 0 and
         delta_M = |M(omega_L + Omega')| Omega' (lam + mu) / (lam mu)."""
-        op = drive.omega_prime
+        op, lam, mu = drive.omega_prime, bath.lam, bath.mu
         x = (bath.omega_L + op) - bath.omega_L
-        m_op = float(_m_abs_times(x, op, bath.lam ** 2, bath.mu ** 2))
-        delta_m = m_op * (bath.lam + bath.mu) / (bath.lam * bath.mu)
-        return cls(delta_N=0.0, delta_M=delta_m)
+        return cls(0.0, float(_asymptotic_delta_m(x, op, lam ** 2, mu ** 2, lam, mu)))
+
+
+def _asymptotic_delta_m(x1, op, lam2, mu2, lam, mu):
+    """delta_M at sideband offset x1 = (omega_L + Omega') - omega_L (arrays broadcast)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _m_abs_times(x1, op, lam2, mu2) * (lam + mu) / (lam * mu)
 
 
 SHIFT_PRESETS = ("asymptotic", "zero")
@@ -152,20 +154,47 @@ class EffectiveCoefficients:
     beta: complex
 
 
-def upsilon(bath: SqueezedVacuumParams, drive: DriveParams) -> complex:
-    """Spectral imbalance Upsilon between the carrier and the shifted sideband.
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython forms it, a float x being (x, 0.0)."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    Upsilon vanishes as Omega' -> 0 and tends to
-    N(omega_L) - |M(omega_L)| e^{i phi} deep in the wings.
-    """
-    w0 = bath.omega_L
-    w1 = bath.omega_L + drive.omega_prime
-    phase = cmath.exp(1j * bath.phi)
-    return (
-        spectral_n(bath, w0)
-        - spectral_n(bath, w1)
-        - (spectral_m_abs(bath, w0) - spectral_m_abs(bath, w1)) * phase
-    )
+
+def _coefficient_arrays(gamma, lam2, mu2, x1, Delta, dt, ot, p_re, p_im, delta_N, delta_M):
+    """N(omega_L + Omega'), |M(omega_L + Omega')|, Upsilon, N~, M~, delta and beta
+    on arrays that broadcast (x1 = (omega_L + Omega') - omega_L, dt = Delta~,
+    ot = Omega~, p = e^{i phi}), a complex value as its (real, imaginary) pair
+    formed as CPython forms the module's formulas, so with the bits of one point."""
+    with np.errstate(all="ignore"):
+        n0, m0 = _n_at(0.0, lam2, mu2), _m_abs_at(0.0, lam2, mu2)  # x = omega_L - omega_L
+        n1, m1 = _n_at(x1, lam2, mu2), _m_abs_at(x1, lam2, mu2)
+        cr, ci = _cmul(m0 - m1, 0.0, p_re, p_im)
+        ups = (n0 - n1) - cr, 0.0 - ci
+        transverse = 0.5 * (1.0 - dt * dt)
+        n_tilde = n1 + transverse * ups[0]
+        i_dt = _cmul(0.0, 1.0, dt, 0.0)
+        m_along, m_damped = _cmul(m1, 0.0, p_re, p_im), _cmul(transverse, 0.0, *ups)
+        m_shift = _cmul(*_cmul(*i_dt, delta_M, 0.0), p_re, p_im)
+        m_tilde = ((m_along[0] - m_damped[0]) + m_shift[0],
+                   (m_along[1] - m_damped[1]) + m_shift[1])
+        delta = (Delta / gamma - transverse * ups[1]) + dt * delta_N
+        b_shift, b_ups = _cmul(delta_M, 0.0, p_re, p_im), _cmul(*i_dt, *ups)
+        beta = _cmul(gamma * ot, 0.0, (delta_N + b_shift[0]) - b_ups[0],
+                     (0.0 + b_shift[1]) - b_ups[1])
+    return n1, m1, ups, n_tilde, m_tilde, delta, beta
+
+
+def _one_point(bath: SqueezedVacuumParams, drive: DriveParams,
+               shifts: SqueezingShifts = SqueezingShifts()) -> tuple:
+    """_coefficient_arrays at one point as floats and complex numbers.  It runs on
+    numpy scalars, where 1/0 gives inf as in an array, not ZeroDivisionError."""
+    f, phase = np.float64, cmath.exp(1j * bath.phi)
+    values = _coefficient_arrays(
+        f(bath.gamma), f(bath.lam ** 2), f(bath.mu ** 2),
+        f(bath.omega_L + drive.omega_prime) - bath.omega_L, f(drive.Delta), f(drive.delta_tilde),
+        f(drive.omega_tilde), f(phase.real), f(phase.imag), f(shifts.delta_N), f(shifts.delta_M))
+    # complex() of a 0-d array part would drop the sign of a zero imaginary part
+    return tuple(complex(float(v[0]), float(v[1])) if isinstance(v, tuple) else float(v)
+                 for v in values)
 
 
 def effective_coefficients(
@@ -174,49 +203,17 @@ def effective_coefficients(
     shifts: SqueezingShifts = SqueezingShifts(),
     validate: bool = True,
 ) -> EffectiveCoefficients:
-    """Evaluate the effective coefficients for a bath/drive combination.
+    """The effective coefficients of a bath and drive, with shifts zero when omitted.
 
-    Parameters
-    ----------
-    bath, drive:
-        Reservoir and coherent-drive parameters.
-    shifts:
-        Principal-value shift integrals; zero when omitted.
-    validate:
-        When True (default), raise UnphysicalCoefficientsError if the
-        resulting N~ is negative, since the reduced dynamics is then not
-        a physical channel.  Pass False to inspect such coefficient sets
-        anyway (useful for mapping where the description breaks down).
-
-    Returns
-    -------
-    EffectiveCoefficients
+    With validate (the default), raise UnphysicalCoefficientsError if N~
+    is negative, since the reduced dynamics is then not a physical
+    channel; validate=False returns such coefficient sets anyway (useful
+    for mapping where the description breaks down).
     """
-    ups = upsilon(bath, drive)
-    dt = drive.delta_tilde
-    ot = drive.omega_tilde
-    phase = cmath.exp(1j * bath.phi)
-    w1 = bath.omega_L + drive.omega_prime
-    transverse = 0.5 * (1.0 - dt * dt)
-
-    n_tilde = spectral_n(bath, w1) + transverse * ups.real
-    m_tilde = (
-        spectral_m_abs(bath, w1) * phase
-        - transverse * ups
-        + 1j * dt * shifts.delta_M * phase
-    )
-    delta = drive.Delta / bath.gamma - transverse * ups.imag + dt * shifts.delta_N
-    beta = bath.gamma * ot * (shifts.delta_N + shifts.delta_M * phase - 1j * dt * ups)
-
-    if validate and n_tilde < 0.0:
-        raise _negative_n_tilde(n_tilde)
-    return EffectiveCoefficients(
-        gamma=bath.gamma,
-        n_tilde=float(n_tilde),
-        m_tilde=complex(m_tilde),
-        delta=float(delta),
-        beta=complex(beta),
-    )
+    coeffs = EffectiveCoefficients(bath.gamma, *_one_point(bath, drive, shifts)[3:])
+    if validate and coeffs.n_tilde < 0.0:
+        raise _negative_n_tilde(coeffs.n_tilde)
+    return coeffs
 
 
 def _negative_n_tilde(n_tilde: float) -> UnphysicalCoefficientsError:

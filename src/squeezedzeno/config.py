@@ -1,11 +1,12 @@
 """Run configuration: defaults, file parsing, and the output format.
 
 Configs are nested key/value documents. JSON is accepted everywhere;
-YAML is accepted for hand-written files. DEFAULTS holds each default
-once (the default sweep grid is the default point) and types each
-numeric key; sections and a shifts mapping merge over it key by key
-into a copy, flag overrides win over file values, and the fully
-resolved config is echoed into each output's provenance header.
+YAML is accepted for hand-written files, its floats read by the YAML 1.2
+rule as JSON reads them (YAML 1.1 reads 1e5 as a string). DEFAULTS
+holds each default once (the default sweep grid is the default point)
+and types each numeric key; sections and a shifts mapping merge over it
+key by key into a copy, flag overrides win over file values, and the
+fully resolved config is echoed into each output's provenance header.
 
 This module is the one place that decides how output looks: the text
 of each scalar in JSON and in CSV (_column formats a whole column, an
@@ -24,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -325,6 +327,20 @@ def _normalize(cfg: dict) -> dict:
     return cfg
 
 
+# the YAML 1.2 floats that are not integers, as this rule is tried before the integer one:
+# a dot or an exponent (its sign optional, where YAML 1.1 requires it), .inf and .nan
+_YAML_FLOAT = re.compile(r"^(?:[-+]?(?:\.[0-9]+|[0-9]+\.[0-9]*)(?:[eE][-+]?[0-9]+)?|[-+]?[0-9]+"
+                         r"[eE][-+]?[0-9]+|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$")
+
+
+def _yaml_loader(yaml):
+    """yaml.SafeLoader with _YAML_FLOAT in place of its YAML 1.1 float rule."""
+    rules = {first: [(tag, _YAML_FLOAT if tag == "tag:yaml.org,2002:float" else rule)
+                     for tag, rule in tagged]
+             for first, tagged in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+    return type("Loader", (yaml.SafeLoader,), {"yaml_implicit_resolvers": rules})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration with typed accessors.
@@ -355,7 +371,7 @@ class RunConfig:
                 else:
                     import yaml
                     errors += (yaml.YAMLError,)
-                    raw = yaml.safe_load(text) or {}
+                    raw = yaml.load(text, Loader=_yaml_loader(yaml)) or {}
             except errors as exc:
                 raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
             if not isinstance(raw, dict):

@@ -40,10 +40,10 @@ from squeezedzeno import (
     sustainable_condition,
     tan_theta_asymptotic,
     timescale_ratio,
-    upsilon,
     weak_survival,
 )
 from squeezedzeno.cli import main
+from test_sweep_kernel import reference_upsilon
 
 ARTIFACT_DIR = Path(__file__).parent / "_artifacts"
 
@@ -286,7 +286,7 @@ def test_criterion_07_angular_equivalence(time_budget):
         den = (
             1.0
             + 2.0 * spectral_n(bath, bath.omega_L + drive.omega_prime)
-            + 3.0 * (1.0 - dt * dt) * upsilon(bath, drive).real
+            + 3.0 * (1.0 - dt * dt) * reference_upsilon(bath, drive).real
         )
         if den <= 1e-9:
             continue

@@ -27,9 +27,9 @@ from squeezedzeno import (
     sustainable_condition,
     tan_theta_asymptotic,
     timescale_ratio,
-    upsilon,
 )
 from squeezedzeno.cli import main
+from test_sweep_kernel import reference_upsilon
 
 BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
 DRIVE = DriveParams(Omega=10.0, Delta=0.0)
@@ -125,7 +125,7 @@ def test_angular_matches_paper_condition_for_positive_denominator():
         dt = drive.delta_tilde
         den = 1.0 + 2.0 * spectral_n(
             bath, bath.omega_L + drive.omega_prime
-        ) + 3.0 * (1.0 - dt * dt) * upsilon(bath, drive).real
+        ) + 3.0 * (1.0 - dt * dt) * reference_upsilon(bath, drive).real
         if den <= 1e-6:
             continue
         coeffs = effective_coefficients(bath, drive, shifts, validate=False)
@@ -143,7 +143,7 @@ def test_angular_flips_against_paper_for_negative_denominator():
     shifts = SqueezingShifts.asymptotic(bath, drive)
     den = 1.0 + 2.0 * spectral_n(
         bath, bath.omega_L + drive.omega_prime
-    ) + 3.0 * upsilon(bath, drive).real
+    ) + 3.0 * reference_upsilon(bath, drive).real
     assert den < 0.0
     coeffs = effective_coefficients(bath, drive, shifts, validate=False)
     _, angular_holds = angular_condition(bath, drive, shifts)
@@ -170,7 +170,7 @@ def test_angular_denominator_is_bounded_where_n_tilde_is_nonnegative():
         dt = drive.delta_tilde
         den = 1.0 + 2.0 * spectral_n(
             bath, bath.omega_L + drive.omega_prime
-        ) + 3.0 * (1.0 - dt * dt) * upsilon(bath, drive).real
+        ) + 3.0 * (1.0 - dt * dt) * reference_upsilon(bath, drive).real
         smallest = min(smallest, den)
         checked += 1
     assert checked > 3000

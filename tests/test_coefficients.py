@@ -16,8 +16,8 @@ from squeezedzeno import (
     effective_coefficients,
     spectral_m_abs,
     spectral_n,
-    upsilon,
 )
+from test_sweep_kernel import reference_upsilon
 
 BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
 DRIVE = DriveParams(Omega=10.0, Delta=0.0)
@@ -46,7 +46,7 @@ def test_drive_validation():
 
 def test_upsilon_from_spectra():
     # hand-assembled from the two spectral evaluations it combines
-    ups = upsilon(BATH, DRIVE)
+    ups = reference_upsilon(BATH, DRIVE)
     w0, w1 = BATH.omega_L, BATH.omega_L + DRIVE.omega_prime
     expected = (
         spectral_n(BATH, w0)

@@ -40,6 +40,23 @@ def test_yaml_and_json_agree(tmp_path):
     assert RunConfig.load(jpath).data == RunConfig.load(ypath).data
 
 
+@pytest.mark.parametrize("text, value", [("1e5", 1e5), ("1.0e200", 1e200), ("2E-3", 2e-3)])
+def test_yaml_exponent_floats_load_as_in_json(tmp_path, text, value):
+    # YAML 1.1 reads an exponent without a dot or a sign as a string
+    ypath, jpath = tmp_path / "c.yaml", tmp_path / "c.json"
+    ypath.write_text(f"drive:\n  Omega: {text}\n")
+    jpath.write_text(f'{{"drive": {{"Omega": {text}}}}}')
+    assert RunConfig.load(ypath).data == RunConfig.load(jpath).data
+    assert RunConfig.load(ypath).data["drive"]["Omega"] == value
+
+
+def test_yaml_infinity_is_still_rejected(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("drive:\n  Omega: .inf\n")
+    with pytest.raises(ConfigError, match="drive.Omega: must be finite"):
+        RunConfig.load(path)
+
+
 def test_utf8_config_loads_under_an_ascii_locale(tmp_path):
     # a fresh interpreter whose locale encoding is ASCII: C locale, with UTF-8
     # mode and locale coercion off

@@ -25,7 +25,7 @@ PUBLIC = [
     "fit_decay_rate", "fit_exponential", "population_decay_rate", "quadrature_decay_rate",
     "regime_sweep", "resolve_shifts", "spectral_m", "spectral_m_abs", "spectral_n",
     "sufficient_condition_margin", "sustainable_condition", "tan_theta_asymptotic",
-    "timescale_ratio", "upsilon", "weak_survival",
+    "timescale_ratio", "weak_survival",
 ]
 
 
