@@ -89,12 +89,17 @@ def timescale_ratio(
     [Gamma_dec + 2 omega_L/n] / [Gamma_pop + 2 omega_L/n]; mode="paper"
     evaluates the printed reduction
     1/2 + (2 gamma Re M~ + omega_L/n) / (Gamma_pop + 2 omega_L/n),
-    which doubles the Re M~ contribution.
+    which doubles the Re M~ contribution.  omega_L must be finite and
+    >= 0, and SingularDenominatorError marks Gamma_pop + 2 omega_L/n = 0.
     """
     _check_mode(mode)
     g = coeffs.gamma
+    if require_finite("omega_L", omega_L) < 0.0:
+        raise InvalidParamsError(f"omega_L must be >= 0, got {omega_L}")
     meas = omega_L / require_positive_int("n", n)
     denom = g * (1.0 + 2.0 * coeffs.n_tilde) + 2.0 * meas
+    if denom == 0.0:
+        raise SingularDenominatorError("Gamma_pop + 2 omega_L/n is zero")
     if mode == "derived":
         return (quadrature_decay_rate(coeffs) + 2.0 * meas) / denom
     return 0.5 + (2.0 * g * coeffs.m_tilde.real + meas) / denom
@@ -300,9 +305,6 @@ class SweepGrid:
     @property
     def size(self) -> int:
         return math.prod(map(len, self.axes))
-
-    def points(self) -> Iterator[tuple]:
-        return itertools.product(*self.axes)
 
 
 _BATH_AXES, _DRIVE_AXES = (0, 1, 4, 5), (2, 3)

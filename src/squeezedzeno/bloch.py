@@ -337,12 +337,7 @@ def evolve(
         s_z = y[2]
         trace_error = np.zeros_like(t)
 
-    return Trajectory(
-        t=t,
-        s_minus=np.asarray(s_minus, dtype=complex),
-        s_z=np.asarray(s_z, dtype=float),
-        trace_error=np.asarray(trace_error, dtype=float),
-    )
+    return Trajectory(t=t, s_minus=s_minus, s_z=s_z, trace_error=trace_error)
 
 
 @dataclass(frozen=True)

@@ -166,18 +166,15 @@ def _scalar(value: Any, cell: bool = False) -> str | None:
 def _column(values, cell: bool = False) -> list:
     """_scalar of each value of one column (a JSON text, or with cell a CSV cell).
 
-    A float64 array, or a list of floats, is formatted once per distinct
-    bit pattern, so 0.0 and -0.0 stay apart, and an int64 array once per
-    distinct value, each in one %-format pass ('%.17g' % x is
-    format(x, '.17g')).  A column of None, strings and either bools or
-    ints goes through _scalar once per distinct value (a column of both
-    would take True for 1), anything else once per value.
+    A float64 array is formatted once per distinct bit pattern, so 0.0
+    and -0.0 stay apart, and an int64 array once per distinct value, each
+    in one %-format pass ('%.17g' % x is format(x, '.17g')).  A column of
+    None, strings and either bools or ints goes through _scalar once per
+    distinct value (a column of both would take True for 1), anything
+    else, a list of floats included, once per value.
     """
     if isinstance(values, np.ndarray) and values.dtype not in (np.float64, np.int64):
         values = values.tolist()
-    kinds = set() if isinstance(values, np.ndarray) else set(map(type, values))
-    if kinds == {float}:
-        values = np.array(values)
     if isinstance(values, np.ndarray):
         floats = values.dtype == np.float64
         keys, where = np.unique(values.view(np.int64), return_inverse=True)
@@ -186,6 +183,7 @@ def _column(values, cell: bool = False) -> list:
         if floats and not cell:
             texts = ["null" if t in ("nan", "inf", "-inf") else t for t in texts]
         return np.array(texts, dtype=object)[where].tolist()
+    kinds = set(map(type, values))
     if kinds <= {type(None), str, bool} or kinds <= {type(None), str, int}:
         texts = {v: _scalar(v, cell) for v in set(values)}
         return list(map(texts.__getitem__, values))

@@ -20,7 +20,8 @@ integral defines an effective decay time with the closed form
 
     tau = 1/Gamma - T / (e^{Gamma T} - 1),    T = t_f - t_i,
 
-approximated for n measurements spaced by tau_M = 1/omega_L as
+both set by the window alone (a MeasurementSchedule), approximated for n
+measurements spaced by tau_M = 1/omega_L (T = n/omega_L) as
 
     tau_approx = 1 / (Gamma + 2 omega_L / n).
 
@@ -40,6 +41,7 @@ never as a matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -63,48 +65,41 @@ _Spectrum = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 @dataclass(frozen=True)
 class MeasurementSchedule:
-    """Measurement window [t_i, t_f] split into n equal intervals.
+    """Measurement window [t_i, t_f] of finite, positive length T = t_f - t_i.
 
-    The interval tau_M = (t_f - t_i) / n is derived, never stored, so the
-    window and the count cannot disagree; it is conventionally the
-    inverse carrier frequency 1/omega_L (see from_carrier).
+    P_w and tau depend on the window alone; from_carrier sizes it from n
+    probes spaced by tau_M = 1/omega_L.
     """
 
     t_i: float
     t_f: float
-    n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", require_positive_int("n", self.n))
         require_finite_fields(self, "t_i", "t_f")
-        if not self.t_f > self.t_i:
-            raise InvalidParamsError("t_f must exceed t_i")
+        if not 0.0 < self.window < math.inf:
+            raise InvalidParamsError(f"t_f - t_i must be finite and > 0, got {self.window}")
 
     @property
     def window(self) -> float:
         """Total duration T = t_f - t_i."""
         return self.t_f - self.t_i
 
-    @property
-    def tau_M(self) -> float:
-        """Interval between measurements, T / n."""
-        return self.window / self.n
-
     @classmethod
     def from_carrier(
         cls, omega_L: float, n: int, t_i: float = 0.0
     ) -> "MeasurementSchedule":
-        """Schedule with tau_M = 1/omega_L and t_f = t_i + n/omega_L."""
+        """Window of n intervals tau_M = 1/omega_L: t_f = t_i + n/omega_L."""
         if require_finite("omega_L", omega_L) <= 0.0:
             raise InvalidParamsError(f"omega_L must be > 0, got {omega_L}")
-        return cls(t_i=t_i, t_f=t_i + n * (1.0 / omega_L), n=n)
+        return cls(t_i=t_i, t_f=t_i + require_positive_int("n", n) * (1.0 / omega_L))
 
 
 def weak_survival(Gamma: float, sched: MeasurementSchedule, t: float) -> float:
     """Weak survival probability P_w(t) on the schedule window.
 
     Strictly decreasing in t for Gamma > 0 with P_w(t_i) = 1 and
-    P_w(t_f) = 0 exactly.
+    P_w(t_f) = 0 exactly.  Where 1 - e^{-Gamma T} is below the smallest
+    normal float it returns the Gamma -> 0 limit e^{-Gamma (t - t_i)} (t_f - t)/T.
     """
     if require_finite("Gamma", Gamma) <= 0.0:
         raise InvalidParamsError(f"Gamma must be > 0, got {Gamma}")
@@ -113,8 +108,10 @@ def weak_survival(Gamma: float, sched: MeasurementSchedule, t: float) -> float:
             f"t = {t} outside the measurement window [{sched.t_i}, {sched.t_f}]"
         )
     # 1 - e^{-x} written as -expm1(-x) to stay accurate for small x
-    num = -math.expm1(-Gamma * (sched.t_f - t))
     den = -math.expm1(-Gamma * sched.window)
+    if den < sys.float_info.min:
+        return math.exp(-Gamma * (t - sched.t_i)) * (sched.t_f - t) / sched.window
+    num = -math.expm1(-Gamma * (sched.t_f - t))
     return math.exp(-Gamma * (t - sched.t_i)) * num / den
 
 
@@ -132,8 +129,9 @@ def decay_time_exact(Gamma: float, sched: MeasurementSchedule) -> float:
     Continuously extended to Gamma = 0 where tau = T/2.  The small-g
     branch evaluates the series expansion instead of the closed form to
     avoid catastrophic cancellation between the two large terms.  Past
-    g = 709, where T/(e^g - 1) is below 1e-300 of 1/Gamma, the argument of
-    expm1 is clamped so that it cannot overflow; tau is then 1/Gamma.
+    g = 709, where T/(e^g - 1) is below half an ulp of 1/Gamma and expm1
+    would soon overflow, tau is 1/Gamma; for a subnormal Gamma, whose
+    inverse can overflow, it is T (1/g - 1/(e^g - 1)).
     """
     if require_finite("Gamma", Gamma) < 0.0:
         raise InvalidParamsError(f"Gamma must be >= 0, got {Gamma}")
@@ -144,7 +142,11 @@ def decay_time_exact(Gamma: float, sched: MeasurementSchedule) -> float:
         for power, coeff in _SERIES:
             acc += coeff * g**power
         return T * acc
-    return 1.0 / Gamma - T / math.expm1(min(g, 709.0))
+    if g > 709.0:
+        return 1.0 / Gamma
+    if Gamma < sys.float_info.min:  # g < 4 here, as T is finite
+        return T * (1.0 / g - 1.0 / math.expm1(g))
+    return 1.0 / Gamma - T / math.expm1(g)
 
 
 def decay_time_approx(Gamma: float, omega_L: float, n: int) -> float:

@@ -1,5 +1,6 @@
 """Tests for the regime classification and sweep machinery."""
 
+import itertools
 import json
 import math
 
@@ -58,6 +59,17 @@ def test_ratio_probe_point():
     assert timescale_ratio(coeffs, 0.0, 100, "paper") == pytest.approx(1.5, rel=1e-15)
     assert sustainable_condition(coeffs, "derived") is True
     assert sustainable_condition(coeffs, "paper") is False
+
+
+def test_ratio_rejects_what_decay_time_approx_rejects():
+    # a zero population denominator, and an omega_L that decay_time_approx refuses
+    singular = EffectiveCoefficients(1.0, -0.5, 0j, 0.0, 0j)
+    with pytest.raises(SingularDenominatorError):
+        timescale_ratio(singular, 0.0, 1)
+    coeffs = EffectiveCoefficients(1.0, 0.1, 0j, 0.0, 0j)
+    for bad, message in ((math.nan, "omega_L must be finite"), (-5.0, "omega_L must be >= 0")):
+        with pytest.raises(InvalidParamsError, match=message):
+            timescale_ratio(coeffs, bad, 1)
 
 
 def test_condition_is_the_stated_inequality():
@@ -232,7 +244,7 @@ def test_sweep_grid_geometry():
         n=(10, 100),
     )
     assert grid.size == 8
-    pts = list(grid.points())
+    pts = list(itertools.product(*grid.axes))
     assert len(pts) == 8
     # n is the fastest axis
     assert pts[0][:7] == (1.0, 0.0, 0.0, 10.0, 0.0, 100.0, 10)
@@ -352,7 +364,7 @@ def test_timescales_sweep_and_verdict_share_every_number(tmp_path, capsys, shift
     )
     shared = SWEEP_COLUMNS[7:-1]
     statuses = set()
-    for point, row in zip(grid.points(), regime_sweep(grid, shifts=shifts)):
+    for point, row in zip(itertools.product(*grid.axes), regime_sweep(grid, shifts=shifts)):
         gamma, epsilon, Delta, Omega, phi, omega_L, n = point
         bath = SqueezedVacuumParams(gamma, epsilon, phi, omega_L)
         drive = DriveParams(Omega, Delta)

@@ -1,10 +1,13 @@
 """Tests for weak-measurement survival, decay times and the discrete-bath model."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
@@ -16,6 +19,7 @@ from squeezedzeno import (
     OutOfWindowError,
     ResourceLimitError,
     SqueezedVacuumParams,
+    SqueezedZenoError,
     SqueezingShifts,
     davies_amplitude,
     davies_max_deviation,
@@ -35,18 +39,19 @@ from squeezedzeno.weakmeas import _davies_spectrum
 
 def test_schedule_constructors():
     sched = MeasurementSchedule.from_carrier(10.0, 100)
-    assert sched.tau_M == 0.1
     assert sched.window == pytest.approx(10.0, rel=1e-15)
-    sched2 = MeasurementSchedule(1.0, 3.0, 8)
-    assert sched2.tau_M == 0.25
+    sched2 = MeasurementSchedule(1.0, 3.0)
     assert sched2.t_i == 1.0 and sched2.t_f == 3.0
 
 
 def test_schedule_validation():
     with pytest.raises(InvalidParamsError):
-        MeasurementSchedule(t_i=0.0, t_f=1.0, n=0)
+        MeasurementSchedule.from_carrier(10.0, 0)
     with pytest.raises(InvalidParamsError):
-        MeasurementSchedule(1.0, 1.0, 4)
+        MeasurementSchedule(1.0, 1.0)
+    # both ends finite, but the window overflows to inf
+    with pytest.raises(InvalidParamsError, match="t_f - t_i must be finite"):
+        MeasurementSchedule(-1e308, 1e308)
     with pytest.raises(InvalidParamsError):
         MeasurementSchedule.from_carrier(0.0, 4)
     # a non-finite carrier is named, not the tau_M derived from it
@@ -56,13 +61,13 @@ def test_schedule_validation():
 
 
 def test_survival_endpoints_are_exact():
-    sched = MeasurementSchedule(0.5, 2.5, 10)
+    sched = MeasurementSchedule(0.5, 2.5)
     assert weak_survival(2.0, sched, 0.5) == 1.0
     assert weak_survival(2.0, sched, 2.5) == 0.0
 
 
 def test_survival_frozen_midpoint_and_monotonicity():
-    sched = MeasurementSchedule(0.0, 1.0, 10)
+    sched = MeasurementSchedule(0.0, 1.0)
     assert weak_survival(1.0, sched, 0.5) == pytest.approx(
         0.3775406687981454, rel=1e-15
     )
@@ -71,8 +76,15 @@ def test_survival_frozen_midpoint_and_monotonicity():
     assert np.all(np.diff(p) < 0.0)
 
 
+def test_survival_where_gamma_t_underflows():
+    # 1 - e^{-Gamma T} is subnormal here, too coarse to divide by; the Gamma -> 0
+    # limit (t_f - t) / T is exact to the last bit
+    assert weak_survival(5e-324, MeasurementSchedule(0.0, 0.1), 0.05) == 0.5
+    assert weak_survival(1e-310, MeasurementSchedule(0.0, 1.0), 0.25) == 0.75
+
+
 def test_survival_outside_window_raises():
-    sched = MeasurementSchedule(0.0, 1.0, 10)
+    sched = MeasurementSchedule(0.0, 1.0)
     with pytest.raises(OutOfWindowError):
         weak_survival(1.0, sched, -0.01)
     with pytest.raises(OutOfWindowError):
@@ -80,7 +92,7 @@ def test_survival_outside_window_raises():
 
 
 def test_decay_time_closed_form_matches_quadrature():
-    sched = MeasurementSchedule(0.0, 2.0, 10)
+    sched = MeasurementSchedule(0.0, 2.0)
     tau = decay_time_exact(1.0, sched)
     assert tau == pytest.approx(0.6869647145006688, rel=1e-15)
     integral, _ = quad(lambda t: weak_survival(1.0, sched, t), 0.0, 2.0)
@@ -90,7 +102,7 @@ def test_decay_time_closed_form_matches_quadrature():
 def test_decay_time_series_branch():
     # below the branch threshold the series must agree with the closed
     # form where the latter is still well conditioned
-    sched = MeasurementSchedule(0.0, 1.0, 4)
+    sched = MeasurementSchedule(0.0, 1.0)
     g = 0.2
     closed = 1.0 / g - 1.0 / math.expm1(g)
     assert decay_time_exact(g, sched) == pytest.approx(closed, rel=1e-12)
@@ -112,10 +124,13 @@ def test_decay_time_large_rate_limit():
     for gamma in (3.0, 70.0, 70.9):
         assert decay_time_exact(gamma, sched) == 1.0 / gamma - 10.0 / math.expm1(gamma * 10.0)
     assert decay_time_exact(70.0, sched) == 0.014285714285714285
+    # the limit holds however long the window is
+    for T in (1e300, 1e307, 1e308):
+        assert decay_time_exact(1.0, MeasurementSchedule(0.0, T)) == 1.0
 
 
 def test_decay_time_zero_rate_limit():
-    sched = MeasurementSchedule(0.0, 3.0, 6)
+    sched = MeasurementSchedule(0.0, 3.0)
     assert decay_time_exact(0.0, sched) == pytest.approx(1.5, rel=1e-15)
 
 
@@ -172,8 +187,8 @@ _DAVIES = DaviesModel(1.0, 10, 0.1)
 _NONFINITE_CASES = {
     "davies_R_inf": lambda: DaviesModel(1.0, math.inf, 0.1),
     "davies_R_nan": lambda: DaviesModel(1.0, math.nan, 0.1),
-    "schedule_n_nan": lambda: MeasurementSchedule(0.0, 1.0, math.nan),
-    "schedule_n_0": lambda: MeasurementSchedule(0.0, 1.0, 0),
+    "schedule_n_nan": lambda: MeasurementSchedule.from_carrier(1.0, math.nan),
+    "schedule_n_0": lambda: MeasurementSchedule.from_carrier(1.0, 0),
     "timescale_ratio_n_0": lambda: timescale_ratio(
         effective_coefficients(_BATH, _DRIVE), 100.0, 0
     ),
@@ -205,6 +220,64 @@ def test_nonfinite_and_nonpositive_counts_are_invalid_params(call):
     # or to return nan or 0.0 without complaint
     with pytest.raises(InvalidParamsError):
         call()
+
+
+_EDGES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-10, 1.0, 1e300, 1e308,
+          1.7976931348623157e308)
+_FINITE = st.one_of(st.sampled_from(_EDGES + tuple(-e for e in _EDGES)),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _or_none(fn, *args):
+    """fn(*args), or None where it raises a library error."""
+    try:
+        return fn(*args)
+    except SqueezedZenoError:
+        return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(Gamma=_FINITE, t_i=_FINITE, t_f=_FINITE, t=_FINITE, u=st.floats(0.0, 1.0),
+       omega_L=_FINITE, n=st.one_of(st.sampled_from((1, 10**308)), st.integers(1, 10**6)))
+# edges: a window of 1e308 past Gamma T = 709, a subnormal 1 - e^{-Gamma T} (twice),
+# a window that overflows, and a subnormal Gamma whose inverse overflows at Gamma T = 0.5
+@example(Gamma=1.0, t_i=0.0, t_f=1e308, t=0.0, u=0.5, omega_L=1.0, n=1)
+@example(Gamma=5e-324, t_i=0.0, t_f=0.1, t=0.05, u=0.5, omega_L=1.0, n=1)
+@example(Gamma=1e-310, t_i=0.0, t_f=1.0, t=0.25, u=0.5, omega_L=1.0, n=1)
+@example(Gamma=1.0, t_i=-1e308, t_f=1e308, t=0.0, u=0.5, omega_L=1.0, n=1)
+@example(Gamma=5e-309, t_i=-1e308, t_f=0.0, t=-1.0, u=0.5, omega_L=1.0, n=1)
+def test_weak_measurement_layer_raises_or_stays_bounded(Gamma, t_i, t_f, t, u, omega_L, n):
+    # each call raises a library error or returns a finite value: 0 <= P_w <= 1,
+    # P_w falls with t inside the band e^{-Gamma (t - t_i)} (t_f - t)/T .. (t_f - t)/T
+    # that convexity gives it, and 0 <= tau <= min(T/2, 1/Gamma); tau_approx, which
+    # overflows where 1/(Gamma + 2 omega_L/n) does, is at most 1/Gamma
+    approx = _or_none(decay_time_approx, Gamma, omega_L, n)
+    assert approx is None or 0.0 <= approx <= (1.0 / Gamma if Gamma > 0.0 else math.inf)
+    for sched in (_or_none(MeasurementSchedule, t_i, t_f),
+                  _or_none(MeasurementSchedule.from_carrier, omega_L, n, t_i)):
+        if sched is None:
+            continue
+        T = sched.window
+        assert 0.0 < T < math.inf
+        tau = _or_none(decay_time_exact, Gamma, sched)
+        if tau is not None:
+            cap = T / 2.0 if Gamma == 0.0 else min(T / 2.0, 1.0 / Gamma)
+            assert 0.0 <= tau <= cap * (1.0 + 4.0 * sys.float_info.epsilon)
+        if not Gamma > 0.0:
+            continue
+        assert weak_survival(Gamma, sched, sched.t_i) == 1.0
+        assert weak_survival(Gamma, sched, sched.t_f) == 0.0
+        probs = []
+        for s in sorted({sched.t_i, min(sched.t_f, sched.t_i + u * T), t, sched.t_f}):
+            p = _or_none(weak_survival, Gamma, sched, s)
+            if p is None:
+                continue
+            linear = (sched.t_f - s) / T
+            assert 0.0 <= p <= 1.0
+            assert math.exp(-Gamma * (s - sched.t_i)) * linear - 2**-50 <= p <= linear + 2**-50
+            probs.append(p)
+        assert probs == sorted(probs, reverse=True)
+
 
 
 def test_davies_amplitude_initial_value_and_unitarity():
