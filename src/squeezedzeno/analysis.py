@@ -66,6 +66,7 @@ from .errors import (
     SingularDenominatorError,
     SqueezedZenoError,
     TangentSingularityError,
+    require_carrier,
     require_finite,
     require_positive_int,
 )
@@ -89,20 +90,17 @@ def timescale_ratio(
     [Gamma_dec + 2 omega_L/n] / [Gamma_pop + 2 omega_L/n]; mode="paper"
     evaluates the printed reduction
     1/2 + (2 gamma Re M~ + omega_L/n) / (Gamma_pop + 2 omega_L/n),
-    which doubles the Re M~ contribution.  omega_L must be finite and
-    >= 0, and SingularDenominatorError marks Gamma_pop + 2 omega_L/n = 0.
+    which doubles the Re M~ contribution.  omega_L is checked as in
+    decay_time_approx, and SingularDenominatorError marks Gamma_pop + 2 omega_L/n = 0.
     """
     _check_mode(mode)
-    g = coeffs.gamma
-    if require_finite("omega_L", omega_L) < 0.0:
-        raise InvalidParamsError(f"omega_L must be >= 0, got {omega_L}")
-    meas = omega_L / require_positive_int("n", n)
-    denom = g * (1.0 + 2.0 * coeffs.n_tilde) + 2.0 * meas
+    meas = require_carrier(omega_L, zero=True) / require_positive_int("n", n)
+    denom = population_decay_rate(coeffs) + 2.0 * meas
     if denom == 0.0:
         raise SingularDenominatorError("Gamma_pop + 2 omega_L/n is zero")
     if mode == "derived":
         return (quadrature_decay_rate(coeffs) + 2.0 * meas) / denom
-    return 0.5 + (2.0 * g * coeffs.m_tilde.real + meas) / denom
+    return 0.5 + (2.0 * coeffs.gamma * coeffs.m_tilde.real + meas) / denom
 
 
 def sustainable_condition(coeffs: EffectiveCoefficients, mode: str = "derived") -> bool:
@@ -378,7 +376,7 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
         g_dec = gamma * (0.5 + n_tilde + m_re)
         g_pop = gamma * (1.0 + 2.0 * n_tilde)
         meas = omega_L / n
-        denom = gamma * (1.0 + 2.0 * n_tilde) + 2.0 * meas
+        denom = g_pop + 2.0 * meas
         # the angular reduction.  Its denominator is 1 + 2 n1 + 6 t with
         # t = n_tilde - n1 = (1 - dt^2) Re Upsilon / 2, and it is never singular
         # where a point is reported: Re Upsilon > -2 gamma epsilon / (gamma +

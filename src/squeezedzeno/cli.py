@@ -81,7 +81,7 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
     drive = cfg.drive()
     try:
         verdict = evaluate_regime(
-            bath, drive, cfg.n_measurements, shifts=cfg.data["shifts"]
+            bath, drive, cfg.data["schedule"]["n"], shifts=cfg.data["shifts"]
         )
         if verdict.errors:
             raise verdict.errors[0][1]
@@ -89,7 +89,7 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         return cfg.render(error), 2
     result = verdict.report()
-    if cfg.format == "json":
+    if cfg.data["format"] == "json":
         return cfg.render(result), 0
     return cfg.render([[value] for value in result.values()], tuple(result)), 0
 
@@ -134,7 +134,7 @@ def _rate_comparisons(cfg: RunConfig) -> list[dict]:
 
 def cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
     """Discrete-bath convergence table plus rate-fit cross-checks."""
-    if cfg.format == "csv":
+    if cfg.data["format"] == "csv":
         raise ConfigError("the oracle report is structured; use --format json")
     rates = _rate_comparisons(cfg)  # first, so a bad bath or drive fails before any solve
     o = cfg.data["oracle"]
@@ -217,10 +217,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_threads(args.threads)
         # looked up at call time, so a command rebound on this module is the one that runs
         content, code = globals()[f"cmd_{args.command}"](cfg)
-        if cfg.out is None:
+        if cfg.data["out"] is None:
             sys.stdout.write(content)
         else:
-            Path(cfg.out).write_text(content)
+            Path(cfg.data["out"]).write_text(content)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -232,7 +232,7 @@ def _overlay(defaults: Any, doc: Any, override: Any) -> Any:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    value = _float(value, path)
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
     return value
@@ -243,7 +243,16 @@ def _as_int(value: Any, path: str) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    _float(value, path)
     return int(value)
+
+
+def _float(value: Any, path: str) -> float:
+    """float(value), refused for an integer that no float can hold (too long to print)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must lie within the float range (about 1.8e308)") from None
 
 
 def _normalize_axis(value: Any, path: str, default: Any) -> list:
@@ -360,8 +369,10 @@ class RunConfig:
         raw: dict = {}
         if path is not None:
             # the parse failures; matched when raised, so YAMLError joins once yaml is
-            # imported (YAML files only); a too-deep document raises RecursionError
-            errors: tuple = (UnicodeDecodeError, RecursionError, json.JSONDecodeError)
+            # imported (YAML files only).  ValueError covers UnicodeDecodeError,
+            # json.JSONDecodeError and an integer past the parser's digit limit; a
+            # too-deep document raises RecursionError
+            errors: tuple = (ValueError, RecursionError)
             try:
                 text = Path(path).read_text(encoding="utf-8")
                 if str(path).endswith(".json") or text.lstrip().startswith("{"):
@@ -397,7 +408,7 @@ class RunConfig:
         tool = f"squeezedzeno {__version__}"
         # the output path is where the result goes, not part of what it is
         config = {k: v for k, v in self.data.items() if k != "out"}
-        if columns is not None and self.format == "csv":
+        if columns is not None and self.data["format"] == "csv":
             # chain, not a tuple display, so zip reuses one row tuple throughout
             rows = chain([_column(columns, cell=True)],
                          zip(*(_column(column, cell=True) for column in result)))
@@ -431,18 +442,6 @@ class RunConfig:
 
     def initial_state(self) -> BlochState:
         return _INITIAL_STATES[self.data["evolve"]["initial"]]()
-
-    @property
-    def n_measurements(self) -> int:
-        return self.data["schedule"]["n"]
-
-    @property
-    def out(self) -> str | None:
-        return self.data["out"]
-
-    @property
-    def format(self) -> str:
-        return self.data["format"]
 
     def sweep_grid(self) -> SweepGrid:
         return self._record("sweep", SweepGrid)

@@ -10,6 +10,7 @@ point of the library.
 from __future__ import annotations
 
 import math
+import sys
 
 
 class SqueezedZenoError(Exception):
@@ -58,7 +59,11 @@ class ConfigError(SqueezedZenoError, ValueError):
 
 def require_finite(name: str, value) -> float:
     """value as a float; InvalidParamsError unless it is finite."""
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range, whose text may not print
+        raise InvalidParamsError(f"{name} must be finite, got an integer past "
+                                 "the float range") from None
     if not math.isfinite(value):
         raise InvalidParamsError(f"{name} must be finite, got {value!r}")
     return value
@@ -73,8 +78,28 @@ def require_finite_fields(record, *names: str) -> None:
 def require_positive_int(name: str, value) -> int:
     """value as an int; InvalidParamsError unless it is an integer >= 1.
 
-    Integral floats pass; inf and nan are rejected rather than overflowing.
+    Integral floats pass; inf, nan and integers past the float range are rejected
+    rather than overflowing.
     """
-    if not (math.isfinite(value) and value >= 1 and int(value) == value):
-        raise InvalidParamsError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    try:
+        if math.isfinite(value) and value >= 1 and int(value) == value:
+            return int(value)
+    except OverflowError:  # an integer past the float range, whose text may not print
+        raise InvalidParamsError(f"{name} must be a positive integer below about 1.8e308") from None
+    raise InvalidParamsError(f"{name} must be a positive integer, got {value!r}")
+
+
+# the largest carrier frequency for which the measurement rate 2 omega_L / n is finite
+MAX_OMEGA_L = sys.float_info.max / 2
+
+
+def require_carrier(omega_L, *, zero: bool = False) -> float:
+    """omega_L as a float; InvalidParamsError unless it is finite, > 0 (>= 0 with
+    zero) and at most MAX_OMEGA_L."""
+    omega_L = require_finite("omega_L", omega_L)
+    if not (omega_L >= 0.0 if zero else omega_L > 0.0):
+        raise InvalidParamsError(f"omega_L must be {'>=' if zero else '>'} 0, got {omega_L}")
+    if omega_L > MAX_OMEGA_L:
+        raise InvalidParamsError(f"omega_L must be <= {MAX_OMEGA_L!r} so that 2 omega_L / n "
+                                 f"is finite, got {omega_L!r}")
+    return omega_L

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import InvalidParamsError, require_finite_fields
+from .errors import InvalidParamsError, require_carrier, require_finite_fields
 
 FloatOrArray = Union[float, NDArray[np.float64]]
 
@@ -46,7 +46,8 @@ class SqueezedVacuumParams:
     phi:
         Squeezing phase in radians.
     omega_L:
-        Carrier (driving laser) frequency, > 0.
+        Carrier (driving laser) frequency, > 0 and at most errors.MAX_OMEGA_L
+        (half the largest float), so that the measurement rate 2 omega_L / n is finite.
     """
 
     gamma: float
@@ -65,8 +66,7 @@ class SqueezedVacuumParams:
                 f"epsilon must satisfy epsilon < gamma (below threshold), "
                 f"got epsilon={self.epsilon}, gamma={self.gamma}"
             )
-        if self.omega_L <= 0.0:
-            raise InvalidParamsError(f"omega_L must be > 0, got {self.omega_L}")
+        require_carrier(self.omega_L)
         # N and |M| divide by lambda^2 mu^2, so lambda^4 must be finite and mu^4 normal
         lam2, mu2 = self.lam * self.lam, self.mu * self.mu  # * gives inf where ** raises
         if not (lam2 * lam2 < math.inf and mu2 * mu2 >= sys.float_info.min):
@@ -91,11 +91,14 @@ def spectral_n(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     N is even in x = omega - omega_L, maximal at x = 0, nonnegative,
     and falls off as 1/x^4.
     """
+    return _at_offsets(_n_at, params, omega)
+
+
+def _at_offsets(profile, params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
+    """profile at the carrier offsets of omega: a float for a scalar omega, else an array."""
     x = np.asarray(omega, dtype=float) - params.omega_L
-    value = _n_at(x, params.lam ** 2, params.mu ** 2)
-    if np.ndim(omega) == 0:
-        return float(value)
-    return value
+    value = profile(x, params.lam ** 2, params.mu ** 2)
+    return float(value) if np.ndim(omega) == 0 else value
 
 
 def _n_at(x, lam2, mu2):
@@ -114,11 +117,7 @@ def _n_at(x, lam2, mu2):
 
 def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     """Magnitude |M(omega)| of the anomalous correlator."""
-    x = np.asarray(omega, dtype=float) - params.omega_L
-    value = _m_abs_at(x, params.lam ** 2, params.mu ** 2)
-    if np.ndim(omega) == 0:
-        return float(value)
-    return value
+    return _at_offsets(_m_abs_at, params, omega)
 
 
 def _m_abs_at(x, lam2, mu2):

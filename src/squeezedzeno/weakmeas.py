@@ -52,6 +52,7 @@ from .errors import (
     InvalidParamsError,
     OutOfWindowError,
     ResourceLimitError,
+    require_carrier,
     require_finite,
     require_finite_fields,
     require_positive_int,
@@ -89,8 +90,7 @@ class MeasurementSchedule:
         cls, omega_L: float, n: int, t_i: float = 0.0
     ) -> "MeasurementSchedule":
         """Window of n intervals tau_M = 1/omega_L: t_f = t_i + n/omega_L."""
-        if require_finite("omega_L", omega_L) <= 0.0:
-            raise InvalidParamsError(f"omega_L must be > 0, got {omega_L}")
+        omega_L = require_carrier(omega_L)
         return cls(t_i=t_i, t_f=t_i + require_positive_int("n", n) * (1.0 / omega_L))
 
 
@@ -154,16 +154,20 @@ def decay_time_approx(Gamma: float, omega_L: float, n: int) -> float:
 
     The 2 omega_L / n term is the measurement-induced broadening for n
     probes spaced by 1/omega_L; it matches the exact integral only to
-    leading order in Gamma T (about 20 percent off by Gamma T = 1).
+    leading order in Gamma T (about 20 percent off by Gamma T = 1).  omega_L is
+    checked by errors.require_carrier (0 allowed), and where the sum or its
+    inverse leaves the float range InvalidParamsError is raised.
     """
     if require_finite("Gamma", Gamma) < 0.0:
         raise InvalidParamsError(f"Gamma must be >= 0, got {Gamma}")
-    if require_finite("omega_L", omega_L) < 0.0:
-        raise InvalidParamsError(f"omega_L must be >= 0, got {omega_L}")
-    total = Gamma + 2.0 * omega_L / require_positive_int("n", n)
+    total = Gamma + 2.0 * require_carrier(omega_L, zero=True) / require_positive_int("n", n)
     if total <= 0.0:
         raise InvalidParamsError("Gamma and omega_L cannot both be zero")
-    return 1.0 / total
+    tau = 1.0 / total
+    if not 0.0 < tau < math.inf:
+        raise InvalidParamsError(f"1/(Gamma + 2 omega_L/n) is past the float range, "
+                                 f"Gamma + 2 omega_L/n = {total!r}")
+    return tau
 
 
 @dataclass(frozen=True)

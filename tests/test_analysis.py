@@ -18,6 +18,7 @@ from squeezedzeno import (
     SqueezingShifts,
     SweepGrid,
     TangentSingularityError,
+    UnphysicalCoefficientsError,
     angular_condition,
     angular_theta,
     effective_coefficients,
@@ -67,7 +68,9 @@ def test_ratio_rejects_what_decay_time_approx_rejects():
     with pytest.raises(SingularDenominatorError):
         timescale_ratio(singular, 0.0, 1)
     coeffs = EffectiveCoefficients(1.0, 0.1, 0j, 0.0, 0j)
-    for bad, message in ((math.nan, "omega_L must be finite"), (-5.0, "omega_L must be >= 0")):
+    # past max float / 2 the measurement rate 2 omega_L/n overflows (this ratio was nan)
+    for bad, message in ((math.nan, "omega_L must be finite"), (-5.0, "omega_L must be >= 0"),
+                         (1e308, "omega_L must be <= ")):
         with pytest.raises(InvalidParamsError, match=message):
             timescale_ratio(coeffs, bad, 1)
 
@@ -160,6 +163,18 @@ def test_angular_flips_against_paper_for_negative_denominator():
     coeffs = effective_coefficients(bath, drive, shifts, validate=False)
     _, angular_holds = angular_condition(bath, drive, shifts)
     assert angular_holds != sustainable_condition(coeffs, "paper")
+
+
+def test_angular_denominator_can_be_exactly_zero_where_n_tilde_is_negative():
+    # the singular angular reduction: reachable by a direct call only, since N~ < 0
+    # there and every other entry point refuses the point first
+    bath = SqueezedVacuumParams(1.0, 0.3020310004953576, 0.0, 100.0)
+    drive = DriveParams(5.0, 0.0)
+    shifts = SqueezingShifts.asymptotic(bath, drive)
+    with pytest.raises(SingularDenominatorError, match="denominator is 0;"):
+        angular_condition(bath, drive, shifts)
+    with pytest.raises(UnphysicalCoefficientsError):
+        effective_coefficients(bath, drive, shifts)
 
 
 def test_angular_denominator_is_bounded_where_n_tilde_is_nonnegative():

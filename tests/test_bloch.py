@@ -372,11 +372,21 @@ def test_matrix_exponential_matches_scipy_reference(case):
         pytest.param({"n_samples": float("nan")}, id="nan-samples"),
         pytest.param({"n_samples": float("inf")}, id="inf-samples"),
         pytest.param({"n_samples": 2.7}, id="fractional-samples"),
+        pytest.param({"t_span": (1.0, 0.0)}, id="end-before-start"),
     ],
 )
 def test_evolve_rejects_bad_sample_grid(grid):
     with pytest.raises(InvalidParamsError):
         evolve(BlochState.excited(), COEFFS, DRIVE, **{"t_span": (0.0, 1.0), **grid})
+
+
+@pytest.mark.parametrize("initial, method, message", [
+    ((0.0, 0.0, 1.0), "superoperator", "initial must be a BlochState, got tuple"),
+    (BlochState.excited(), "rk4", "unknown method 'rk4'"),
+])
+def test_evolve_rejects_bad_initial_state_and_method(initial, method, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        evolve(initial, COEFFS, DRIVE, (0.0, 1.0), method=method)
 
 
 # imports the CLI, runs main on argv (if any), prints the exit code and the
@@ -432,6 +442,13 @@ def test_fit_exponential_rejects_flat_data():
     t = np.linspace(0.0, 1.0, 50)
     with pytest.raises(DegenerateFitError):
         fit_exponential(t, np.full_like(t, 0.7))
+
+
+@pytest.mark.parametrize("t, y", [(np.arange(3.0), np.ones(3)), (np.arange(5.0), np.ones(4))],
+                         ids=["three-samples", "mismatched"])
+def test_fit_exponential_needs_four_matching_samples(t, y):
+    with pytest.raises(InvalidParamsError, match="need at least 4 matching samples"):
+        fit_exponential(t, y)
 
 
 @pytest.mark.parametrize("where", ["t", "y"])

@@ -143,14 +143,31 @@ def test_malformed_file_raises(tmp_path):
         ("c.cfg", b"\xff\xfe{bad"),  # not UTF-8
         ("c.json", b"[" * 100_000 + b"]" * 100_000),  # too deep to decode
         ("c.yaml", b"bath: [1, 2"),  # malformed YAML
+        # an integer past Python's 4300-digit parse limit, in either format
+        ("c.json", b'{"schedule": {"n": 1' + b"0" * 5000 + b"}}"),
+        ("c.yaml", b"schedule: {n: 1" + b"0" * 5000 + b"}"),
     ],
-    ids=["undecodable", "too-deep", "malformed-yaml"],
+    ids=["undecodable", "too-deep", "malformed-yaml", "json-digit-limit", "yaml-digit-limit"],
 )
 def test_unparsable_config_file_exits_1(tmp_path, capsys, name, content):
     path = tmp_path / name
     path.write_bytes(content)
     assert main(["timescales", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot parse config file {path}: ")
+
+
+# a 401-digit integer, past the float range, at each count and one real
+@pytest.mark.parametrize("command, key", [
+    ("timescales", "schedule.n"), ("sweep", "sweep.n"), ("evolve", "evolve.samples"),
+    ("oracle", "oracle.samples"), ("spectrum", "spectrum.points"), ("spectrum", "bath.gamma"),
+])
+def test_cli_integer_past_the_float_range_exits_1(tmp_path, capsys, command, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_nested(key, 10**400)))
+    assert main([command, "--format", "json", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key}: must lie within the float range (about 1.8e308)\n"
 
 
 def test_value_validation(tmp_path, capsys):
@@ -295,6 +312,8 @@ def test_canonical_json_formatting():
     nested = canonical_json({"z": 1, "a": 2})
     # key order is preserved, not sorted: the resolved config is already canonical
     assert nested == '{"z":1,"a":2}'
+    with pytest.raises(ConfigError, match="cannot serialize value of type object"):
+        canonical_json({"a": [object()]})
 
 
 # value, its JSON text, its CSV cell
@@ -608,6 +627,40 @@ def test_cli_bath_outside_the_float_range_exits_1(tmp_path, capsys, command, bat
     assert captured.out == ""
     assert re.fullmatch(r"error: bath: gamma \+/- epsilon must lie between about 1e-77 and "
                         r"1e77, got [^\n]+\n", captured.err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "timescales", "oracle"])
+def test_cli_carrier_past_half_the_float_range_exits_1(tmp_path, capsys, command):
+    # 2 omega_L / n overflowed: timescales exited 0 with taus of 0 and a null ratio
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"bath": {"omega_L": 1e308}, "schedule": {"n": 1}}))
+    assert main([command, "--format", "json", "--config", str(cfgp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bath: omega_L must be <= 8.988465674311579e+307 so that "
+                            "2 omega_L / n is finite, got 1e+308\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_sweep_skips_a_carrier_past_half_the_float_range(tmp_path, capsys):
+    # both rows were ok, with taus of 0 and ratio_derived nan at n = 1
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"sweep": {"omega_L": [1e308], "n": [1, 3]}}))
+    assert main(["sweep", "--config", str(cfgp)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()[3:]))
+    assert [row[-1].startswith("skipped: omega_L must be <= ") for row in rows[1:]] == [True] * 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_carrier_at_half_the_float_range_is_accepted(tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"bath": {"omega_L": sys.float_info.max / 2},
+                                "schedule": {"n": 1}}))
+    assert main(["timescales", "--format", "json", "--config", str(cfgp)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert 0.0 < result["tau_dec"] < math.inf and 0.0 < result["tau_zeno"] < math.inf
+    assert result["ratio_derived"] == result["ratio_paper"] == 1.0
 
 
 @pytest.mark.filterwarnings("error")

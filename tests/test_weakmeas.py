@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from squeezedzeno import (
     DaviesModel,
     DriveParams,
+    EffectiveCoefficients,
     InvalidParamsError,
     MeasurementSchedule,
     OutOfWindowError,
@@ -35,6 +36,7 @@ from squeezedzeno import (
 import squeezedzeno.weakmeas as weakmeas
 from squeezedzeno.cli import cmd_oracle
 from squeezedzeno.config import RunConfig
+from squeezedzeno.errors import require_finite, require_positive_int
 from squeezedzeno.weakmeas import _davies_spectrum
 
 def test_schedule_constructors():
@@ -211,6 +213,22 @@ _NONFINITE_CASES = {
     "davies_max_deviation_samples_0": lambda: davies_max_deviation(_DAVIES, 0),
     "davies_max_deviation_samples_nan": lambda: davies_max_deviation(_DAVIES, math.nan),
     "davies_max_deviation_samples_inf": lambda: davies_max_deviation(_DAVIES, math.inf),
+    "weak_survival_Gamma_0": lambda: weak_survival(0.0, _SCHED, 0.05),
+    # integers past the float range, which float() and math.isfinite overflow on
+    "require_finite_10**400": lambda: require_finite("x", 10**400),
+    "require_positive_int_10**400": lambda: require_positive_int("n", 10**400),
+    "schedule_n_10**400": lambda: MeasurementSchedule.from_carrier(1.0, 10**400),
+    "decay_time_approx_n_10**400": lambda: decay_time_approx(1.0, 1.0, 10**400),
+    "timescale_ratio_n_10**400": lambda: timescale_ratio(
+        effective_coefficients(_BATH, _DRIVE), 100.0, 10**400
+    ),
+    # a measurement rate 2 omega_L / n past the float range
+    "bath_omega_L_1e308": lambda: SqueezedVacuumParams(1.0, 0.5, math.pi, 1e308),
+    "decay_time_approx_omega_L_1e308": lambda: decay_time_approx(1.0, 1e308, 1),
+    # 1 / (Gamma + 2 omega_L / n) past the float range
+    "decay_time_approx_sum_subnormal": lambda: decay_time_approx(0.0, 5e-324, 1),
+    "decay_time_approx_Gamma_subnormal": lambda: decay_time_approx(1e-320, 0.0, 1),
+    "decay_time_approx_sum_overflows": lambda: decay_time_approx(1.7e308, 8.9e307, 1),
 }
 
 
@@ -228,6 +246,10 @@ _FINITE = st.one_of(st.sampled_from(_EDGES + tuple(-e for e in _EDGES)),
                     st.floats(allow_nan=False, allow_infinity=False))
 
 
+# Gamma_dec = 0.6 and Gamma_pop = 1.2 at gamma = 1
+_RATIO_COEFFS = EffectiveCoefficients(1.0, 0.1, 0j, 0.0, 0j)
+
+
 def _or_none(fn, *args):
     """fn(*args), or None where it raises a library error."""
     try:
@@ -238,7 +260,8 @@ def _or_none(fn, *args):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(Gamma=_FINITE, t_i=_FINITE, t_f=_FINITE, t=_FINITE, u=st.floats(0.0, 1.0),
-       omega_L=_FINITE, n=st.one_of(st.sampled_from((1, 10**308)), st.integers(1, 10**6)))
+       omega_L=_FINITE, n=st.one_of(st.sampled_from((1, 10**308, 10**400)),
+                                    st.integers(1, 10**6)))
 # edges: a window of 1e308 past Gamma T = 709, a subnormal 1 - e^{-Gamma T} (twice),
 # a window that overflows, and a subnormal Gamma whose inverse overflows at Gamma T = 0.5
 @example(Gamma=1.0, t_i=0.0, t_f=1e308, t=0.0, u=0.5, omega_L=1.0, n=1)
@@ -246,13 +269,22 @@ def _or_none(fn, *args):
 @example(Gamma=1e-310, t_i=0.0, t_f=1.0, t=0.25, u=0.5, omega_L=1.0, n=1)
 @example(Gamma=1.0, t_i=-1e308, t_f=1e308, t=0.0, u=0.5, omega_L=1.0, n=1)
 @example(Gamma=5e-309, t_i=-1e308, t_f=0.0, t=-1.0, u=0.5, omega_L=1.0, n=1)
+# 2 omega_L / n past the float range (tau_approx was 0.0 and the derived ratio nan),
+# and 1 / (Gamma + 2 omega_L / n) past it through either term (tau_approx was inf)
+@example(Gamma=1.0, t_i=0.0, t_f=1.0, t=0.0, u=0.5, omega_L=1e308, n=1)
+@example(Gamma=0.0, t_i=0.0, t_f=1.0, t=0.0, u=0.5, omega_L=5e-324, n=1)
+@example(Gamma=1e-320, t_i=0.0, t_f=1.0, t=0.0, u=0.5, omega_L=0.0, n=1)
 def test_weak_measurement_layer_raises_or_stays_bounded(Gamma, t_i, t_f, t, u, omega_L, n):
     # each call raises a library error or returns a finite value: 0 <= P_w <= 1,
     # P_w falls with t inside the band e^{-Gamma (t - t_i)} (t_f - t)/T .. (t_f - t)/T
-    # that convexity gives it, and 0 <= tau <= min(T/2, 1/Gamma); tau_approx, which
-    # overflows where 1/(Gamma + 2 omega_L/n) does, is at most 1/Gamma
+    # that convexity gives it, 0 <= tau <= min(T/2, 1/Gamma), 0 < tau_approx <= 1/Gamma,
+    # and for Gamma_dec = 0.6 < Gamma_pop = 1.2 both ratios lie in [1/2, 1]
     approx = _or_none(decay_time_approx, Gamma, omega_L, n)
-    assert approx is None or 0.0 <= approx <= (1.0 / Gamma if Gamma > 0.0 else math.inf)
+    assert approx is None or 0.0 < approx <= (1.0 / Gamma if Gamma > 0.0 else math.inf)
+    assert approx is None or math.isfinite(approx)
+    for mode in ("derived", "paper"):
+        ratio = _or_none(timescale_ratio, _RATIO_COEFFS, omega_L, n, mode)
+        assert ratio is None or 0.5 <= ratio <= 1.0
     for sched in (_or_none(MeasurementSchedule, t_i, t_f),
                   _or_none(MeasurementSchedule.from_carrier, omega_L, n, t_i)):
         if sched is None:
