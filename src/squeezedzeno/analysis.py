@@ -29,9 +29,10 @@ comparison collapses further to the sufficient-condition margin
 
 which is what the grid classifier reports per point.
 
-One array kernel evaluates all of this over a grid's axes at once;
-regime_sweep reads its columns and evaluate_regime is its one-point
-case, so the timescales report and every sweep row share each number.
+One array kernel evaluates all of this over a block of a grid's axes at
+once; regime_sweep runs it one block of rows at a time and evaluate_regime
+is its one-point case, so the timescales report and every sweep row
+share each number.
 Its coefficients come from the array function that effective_coefficients
 and the angular forms evaluate on one point.
 """
@@ -244,7 +245,7 @@ def evaluate_regime(
     singularity is recorded in RegimeVerdict.errors instead of raised.
     """
     grid = SweepGrid(bath.gamma, bath.epsilon, drive.Delta, drive.Omega, bath.phi, bath.omega_L, n)
-    columns, (fault,) = _regime_columns(grid, shifts)
+    columns, (fault,) = _regime_columns(*_regime_inputs(grid, shifts), (1,) * 7)
     if isinstance(fault, Exception):
         raise fault
     return RegimeVerdict(*(column.item(0) for column in columns.values()), fault or ())
@@ -307,6 +308,13 @@ class SweepGrid:
 
 _BATH_AXES, _DRIVE_AXES = (0, 1, 4, 5), (2, 3)
 
+# rows per slab: RunConfig.render formats every table this many rows at a time.
+# A sweep's kernel takes a block of up to _BLOCK_SLABS slabs at a time: each call
+# has a fixed cost of a few hundred numpy calls, and a block's arrays take about
+# 400 bytes a row where formatting a slab takes about 1 300
+SLAB_ROWS = 512
+_BLOCK_SLABS = 8
+
 
 def _along(values, dims: tuple[int, ...], shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """values listed over the product of the axes dims, shaped to broadcast on shape."""
@@ -329,50 +337,79 @@ def _caught(fn, *args):
         return exc.with_traceback(None)
 
 
-def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
-    """Every verdict over the grid at once: the one kernel.
+def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, object]:
+    """What the kernel reads of a grid, formed once per grid.
 
-    The seven axes broadcast in grid order (n fastest), so each quantity
-    is computed once per combination of the axes it depends on, and each
-    distinct bath and drive record is built and validated once.  The
-    coefficients come from coefficients._coefficient_arrays, and the rest
-    repeats the scalar formulas with math functions per element, so every
-    number has the bits of a point-by-point evaluation.  Returns the
-    RegimeVerdict columns as arrays in grid order (float64, or objects
-    for the booleans, None where skipped) and per point None, the
-    exception that skips it, or the ("margin", exception) pair it records.
+    Each axis, and each distinct bath and drive record built and
+    validated once with the quantities taken from it, as arrays that
+    broadcast on the grid's shape (size 1 along the axes they do not
+    depend on), where an invalid record gives NaN and its exception.
+    Returns them by name, and the fixed shifts (None for the asymptotic
+    preset, or the exception that resolving them raised).
     """
     shape = tuple(map(len, grid.axes))
     nan = math.nan
-    gamma, _, Delta, _, phi, omega_L, n = (
-        _along([float(v) for v in axis], (i,), shape) for i, axis in enumerate(grid.axes)
-    )
+    inputs = {name: _along([float(v) for v in grid.axes[i]], (i,), shape)
+              for i, name in ((0, "gamma"), (2, "Delta"), (4, "phi"), (5, "omega_L"), (6, "n"))}
     baths = [_caught(SqueezedVacuumParams, *key)
              for key in itertools.product(*(grid.axes[i] for i in _BATH_AXES))]
-    lam2, mu2, lam, mu, offset = (_along(c, _BATH_AXES, shape) for c in zip(*(
-        (nan,) * 5 if isinstance(b, Exception)
-        else (b.lam ** 2, b.mu ** 2, b.lam, b.mu, _margin_offset(b))
-        for b in baths
+    inputs.update(zip(("lam2", "mu2", "lam", "mu", "offset"), (
+        _along(c, _BATH_AXES, shape) for c in zip(*(
+            (nan,) * 5 if isinstance(b, Exception)
+            else (b.lam ** 2, b.mu ** 2, b.lam, b.mu, _margin_offset(b))
+            for b in baths
+        ))
     )))
     drives = [_caught(DriveParams, Omega, Delta)
               for Delta, Omega in itertools.product(grid.Delta, grid.Omega)]
     tangents = [d if isinstance(d, Exception) else _caught(_tangent_term, d) for d in drives]
-    op, dt, ot, tangent = (_along(c, _DRIVE_AXES, shape) for c in zip(*(
-        (nan,) * 4 if isinstance(d, Exception)
-        else (d.omega_prime, d.delta_tilde, d.omega_tilde, nan if isinstance(t, Exception) else t)
-        for d, t in zip(drives, tangents)
+    inputs.update(zip(("op", "dt", "ot", "tangent"), (
+        _along(c, _DRIVE_AXES, shape) for c in zip(*(
+            (nan,) * 4 if isinstance(d, Exception)
+            else (d.omega_prime, d.delta_tilde, d.omega_tilde,
+                  nan if isinstance(t, Exception) else t)
+            for d, t in zip(drives, tangents)
+        ))
     )))
+    for name, records, dims in (("bath_error", baths, _BATH_AXES),
+                                ("drive_error", drives, _DRIVE_AXES)):
+        inputs[name] = _along([r if isinstance(r, Exception) else None for r in records],
+                              dims, shape, object)
+    inputs["margin_error"] = _along(tangents, _DRIVE_AXES, shape, object)
+    inputs["margin"] = _along([isinstance(t, Exception) for t in tangents],
+                              _DRIVE_AXES, shape, bool)
     phases = [cmath.exp(1j * p) for p in grid.phi]
-    p_re, p_im = (_along(c, (4,), shape) for c in zip(*((p.real, p.imag) for p in phases)))
+    inputs["p_re"], inputs["p_im"] = (_along(c, (4,), shape)
+                                      for c in zip(*((p.real, p.imag) for p in phases)))
     asymptotic = isinstance(shifts, str) and shifts == "asymptotic"
-    fixed = None if asymptotic else _caught(resolve_shifts, shifts, None, None)
+    return inputs, None if asymptotic else _caught(resolve_shifts, shifts, None, None)
+
+
+def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, list]:
+    """Every verdict over a block of the grid at once: the one kernel.
+
+    inputs are _regime_inputs' arrays cut to the block, whose shape is
+    shape, and fixed its fixed shifts.  The seven axes broadcast in grid
+    order (n fastest), so each quantity is computed once per combination
+    of the axes it depends on.  The coefficients come from
+    coefficients._coefficient_arrays, and the rest repeats the scalar
+    formulas with math functions per element, so every number has the
+    bits of a point-by-point evaluation.  Returns the RegimeVerdict
+    columns as arrays in grid order (float64, or objects for the
+    booleans, None where skipped) and per point None, the exception that
+    skips it, or the ("margin", exception) pair it records.
+    """
+    nan = math.nan
+    gamma, Delta, phi, omega_L, n = (inputs[k] for k in ("gamma", "Delta", "phi", "omega_L", "n"))
+    lam2, mu2, lam, mu, offset = (inputs[k] for k in ("lam2", "mu2", "lam", "mu", "offset"))
+    op, dt, ot, tangent = (inputs[k] for k in ("op", "dt", "ot", "tangent"))
 
     with np.errstate(all="ignore"):
         x1 = (omega_L + op) - omega_L
-        delta_N, delta_M = ((0.0, _asymptotic_delta_m(x1, op, lam2, mu2, lam, mu)) if asymptotic
+        delta_N, delta_M = ((0.0, _asymptotic_delta_m(x1, op, lam2, mu2, lam, mu)) if fixed is None
                             else (getattr(fixed, "delta_N", nan), getattr(fixed, "delta_M", nan)))
         n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _ = _coefficient_arrays(
-            gamma, lam2, mu2, x1, Delta, dt, ot, p_re, p_im, delta_N, delta_M)
+            gamma, lam2, mu2, x1, Delta, dt, ot, inputs["p_re"], inputs["p_im"], delta_N, delta_M)
         g_dec = gamma * (0.5 + n_tilde + m_re)
         g_pop = gamma * (1.0 + 2.0 * n_tilde)
         meas = omega_L / n
@@ -408,15 +445,13 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
 
     def skip(mask, values, error=lambda value: value):
         """Skip the points of mask that nothing skipped yet, with error(value)."""
-        new = np.broadcast_to(mask, vshape) & ~skipped
+        new = ~skipped & mask
         faults[new] = [error(v) for v in np.broadcast_to(values, vshape)[new].tolist()]
         skipped[new] = True
 
-    for results, dims in ((baths, _BATH_AXES), (drives, _DRIVE_AXES)):
-        errors = _along([r if isinstance(r, Exception) else None for r in results],
-                        dims, shape, object)
+    for errors in (inputs["bath_error"], inputs["drive_error"]):
         skip(np.not_equal(errors, None), errors)
-    if asymptotic:
+    if fixed is None:
         skip(~np.isfinite(delta_M), delta_M, lambda v: _caught(SqueezingShifts, 0.0, v))
     elif isinstance(fixed, Exception):
         skip(True, np.array(fixed, dtype=object))
@@ -426,16 +461,14 @@ def _regime_columns(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, list]:
     for rate in (g_dec, g_pop):  # the decay times take finite rates only
         skip(~np.isfinite(rate), rate, lambda v: _caught(require_finite, "Gamma", v))
 
-    margin_error = np.broadcast_to(_along(tangents, _DRIVE_AXES, shape, object), vshape)
-    margin = np.broadcast_to(_along([isinstance(t, Exception) for t in tangents],
-                                    _DRIVE_AXES, shape, bool), vshape) & ~skipped
+    margin_error = np.broadcast_to(inputs["margin_error"], vshape)
+    margin = np.broadcast_to(inputs["margin"], vshape) & ~skipped
     for i in zip(*np.nonzero(margin)):
         faults[i] = (("margin", margin_error[i]),)
 
-    report = {}
-    for name, column in columns.items():
-        blank = None if column.dtype == bool else nan
-        report[name] = np.broadcast_to(np.where(skipped, blank, column), shape).ravel()
+    skipped = np.broadcast_to(skipped, shape)  # np.where then gives every column its full shape
+    report = {name: np.where(skipped, None if column.dtype == bool else nan, column).ravel()
+              for name, column in columns.items()}
     return report, np.broadcast_to(faults, shape).ravel().tolist()
 
 
@@ -448,41 +481,87 @@ def _status(fault) -> str:
 
 
 class _SweepTable(Sequence):
-    """The rows of a sweep, held as its columns: one array per SWEEP_COLUMNS
-    entry.  A SweepRow of Python values is built only when a row is read."""
+    """The rows of a sweep in grid order, computed a block at a time.
 
-    def __init__(self, columns: list[np.ndarray]) -> None:
-        self.columns = columns
+    A block is a slab of the grid's leading axes: one index on each axis
+    before its split axis, a run of indices on that axis and every index
+    on the axes after it, which makes consecutive rows, at most
+    _BLOCK_SLABS * SLAB_ROWS of them (the split axis is the first whose
+    trailing axes fit).  blocks() gives each block as its columns, one
+    array per SWEEP_COLUMNS entry; a SweepRow of Python values is built
+    only when a row is read, from the block that holds it, and only the
+    block read last is kept.
+    """
+
+    def __init__(self, grid: SweepGrid, shifts: ShiftSpec) -> None:
+        self._inputs, self._fixed = _regime_inputs(grid, shifts)
+        shape = self._shape = tuple(map(len, grid.axes))
+        self._points = [_along(axis, (i,), shape, None) for i, axis in enumerate(grid.axes)]
+        axis, inner, most = 6, 1, _BLOCK_SLABS * SLAB_ROWS
+        while axis > 0 and inner * shape[axis] <= most:
+            inner *= shape[axis]
+            axis -= 1
+        self._axis = axis
+        self._step = min(shape[axis], most // inner)  # indices of the split axis per block
+        self._rows = self._step * inner  # rows of a whole block
+        self._span = shape[axis] * inner  # rows per index of the axes before the split
+        self._per_span = -(-shape[axis] // self._step)
+        self._last = (None, None)
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return math.prod(self._shape)
+
+    def blocks(self) -> Iterator[list]:
+        """The columns of each block, in grid order."""
+        return map(self._block, range(len(self) // self._span * self._per_span))
+
+    def _block(self, j: int) -> list:
+        if self._last[0] == j:
+            return self._last[1]
+        self._last = (None, None)
+        outer, part = divmod(j, self._per_span)
+        start = part * self._step
+        stop = min(start + self._step, self._shape[self._axis])
+        index = [*(slice(i, i + 1) for i in np.unravel_index(outer, self._shape[:self._axis])),
+                 slice(start, stop)]
+        shape = (1,) * self._axis + (stop - start,) + self._shape[self._axis + 1:]
+
+        def cut(array):
+            """array's part in the block (the axes after the split are whole)."""
+            return array[tuple(s if size > 1 else slice(None)
+                               for s, size in zip(index, array.shape))]
+
+        columns, faults = _regime_columns(
+            {name: cut(a) for name, a in self._inputs.items()}, self._fixed, shape)
+        statuses = {fault: _status(fault) for fault in set(faults)}
+        self._last = (j, [
+            *(np.broadcast_to(cut(p), shape).ravel() for p in self._points),
+            *(columns[name] for name in SWEEP_COLUMNS[7:-1]),
+            np.array(list(map(statuses.get, faults)), dtype=object),
+        ])
+        return self._last[1]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return SweepRow._make(column.item(i) for column in self.columns)
+        outer, offset = divmod(range(len(self))[i], self._span)  # IndexError past either end
+        part, offset = divmod(offset, self._rows)
+        columns = self._block(outer * self._per_span + part)
+        return SweepRow._make(column.item(offset) for column in columns)
 
     def __iter__(self) -> Iterator[SweepRow]:
-        return map(SweepRow._make, zip(*(column.tolist() for column in self.columns)))
+        for columns in self.blocks():
+            yield from map(SweepRow._make, zip(*(column.tolist() for column in columns)))
 
 
 def regime_sweep(grid: SweepGrid, *, shifts: ShiftSpec = "asymptotic") -> Sequence[SweepRow]:
     """Classify every grid point; rows come back in grid order.
 
     shifts is resolved as in evaluate_regime: the asymptotic preset per
-    point, explicit values unchanged everywhere.  The grid goes through
-    the array kernel in one call, and the rows stay its columns until
-    read.  Invalid points are emitted as skipped rows rather than
-    aborting the sweep.
+    point, explicit values unchanged everywhere.  Each bath and drive
+    record is built once, and the array kernel runs one block of the
+    grid at a time when rows are read (see _SweepTable), so a sweep
+    holds one block's columns.  Invalid points are emitted as skipped
+    rows rather than aborting the sweep.
     """
-    columns, faults = _regime_columns(grid, shifts)
-    shape = tuple(map(len, grid.axes))
-    points = (
-        np.broadcast_to(_along(axis, (i,), shape, None), shape).ravel()
-        for i, axis in enumerate(grid.axes)
-    )
-    statuses = {fault: _status(fault) for fault in set(faults)}
-    return _SweepTable([
-        *points, *(columns[name] for name in SWEEP_COLUMNS[7:-1]),
-        np.array(list(map(statuses.get, faults)), dtype=object),
-    ])
+    return _SweepTable(grid, shifts)

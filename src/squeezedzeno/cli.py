@@ -10,7 +10,8 @@ Every output starts with a provenance block: tool version, the fully
 resolved configuration, and a sha256 over the data section.  No
 timestamps are written, so identical inputs give byte-identical files.
 The output format (scalar texts, JSON layout, CSV quoting, provenance)
-lives in config, where RunConfig.render writes every document.  Exit
+lives in config, where RunConfig.render writes every document as chunks
+of bytes, which main writes out one after another.  Exit
 codes: 0 success, 1 usage error, 2 computation error, 3 I/O error.
 """
 
@@ -45,7 +46,7 @@ from .errors import ConfigError, SqueezedZenoError
 from .spectrum import spectral_m, spectral_n
 from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
 
-def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
+def cmd_spectrum(cfg: RunConfig) -> tuple[list[bytes], int]:
     """Tabulate N and M on a frequency grid around the carrier."""
     bath = cfg.bath()
     spec = cfg.data["spectrum"]
@@ -57,7 +58,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
     return cfg.render(table, ("omega", "x", "N", "M_abs", "M_re", "M_im")), 0
 
 
-def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
+def cmd_evolve(cfg: RunConfig) -> tuple[list[bytes], int]:
     """Propagate one trajectory and tabulate it."""
     bath = cfg.bath()
     drive = cfg.drive()
@@ -75,7 +76,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[str, int]:
     return cfg.render(table, ("t", "re_s_minus", "im_s_minus", "s_z", "trace_error")), 0
 
 
-def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
+def cmd_timescales(cfg: RunConfig) -> tuple[list[bytes], int]:
     """Report rates, timescales, ratios, and all conditions for one point."""
     bath = cfg.bath()
     drive = cfg.drive()
@@ -94,10 +95,10 @@ def cmd_timescales(cfg: RunConfig) -> tuple[str, int]:
     return cfg.render([[value] for value in result.values()], tuple(result)), 0
 
 
-def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
+def cmd_sweep(cfg: RunConfig) -> tuple[list[bytes], int]:
     """Classify the configured grid; skipped points stay in the table."""
     table = regime_sweep(cfg.sweep_grid(), shifts=cfg.data["shifts"])
-    return cfg.render(table.columns, SWEEP_COLUMNS), 0
+    return cfg.render(table, SWEEP_COLUMNS), 0
 
 
 def _rate_comparisons(cfg: RunConfig) -> list[dict]:
@@ -132,7 +133,7 @@ def _rate_comparisons(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
+def cmd_oracle(cfg: RunConfig) -> tuple[list[bytes], int]:
     """Discrete-bath convergence table plus rate-fit cross-checks."""
     if cfg.data["format"] == "csv":
         raise ConfigError("the oracle report is structured; use --format json")
@@ -218,9 +219,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # looked up at call time, so a command rebound on this module is the one that runs
         content, code = globals()[f"cmd_{args.command}"](cfg)
         if cfg.data["out"] is None:
-            sys.stdout.write(content)
+            sys.stdout.writelines(chunk.decode("utf-8") for chunk in content)
         else:
-            Path(cfg.data["out"]).write_text(content)
+            with Path(cfg.data["out"]).open("wb") as out:
+                out.writelines(content)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ This module is the one place that decides how output looks: the text
 of each scalar in JSON and in CSV (_column formats a whole column, an
 array in one pass, and _scalar one value), the JSON layout, CSV quoting
 and the provenance header.  RunConfig.render writes every CLI document,
-taking tables as columns; canonical_json is the serializer on its own.
+taking tables as columns and writing them SLAB_ROWS rows at a time as
+chunks of UTF-8 bytes; canonical_json is the serializer on its own.
 Serialization is canonical (fixed key order, 17 significant digits) so
 that parse -> serialize -> parse is the identity and outputs are
 byte-stable.
@@ -27,14 +28,14 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import SWEEP_COLUMNS, SweepGrid
+from .analysis import SLAB_ROWS, SWEEP_COLUMNS, SweepGrid
 from .bloch import BlochState
 from .coefficients import SHIFT_PRESETS, DriveParams, SqueezingShifts, resolve_shifts
 from .errors import ConfigError, InvalidParamsError
@@ -96,8 +97,6 @@ def _layout(value: Any, level: int) -> tuple[str, str]:
     text = _scalar(value)
     if text is not None:
         return text, text
-    if isinstance(value, _Columns):
-        return _rows([_column(c) for c in value], level)
     if isinstance(value, Mapping):
         keys = [json.dumps(str(k)) for k in value]
         texts = [_layout(v, level + 1) for v in value.values()]
@@ -124,18 +123,6 @@ def _layout_items(seq: list, level: int) -> tuple[str, str]:
         return _join("[]", texts, texts, level)
     texts = [_layout(v, level + 1) for v in seq]
     return _join("[]", [c for c, _ in texts], [i for _, i in texts], level)
-
-
-def _rows(columns: list[list[str]], level: int) -> tuple[str, str]:
-    """Both layouts of a table, a list of rows, from its columns' texts."""
-    pad = "\n" + "  " * (level + 2)
-    return _join("[]", ["[" + ",".join(row) + "]" for row in zip(*columns)],
-                 ["[" + pad + ("," + pad).join(row) + pad[:-2] + "]" for row in zip(*columns)],
-                 level)
-
-
-class _Columns(tuple):
-    """A table of scalars given as its columns; laid out as a list of rows."""
 
 
 # quotes every string cell: writerow returns what write returns, here the row's text
@@ -190,8 +177,80 @@ def _column(values, cell: bool = False) -> list:
     return [_scalar(v, cell) for v in values]
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _columns(columns: Sequence, cell: bool = False) -> list[list]:
+    """_column of each of parallel columns, the float64 arrays among them
+    formatted together as one column (one pass over a slab's floats)."""
+    texts = list(columns)
+    floats = [i for i, c in enumerate(columns)
+              if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    if floats:
+        joint = _column(np.concatenate([columns[i] for i in floats]), cell)
+        rows = len(joint) // len(floats)
+        for k, i in enumerate(floats):
+            texts[i] = joint[k * rows:(k + 1) * rows]
+    return [t if i in floats else _column(t, cell) for i, t in enumerate(texts)]
+
+
+def _slabs(blocks: Iterable[Sequence]) -> Iterator[list]:
+    """Blocks of parallel columns cut into slabs of SLAB_ROWS rows (the last of
+    a block shorter).
+
+    Nothing here, nor in the writers that take the slabs, holds a slab or
+    its text once it is passed on (map, chain and yield from bind no name),
+    so a sweep's next block is computed after the last one is freed."""
+    return chain.from_iterable(map(_slabs_of, blocks))
+
+
+def _slabs_of(columns: Sequence) -> Iterator[list]:
+    return ([column[start:start + SLAB_ROWS] for column in columns]
+            for start in range(0, len(columns[0]), SLAB_ROWS))
+
+
+def _csv_table(names: Sequence[str], slabs: Iterable) -> Iterator[tuple[str, None]]:
+    """The CSV text of a table: the line of names, then a chunk per slab.  The
+    data section is this text itself (None in the place of _json_table's compact)."""
+    yield ",".join(_column(names, cell=True)) + "\n", None
+    yield from map(_csv_slab, slabs)
+
+
+def _csv_slab(slab: list) -> tuple[str, None]:
+    """A slab's CSV rows."""
+    return "\n".join(map(",".join, zip(*_columns(slab, cell=True)))) + "\n", None
+
+
+# the pads before a table's rows and cells in the indented layout (the result is at level 1)
+_ROW, _CELL = "\n" + "  " * 3, "\n" + "  " * 4
+
+
+def _json_table(names: Sequence[str], slabs: Iterable) -> Iterator[tuple[str, str]]:
+    """The indented JSON of a table, {"columns": [...], "rows": [...]}: a head,
+    a chunk per slab and a tail, each paired with its part of the compact text."""
+    compact, indented = _layout(list(names), 2)
+    yield ('{\n    "columns": ' + indented + ',\n    "rows": [',
+           '{"columns":' + compact + ',"rows":[')
+    # the comma before every slab but the first; map takes one per slab, so what
+    # is left tells whether there were any rows
+    leads = chain([""], repeat(","))
+    yield from map(_json_slab, slabs, leads)
+    yield ("\n    ]" if next(leads) else "]") + "\n  }", "]}"
+
+
+def _json_slab(slab: list, lead: str) -> tuple[str, str]:
+    """A slab's rows in the indented and in the compact layout, each after lead."""
+    rows = list(zip(*_columns(slab)))
+    return (lead + _ROW + "[" + _CELL
+            + (_ROW + "]," + _ROW + "[" + _CELL).join(map(("," + _CELL).join, rows)) + _ROW + "]",
+            lead + "[" + "],[".join(map(",".join, rows)) + "]")
+
+
+class _Document(list):
+    """An output document as its chunks of UTF-8 bytes in order (the header,
+    then the data a slab at a time), written one after another, never joined."""
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        """The whole document's bytes, as str.encode gives them for its text (for
+        a caller that counts a command's output the way it did when it was a str)."""
+        return b"".join(self).decode("utf-8").encode(encoding)
 
 
 def _merge(base: Any, override: Any, path: str) -> Any:
@@ -348,6 +407,15 @@ def _yaml_loader(yaml):
     return type("Loader", (yaml.SafeLoader,), {"yaml_implicit_resolvers": rules})
 
 
+def _problem(exc: Exception) -> str:
+    """A parse error on one line: a YAML error's problem and where it was found
+    (PyYAML's own text adds the context and the source lines, each on its own)."""
+    mark = getattr(exc, "problem_mark", None)
+    if getattr(exc, "problem", None) and mark is not None:
+        return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+    return " ".join(str(exc).split())
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration with typed accessors.
@@ -382,7 +450,7 @@ class RunConfig:
                     errors += (yaml.YAMLError,)
                     raw = yaml.load(text, Loader=_yaml_loader(yaml)) or {}
             except errors as exc:
-                raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+                raise ConfigError(f"cannot parse config file {path}: {_problem(exc)}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"config file {path} must contain a mapping")
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
@@ -391,35 +459,47 @@ class RunConfig:
             raise ConfigError(f"unknown override key: {', '.join(unknown)}")
         return cls(_normalize(_merge(DEFAULTS, _overlay(DEFAULTS, raw, overrides), "")))
 
-    def render(self, result: Any, columns: Sequence[str] | None = None) -> str:
+    def render(self, result: Any, columns: Sequence[str] | None = None) -> "_Document":
         """The output document of result: a provenance header, then the data.
 
-        With columns (the column names), result is a table given as its
-        columns, 1-D arrays or lists parallel to the names, written as a
-        CSV table or, in JSON, as {"columns": [...], "rows": [...]};
-        without, it is written as JSON whatever the configured format.
-        The provenance names the tool, echoes the resolved config and
-        gives the sha256 of the data section (the CSV body, or the compact
-        JSON of the payload).  It holds no timestamp, so equal inputs give
-        equal bytes.
+        With columns (the column names), result is a table: its columns,
+        1-D arrays or lists parallel to the names, or an object whose
+        blocks() gives them a block of rows at a time (a sweep).  It is
+        written as a CSV table or, in JSON, as {"columns": [...], "rows":
+        [...]}, SLAB_ROWS rows at a time: each slab is formatted and
+        encoded once, its bytes are one chunk of the document, and the
+        hash of the data section is updated slab by slab, so no text of
+        the whole body is ever formed.  Without columns, result is
+        written as JSON whatever the configured format.  The provenance
+        names the tool, echoes the resolved config and gives the sha256
+        of the data section (the CSV body, or the compact JSON of the
+        payload).  It holds no timestamp, so equal inputs give equal bytes.
         """
         from . import __version__  # not at import: the package imports this module first
 
         tool = f"squeezedzeno {__version__}"
         # the output path is where the result goes, not part of what it is
         config = {k: v for k, v in self.data.items() if k != "out"}
-        if columns is not None and self.data["format"] == "csv":
-            # chain, not a tuple display, so zip reuses one row tuple throughout
-            rows = chain([_column(columns, cell=True)],
-                         zip(*(_column(column, cell=True) for column in result)))
-            body = "\n".join(map(",".join, rows)) + "\n"
-            return (f"# tool: {tool}\n# config: {canonical_json(config)}\n"
-                    f"# content-sha256: {_sha256(body)}\n{body}")
-        if columns is not None:
-            result = {"columns": list(columns), "rows": _Columns(result)}
-        compact, indented = _layout(result, 1)
-        provenance = {"tool": tool, "config": config, "content_sha256": _sha256(compact)}
-        return f'{{\n  "provenance": {_layout(provenance, 1)[1]},\n  "result": {indented}\n}}\n'
+        digest = hashlib.sha256()
+        if columns is None:
+            compact, indented = _layout(result, 1)
+            digest.update(compact.encode("utf-8"))
+            body = [indented.encode("utf-8")]
+        else:
+            slabs = _slabs(result.blocks() if hasattr(result, "blocks") else [result])
+            csv_format = self.data["format"] == "csv"
+            body = []
+            for text, compact in (_csv_table if csv_format else _json_table)(columns, slabs):
+                body.append(text.encode("utf-8"))
+                digest.update(body[-1] if compact is None else compact.encode("utf-8"))
+                del text, compact  # not held while the next slab is made (see _slabs)
+            if csv_format:
+                return _Document([f"# tool: {tool}\n# config: {canonical_json(config)}\n"
+                                  f"# content-sha256: {digest.hexdigest()}\n".encode("utf-8"),
+                                  *body])
+        provenance = {"tool": tool, "config": config, "content_sha256": digest.hexdigest()}
+        return _Document([f'{{\n  "provenance": {_layout(provenance, 1)[1]},\n  "result": '
+                          .encode("utf-8"), *body, b"\n}\n"])
 
     # typed accessors; parameter errors surface as config errors naming
     # the section so the CLI can map them to a usage failure

@@ -153,7 +153,19 @@ def test_unparsable_config_file_exits_1(tmp_path, capsys, name, content):
     path = tmp_path / name
     path.write_bytes(content)
     assert main(["timescales", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot parse config file {path}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse config file {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_malformed_yaml_names_the_problem_and_where(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text("bath: [1, 2")
+    assert main(["timescales", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse config file {path}: expected ',' or ']', but got "
+        "'<stream end>' at line 1, column 12\n"
+    )
 
 
 # a 401-digit integer, past the float range, at each count and one real
@@ -342,13 +354,13 @@ def test_scalar_json_text_and_csv_cell(value, text, cell):
     assert canonical_json(value) == text
     # a list is formatted column by column, floats once per bit pattern
     assert canonical_json([value, value]) == f"[{text},{text}]"
-    document = RunConfig.load().render([[value, value]], ("v",))
+    document = b"".join(RunConfig.load().render([[value, value]], ("v",))).decode()
     assert document.split("\n", 3)[3] == f"v\n{cell}\n{cell}\n"
 
 
 def test_zero_and_negative_zero_stay_apart_in_a_column():
     assert canonical_json([0.0, -0.0, 0.0, -0.0]) == "[0,-0,0,-0]"
-    document = RunConfig.load().render([[0.0, -0.0], [-0.0, 0.0]], ("a", "b"))
+    document = b"".join(RunConfig.load().render([[0.0, -0.0], [-0.0, 0.0]], ("a", "b"))).decode()
     assert document.split("\n", 3)[3] == "a,b\n0,-0\n-0,0\n"
 
 
