@@ -67,6 +67,7 @@ from .errors import (
     SingularDenominatorError,
     SqueezedZenoError,
     TangentSingularityError,
+    require_bound,
     require_carrier,
     require_finite,
     require_positive_int,
@@ -184,10 +185,7 @@ def sufficient_condition_margin(
 
 def _tangent_term(drive: DriveParams) -> float:
     """Delta tan(pi Delta / Omega), the drive's part of the margin."""
-    if not drive.Omega > 0.0:
-        raise InvalidParamsError(
-            f"Omega must be > 0 for the phase profile, got {drive.Omega}"
-        )
+    require_bound("Omega", drive.Omega, ">", 0, " for the phase profile")
     x = math.pi * drive.Delta / drive.Omega
     if not math.isfinite(x):
         raise InvalidParamsError(f"pi Delta / Omega must be finite, got {x}")

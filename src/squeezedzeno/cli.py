@@ -41,7 +41,7 @@ from .coefficients import (
     SqueezingShifts,
     effective_coefficients,
 )
-from .config import DEFAULTS, RunConfig, canonical_json
+from .config import _RULES, DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
 from .spectrum import spectral_m, spectral_n
 from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
@@ -188,7 +188,7 @@ def build_parser() -> _Parser:
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON or YAML config file")
         sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        sp.add_argument("--format", choices=["csv", "json"], help="output format")
+        sp.add_argument("--format", choices=_RULES["format"], help="output format")
         sp.add_argument("--threads", type=int, metavar="N",
                         help="accepted and validated (>= 1); sweeps run on one thread")
     return parser

@@ -48,7 +48,12 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import InvalidParamsError, UnphysicalCoefficientsError, require_finite_fields
+from .errors import (
+    InvalidParamsError,
+    UnphysicalCoefficientsError,
+    require_bound,
+    require_finite_fields,
+)
 from .spectrum import SqueezedVacuumParams, _m_abs_at, _m_abs_times, _n_at
 
 
@@ -66,8 +71,7 @@ class DriveParams:
 
     def __post_init__(self) -> None:
         require_finite_fields(self, "Omega", "Delta")
-        if self.Omega < 0.0:
-            raise InvalidParamsError(f"Omega must be >= 0, got {self.Omega}")
+        require_bound("Omega", self.Omega, ">=", 0)
 
     @property
     def omega_prime(self) -> float:

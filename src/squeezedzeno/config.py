@@ -38,7 +38,7 @@ import numpy as np
 from .analysis import SLAB_ROWS, SWEEP_COLUMNS, SweepGrid
 from .bloch import BlochState
 from .coefficients import SHIFT_PRESETS, DriveParams, SqueezingShifts, resolve_shifts
-from .errors import ConfigError, InvalidParamsError
+from .errors import OPERATORS, ConfigError, InvalidParamsError
 from .spectrum import SqueezedVacuumParams
 from .weakmeas import DEFAULT_DIM_CAP
 
@@ -74,6 +74,15 @@ _INITIAL_STATES = {
     "ground": BlochState.ground,
     "x+": lambda: BlochState.x_polarized(+1),
     "x-": lambda: BlochState.x_polarized(-1),
+}
+
+# each bounded or enumerated leaf's rule, in DEFAULTS order: a bound (op, limit) or the choices
+_RULES: dict[str, tuple] = {
+    "schedule.n": (">=", 1), "mode": ("paper", "derived"), "format": ("csv", "json"),
+    "spectrum.points": (">=", 2),
+    "evolve.initial": tuple(_INITIAL_STATES), "evolve.t_end": (">", 0),
+    "evolve.samples": (">=", 2), "evolve.method": ("superoperator", "bloch"),
+    "oracle.Gamma": (">", 0), "oracle.samples": (">=", 2), "oracle.dim_cap": (">=", 3),
 }
 
 
@@ -272,12 +281,26 @@ def _merge(base: Any, override: Any, path: str) -> Any:
                 # a copy, so that no loaded config shares an object with DEFAULTS
                 merged[key] = copy.deepcopy(default)
         return merged
-    # a numeric leaf takes its type from its default
-    if isinstance(base, float):
-        return _as_float(override, path)
-    if isinstance(base, int):
-        return _as_int(override, path)
-    return override
+    # a numeric leaf takes its type from its default; a leaf with a rule obeys it
+    if type(base) in (int, float):
+        override = _number(override, path, type(base))
+    return _obey(override, _RULES[path], path) if path in _RULES else override
+
+
+def _obey(value: Any, rule: tuple, path: str, name: str = "") -> Any:
+    """value, unless it breaks rule (as in _RULES): then a ConfigError naming path (and name)."""
+    if rule[0] not in OPERATORS:
+        if value not in rule:
+            raise ConfigError(f"{path}: {name}must be {'/'.join(rule)}, got {value!r}")
+    elif not OPERATORS[rule[0]](value, rule[1]):
+        raise ConfigError(f"{path}: {name}must be {rule[0]} {rule[1]}")
+    return value
+
+
+def _require_span(path: str, lo: float, hi: float) -> None:
+    """Refuse a range whose width overflows (np.linspace would fill it with inf and nan)."""
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{path}: the range {lo!r} to {hi!r} is wider than the largest float")
 
 
 def _overlay(defaults: Any, doc: Any, override: Any) -> Any:
@@ -288,30 +311,22 @@ def _overlay(defaults: Any, doc: Any, override: Any) -> Any:
     return {**doc, **{k: _overlay(defaults.get(k), doc.get(k), v) for k, v in override.items()}}
 
 
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = _float(value, path)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
-    return value
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, float) and value.is_integer():
+def _number(value: Any, path: str, kind: type = float) -> Any:
+    """value as a float, or with kind int as an int (an integral float counts); a
+    ConfigError unless it is a number of that kind, finite and held by a float."""
+    if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    _float(value, path)
-    return int(value)
-
-
-def _float(value: Any, path: str) -> float:
-    """float(value), refused for an integer that no float can hold (too long to print)."""
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}: expected {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
+        number = float(value)
+    except OverflowError:  # an integer that no float can hold (too long to print)
         raise ConfigError(f"{path}: must lie within the float range (about 1.8e308)") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite")
+    return int(value) if kind is int else number
 
 
 def _normalize_axis(value: Any, path: str, default: Any) -> list:
@@ -319,11 +334,9 @@ def _normalize_axis(value: Any, path: str, default: Any) -> list:
     if isinstance(value, dict):
         if set(value) != {"min", "max", "count"}:
             raise ConfigError(f"{path}: range spec needs exactly min, max, count")
-        lo = _as_float(value["min"], f"{path}.min")
-        hi = _as_float(value["max"], f"{path}.max")
-        count = _as_int(value["count"], f"{path}.count")
-        if count < 1:
-            raise ConfigError(f"{path}.count: must be >= 1")
+        lo, hi = _number(value["min"], f"{path}.min"), _number(value["max"], f"{path}.max")
+        count = _obey(_number(value["count"], f"{path}.count", int), (">=", 1), f"{path}.count")
+        _require_span(path, lo, hi)
         values = np.linspace(lo, hi, count).tolist()
     elif isinstance(value, (list, tuple)):
         values = list(value)
@@ -331,65 +344,35 @@ def _normalize_axis(value: Any, path: str, default: Any) -> list:
         values = [value]
     if not values:
         raise ConfigError(f"{path}: axis is empty")
-    cast = _as_int if isinstance(default, int) else _as_float
-    return [cast(v, path) for v in values]
+    return [_number(v, path, type(default)) for v in values]
 
 
 def _normalize(cfg: dict) -> dict:
-    if cfg["mode"] not in ("paper", "derived"):
-        raise ConfigError(f"mode: must be 'paper' or 'derived', got {cfg['mode']!r}")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format: must be 'csv' or 'json', got {cfg['format']!r}")
+    """What the leaf rules of _merge leave: out, shifts, the ranges and oracle.schedule."""
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError("out: must be a path string")
 
     shifts = cfg["shifts"]
     if not isinstance(shifts, str):
         cfg["shifts"] = _merge({"delta_N": 0.0, "delta_M": 0.0}, shifts, "shifts")
-    elif shifts not in SHIFT_PRESETS:
-        presets = " or ".join(map(repr, SHIFT_PRESETS))
-        raise ConfigError(f"shifts: preset must be {presets}, got {shifts!r}")
+    else:
+        _obey(shifts, SHIFT_PRESETS, "shifts", "preset ")
 
-    if cfg["schedule"]["n"] < 1:
-        raise ConfigError("schedule.n: must be >= 1")
-
-    if cfg["spectrum"]["points"] < 2:
-        raise ConfigError("spectrum.points: must be >= 2")
-    if cfg["evolve"]["samples"] < 2:
-        raise ConfigError("evolve.samples: must be >= 2")
-    if cfg["evolve"]["t_end"] <= 0.0:
-        raise ConfigError("evolve.t_end: must be > 0")
-    if cfg["evolve"]["method"] not in ("superoperator", "bloch"):
-        raise ConfigError("evolve.method: must be 'superoperator' or 'bloch'")
-    initial = cfg["evolve"]["initial"]
-    if not (isinstance(initial, str) and initial in _INITIAL_STATES):
-        raise ConfigError(f"evolve.initial: must be {'/'.join(_INITIAL_STATES)}, got {initial!r}")
-
+    _require_span("spectrum", cfg["spectrum"]["x_min"], cfg["spectrum"]["x_max"])
     for axis, (default,) in DEFAULTS["sweep"].items():
         cfg["sweep"][axis] = _normalize_axis(cfg["sweep"][axis], f"sweep.{axis}", default)
 
-    oracle = cfg["oracle"]
-    if oracle["Gamma"] <= 0.0:
-        raise ConfigError("oracle.Gamma: must be > 0")
-    if oracle["samples"] < 2:
-        raise ConfigError("oracle.samples: must be >= 2")
-    if oracle["dim_cap"] < 3:
-        raise ConfigError("oracle.dim_cap: must be >= 3")
-    schedule = oracle["schedule"]
+    schedule = cfg["oracle"]["schedule"]
     if not isinstance(schedule, (list, tuple)) or not schedule:
         raise ConfigError("oracle.schedule: expected a non-empty list of [R, Delta_E]")
     rows = []
     for i, item in enumerate(schedule):
+        path = f"oracle.schedule[{i}]"
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise ConfigError(f"oracle.schedule[{i}]: expected [R, Delta_E]")
-        r_count = _as_int(item[0], f"oracle.schedule[{i}][0]")
-        delta_e = _as_float(item[1], f"oracle.schedule[{i}][1]")
-        if r_count < 1:
-            raise ConfigError(f"oracle.schedule[{i}][0]: R must be >= 1")
-        if delta_e <= 0.0:
-            raise ConfigError(f"oracle.schedule[{i}][1]: Delta_E must be > 0")
-        rows.append([r_count, delta_e])
-    oracle["schedule"] = rows
+            raise ConfigError(f"{path}: expected [R, Delta_E]")
+        rows.append([_obey(_number(item[0], path + "[0]", int), (">=", 1), path + "[0]", "R "),
+                     _obey(_number(item[1], path + "[1]"), (">", 0), path + "[1]", "Delta_E ")])
+    cfg["oracle"]["schedule"] = rows
     return cfg
 
 

@@ -2,7 +2,7 @@
 
 Every computational error raised by the library derives from
 :class:`SqueezedZenoError` so callers (and the CLI) can distinguish
-domain failures from programming errors.  The finite-number and
+domain failures from programming errors.  The finite-number, bound and
 positive-integer checks below serve every parameter record and entry
 point of the library.
 """
@@ -10,6 +10,7 @@ point of the library.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 
@@ -75,6 +76,18 @@ def require_finite_fields(record, *names: str) -> None:
         object.__setattr__(record, name, require_finite(name, getattr(record, name)))
 
 
+# the comparisons of a bound check, by the operator its text shows
+OPERATORS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def require_bound(name: str, value, op: str, bound, why: str = "") -> float:
+    """value as a float; InvalidParamsError unless it is finite and value op bound holds."""
+    checked = require_finite(name, value)
+    if not OPERATORS[op](checked, bound):
+        raise InvalidParamsError(f"{name} must be {op} {bound}{why}, got {value}")
+    return checked
+
+
 def require_positive_int(name: str, value) -> int:
     """value as an int; InvalidParamsError unless it is an integer >= 1.
 
@@ -94,12 +107,7 @@ MAX_OMEGA_L = sys.float_info.max / 2
 
 
 def require_carrier(omega_L, *, zero: bool = False) -> float:
-    """omega_L as a float; InvalidParamsError unless it is finite, > 0 (>= 0 with
-    zero) and at most MAX_OMEGA_L."""
-    omega_L = require_finite("omega_L", omega_L)
-    if not (omega_L >= 0.0 if zero else omega_L > 0.0):
-        raise InvalidParamsError(f"omega_L must be {'>=' if zero else '>'} 0, got {omega_L}")
-    if omega_L > MAX_OMEGA_L:
-        raise InvalidParamsError(f"omega_L must be <= {MAX_OMEGA_L!r} so that 2 omega_L / n "
-                                 f"is finite, got {omega_L!r}")
-    return omega_L
+    """omega_L as a float; InvalidParamsError unless > 0 (>= 0 with zero) and <= MAX_OMEGA_L."""
+    omega_L = require_finite("omega_L", omega_L)  # the texts show the float, not the argument
+    require_bound("omega_L", omega_L, ">=" if zero else ">", 0)
+    return require_bound("omega_L", omega_L, "<=", MAX_OMEGA_L, " so that 2 omega_L / n is finite")

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import InvalidParamsError, require_carrier, require_finite_fields
+from .errors import InvalidParamsError, require_bound, require_carrier, require_finite_fields
 
 FloatOrArray = Union[float, NDArray[np.float64]]
 
@@ -57,10 +57,8 @@ class SqueezedVacuumParams:
 
     def __post_init__(self) -> None:
         require_finite_fields(self, "gamma", "epsilon", "phi", "omega_L")
-        if self.gamma <= 0.0:
-            raise InvalidParamsError(f"gamma must be > 0, got {self.gamma}")
-        if self.epsilon < 0.0:
-            raise InvalidParamsError(f"epsilon must be >= 0, got {self.epsilon}")
+        require_bound("gamma", self.gamma, ">", 0)
+        require_bound("epsilon", self.epsilon, ">=", 0)
         if self.epsilon >= self.gamma:
             raise InvalidParamsError(
                 f"epsilon must satisfy epsilon < gamma (below threshold), "

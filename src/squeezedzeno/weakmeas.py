@@ -40,6 +40,7 @@ never as a matrix.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ from .errors import (
     InvalidParamsError,
     OutOfWindowError,
     ResourceLimitError,
+    require_bound,
     require_carrier,
     require_finite,
     require_finite_fields,
@@ -101,8 +103,7 @@ def weak_survival(Gamma: float, sched: MeasurementSchedule, t: float) -> float:
     P_w(t_f) = 0 exactly.  Where 1 - e^{-Gamma T} is below the smallest
     normal float it returns the Gamma -> 0 limit e^{-Gamma (t - t_i)} (t_f - t)/T.
     """
-    if require_finite("Gamma", Gamma) <= 0.0:
-        raise InvalidParamsError(f"Gamma must be > 0, got {Gamma}")
+    require_bound("Gamma", Gamma, ">", 0)
     if not sched.t_i <= require_finite("t", t) <= sched.t_f:
         raise OutOfWindowError(
             f"t = {t} outside the measurement window [{sched.t_i}, {sched.t_f}]"
@@ -133,8 +134,7 @@ def decay_time_exact(Gamma: float, sched: MeasurementSchedule) -> float:
     would soon overflow, tau is 1/Gamma; for a subnormal Gamma, whose
     inverse can overflow, it is T (1/g - 1/(e^g - 1)).
     """
-    if require_finite("Gamma", Gamma) < 0.0:
-        raise InvalidParamsError(f"Gamma must be >= 0, got {Gamma}")
+    require_bound("Gamma", Gamma, ">=", 0)
     T = sched.window
     g = Gamma * T
     if g < _SMALL_G_THRESHOLD:
@@ -158,8 +158,7 @@ def decay_time_approx(Gamma: float, omega_L: float, n: int) -> float:
     checked by errors.require_carrier (0 allowed), and where the sum or its
     inverse leaves the float range InvalidParamsError is raised.
     """
-    if require_finite("Gamma", Gamma) < 0.0:
-        raise InvalidParamsError(f"Gamma must be >= 0, got {Gamma}")
+    require_bound("Gamma", Gamma, ">=", 0)
     total = Gamma + 2.0 * require_carrier(omega_L, zero=True) / require_positive_int("n", n)
     if total <= 0.0:
         raise InvalidParamsError("Gamma and omega_L cannot both be zero")
@@ -189,8 +188,12 @@ class DaviesModel:
         object.__setattr__(self, "R", require_positive_int("R", self.R))
         require_finite_fields(self, "Gamma", "Delta_E")
         for name in ("Gamma", "Delta_E"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParamsError(f"{name} must be finite and > 0")
+            require_bound(name, getattr(self, name), ">", 0)
+        with contextlib.suppress(ArithmeticError):  # ** overflows, or Delta_E**2 underflows to 0
+            if 0.0 < self.c < math.inf:
+                return
+        raise InvalidParamsError(f"g^2 / Delta_E^2 is past the float range, "
+                                 f"got Gamma={self.Gamma}, Delta_E={self.Delta_E}")
 
     @property
     def dim(self) -> int:
@@ -203,6 +206,11 @@ class DaviesModel:
     @property
     def bandwidth(self) -> float:
         return self.R * self.Delta_E
+
+    @property
+    def c(self) -> float:
+        """g^2 / Delta_E^2 (Gamma / (pi Delta_E)), the coupling in units of the spacing."""
+        return self.coupling**2 / self.Delta_E**2
 
 
 # Bernoulli numbers B_2, B_4, ..., B_14 of the asymptotic tails below
@@ -288,7 +296,7 @@ def _solve_secular(model: DaviesModel) -> _Spectrum:
     The weights are w = 1 / (1 + c S2); the arrays are shared by every caller
     of the model, so they are read-only.
     """
-    R, c = model.R, model.coupling**2 / model.Delta_E**2
+    R, c = model.R, model.c
     k = np.arange(1.0, R + 1.0)
     lo, hi = np.zeros(R), np.ones(R)
     lo[-1], hi[-1] = max(0.0, math.sqrt(2.0 * R * c) - R), c

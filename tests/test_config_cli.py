@@ -21,7 +21,17 @@ import squeezedzeno.cli as cli
 from squeezedzeno import BlochState, SweepGrid
 from squeezedzeno.analysis import SWEEP_COLUMNS
 from squeezedzeno.cli import build_parser, main
-from squeezedzeno.config import DEFAULTS, ConfigError, RunConfig, _column, _scalar, canonical_json
+from squeezedzeno.config import (
+    _RULES,
+    DEFAULTS,
+    ConfigError,
+    RunConfig,
+    _column,
+    _obey,
+    _scalar,
+    canonical_json,
+)
+from test_weakmeas import DAVIES_PAST_THE_FLOAT_RANGE
 
 
 def test_defaults_round_trip(tmp_path):
@@ -182,6 +192,7 @@ def test_cli_integer_past_the_float_range_exits_1(tmp_path, capsys, command, key
     assert captured.err == f"error: {key}: must lie within the float range (about 1.8e308)\n"
 
 
+@pytest.mark.filterwarnings("error")
 def test_value_validation(tmp_path, capsys):
     path = tmp_path / "c.json"
     for payload in (
@@ -202,6 +213,11 @@ def test_value_validation(tmp_path, capsys):
         ('{"bath": {"gamma": 1e999}}', "bath.gamma: must be finite"),
         ('{"sweep": {"gamma": {"min": 0.5, "max": 1.0}}}', "sweep.gamma: range spec"),
         ('{"sweep": {"gamma": {"min": 0.5, "max": 1.0, "count": 0}}}', "sweep.gamma.count"),
+        # a range whose width overflows: np.linspace made inf and nan of it, with warnings
+        ('{"sweep": {"gamma": {"min": -1e308, "max": 1e308, "count": 3}}}',
+         "sweep.gamma: the range -1e+308 to 1e+308 is wider than the largest float"),
+        ('{"spectrum": {"x_min": -1e308, "x_max": 1e308, "points": 3}}',
+         "spectrum: the range -1e+308 to 1e+308 is wider than the largest float"),
         ('{"sweep": {"gamma": []}}', "sweep.gamma: axis is empty"),
         ('{"out": 5}', "out: must be a path string"),
         ('{"shifts": 5}', "shifts: expected a mapping"),
@@ -222,6 +238,72 @@ def test_value_validation(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", payload
         assert re.fullmatch(re.escape(f"error: {start}") + r"[^\n]*\n", captured.err), payload
+    # the spectrum range, through the command that uses it
+    path.write_text('{"spectrum": {"x_min": -1e308, "x_max": 1e308, "points": 3}}')
+    assert main(["spectrum", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: spectrum: the range -1e+308 to 1e+308 is wider "
+                                       "than the largest float\n")
+
+
+def _leaves(tree, path=""):
+    """The dotted path of every leaf of a DEFAULTS tree, in order."""
+    for key, value in tree.items():
+        sub = f"{path}.{key}" if path else key
+        yield from _leaves(value, sub) if isinstance(value, dict) else [sub]
+
+
+def _at(tree, path):
+    for key in path.split("."):
+        tree = tree[key]
+    return tree
+
+
+def test_rules_name_defaults_leaves_in_order_and_the_defaults_obey_them():
+    leaves = list(_leaves(DEFAULTS))
+    assert set(_RULES) <= set(leaves)
+    assert list(_RULES) == [leaf for leaf in leaves if leaf in _RULES]
+    for path, rule in _RULES.items():
+        assert _obey(_at(DEFAULTS, path), rule, path) == _at(DEFAULTS, path)
+
+
+def _step(value, default, direction):
+    """The next value of default's type after value, up (+1) or down (-1)."""
+    if isinstance(default, int):
+        return value + direction
+    return math.nextafter(value, direction * math.inf)
+
+
+def _edges(path):
+    """The values at the edge of a rule that load, and the value one step past it
+    with its exact error."""
+    rule, default = _RULES[path], _at(DEFAULTS, path)
+    if rule[0] not in (">", ">="):
+        return list(rule), ("bogus", f"{path}: must be {'/'.join(rule)}, got 'bogus'")
+    op, limit = rule
+    if op == ">=":
+        return [limit], (_step(limit, default, -1), f"{path}: must be >= {limit}")
+    return [_step(limit, default, +1)], (limit, f"{path}: must be > {limit}")
+
+
+@pytest.mark.parametrize("path", _RULES)
+def test_each_rule_admits_its_edge_and_refuses_one_step_past(tmp_path, path):
+    config = tmp_path / "c.json"
+    good, (bad, message) = _edges(path)
+    for value in good:
+        config.write_text(json.dumps(_nested(path, value)))
+        loaded = _at(RunConfig.load(config).data, path)
+        assert loaded == value and type(loaded) is type(_at(DEFAULTS, path))
+    config.write_text(json.dumps(_nested(path, bad)))
+    with pytest.raises(ConfigError) as caught:
+        RunConfig.load(config)
+    assert str(caught.value) == message
+
+
+def test_format_flag_takes_the_choices_of_the_rule():
+    for choice in _RULES["format"]:
+        assert build_parser().parse_args(["sweep", "--format", choice]).format == choice
+    with pytest.raises(ConfigError, match="invalid choice: 'xml'"):
+        build_parser().parse_args(["sweep", "--format", "xml"])
 
 
 def _numeric_leaves(tree, path=""):
@@ -615,6 +697,18 @@ def test_cli_oracle_config_errors_exit_1_naming_the_key(tmp_path, capsys, payloa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(re.escape(f"error: {key}: ") + r"[^\n]+\n", captured.err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, delta_e", DAVIES_PAST_THE_FLOAT_RANGE)
+def test_cli_oracle_coupling_past_the_float_range_exits_2(tmp_path, capsys, gamma, delta_e):
+    # these exited 1 with a ZeroDivisionError or OverflowError traceback, or 0 with
+    # null deviations and numpy warnings
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"oracle": {"Gamma": gamma, "schedule": [[1, delta_e]]}}))
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 2
+    assert capsys.readouterr() == ("", "error: g^2 / Delta_E^2 is past the float range, "
+                                       f"got Gamma={gamma}, Delta_E={delta_e}\n")
 
 
 # baths whose spectra leave the float range: lambda^4 overflows or mu^4 is subnormal

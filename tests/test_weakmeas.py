@@ -173,13 +173,48 @@ def test_davies_model_geometry():
     assert model.coupling == pytest.approx(math.sqrt(0.3 / math.pi), rel=1e-15)
 
 
+# (Gamma, Delta_E) whose c = g^2 / Delta_E^2 is not a finite float > 0: the solve raised
+# ZeroDivisionError or OverflowError, or returned NaN deviations with numpy warnings
+DAVIES_PAST_THE_FLOAT_RANGE = [(1.0, 1e-170), (1.0, 1e155), (1e300, 1e-100), (1e-300, 1e100)]
+
+
+@pytest.mark.filterwarnings("error")
 def test_davies_model_validation():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match=r"^Gamma must be > 0, got 0\.0$"):
         DaviesModel(Gamma=0.0, R=10, Delta_E=0.1)
     with pytest.raises(InvalidParamsError):
         DaviesModel(Gamma=1.0, R=0, Delta_E=0.1)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match=r"^Delta_E must be > 0, got 0\.0$"):
         DaviesModel(Gamma=1.0, R=10, Delta_E=0.0)
+    for gamma, delta_e in DAVIES_PAST_THE_FLOAT_RANGE:
+        with pytest.raises(InvalidParamsError) as caught:
+            DaviesModel(Gamma=gamma, R=1, Delta_E=delta_e)
+        assert str(caught.value) == ("g^2 / Delta_E^2 is past the float range, "
+                                     f"got Gamma={gamma}, Delta_E={delta_e}")
+    # a spacing whose square is subnormal still solves
+    assert 0.0 < DaviesModel(Gamma=1.0, R=1, Delta_E=1e-160).c < math.inf
+
+
+def test_bound_checks_share_one_text():
+    # each text as it read when every site wrote its own; an argument shows as it was
+    # passed where the site checked it directly, as its float where a record stores it
+    sched = MeasurementSchedule(0.0, 1.0)
+    for build, text in (
+        (lambda: SqueezedVacuumParams(0, 0.5, 0.0, 100.0), "gamma must be > 0, got 0.0"),
+        (lambda: SqueezedVacuumParams(1.0, -0.5, 0.0, 100.0), "epsilon must be >= 0, got -0.5"),
+        (lambda: SqueezedVacuumParams(1.0, 0.5, 0.0, 0), "omega_L must be > 0, got 0.0"),
+        (lambda: DriveParams(-1, 0.0), "Omega must be >= 0, got -1.0"),
+        (lambda: weak_survival(0, sched, 0.5), "Gamma must be > 0, got 0"),
+        (lambda: decay_time_exact(-1, sched), "Gamma must be >= 0, got -1"),
+        (lambda: decay_time_approx(-0.5, 100.0, 10), "Gamma must be >= 0, got -0.5"),
+        (lambda: decay_time_approx(1.0, -1, 10), "omega_L must be >= 0, got -1.0"),
+        (lambda: MeasurementSchedule.from_carrier(1e308, 1),
+         "omega_L must be <= 8.988465674311579e+307 so that 2 omega_L / n is finite, got 1e+308"),
+        (lambda: DaviesModel(1.0, 1, -0.5), "Delta_E must be > 0, got -0.5"),
+    ):
+        with pytest.raises(InvalidParamsError) as caught:
+            build()
+        assert str(caught.value) == text
 
 
 _BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
