@@ -61,7 +61,6 @@ from .errors import (
 )
 from .spectrum import (
     SqueezedVacuumParams,
-    spectral_m,
     spectral_m_abs,
     spectral_n,
 )

@@ -339,9 +339,10 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, object]:
     """What the kernel reads of a grid, formed once per grid.
 
     Each axis, and each distinct bath and drive record built and
-    validated once with the quantities taken from it, as arrays that
-    broadcast on the grid's shape (size 1 along the axes they do not
-    depend on), where an invalid record gives NaN and its exception.
+    validated once with the quantities taken from it (the bath widths
+    from a record per gamma and epsilon), as arrays that broadcast on the
+    grid's shape (size 1 along the axes they do not depend on), where an
+    invalid record gives NaN and its exception.
     Returns them by name, and the fixed shifts (None for the asymptotic
     preset, or the exception that resolving them raised).
     """
@@ -351,11 +352,15 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, object]:
               for i, name in ((0, "gamma"), (2, "Delta"), (4, "phi"), (5, "omega_L"), (6, "n"))}
     baths = [_caught(SqueezedVacuumParams, *key)
              for key in itertools.product(*(grid.axes[i] for i in _BATH_AXES))]
+    # the widths depend on gamma and epsilon alone: a record at phi = 0 and a valid
+    # carrier checks just those two (baths gives each point its own error)
+    widths = [_caught(SqueezedVacuumParams, *key, 0.0, 1.0)
+              for key in itertools.product(grid.gamma, grid.epsilon)]
     inputs.update(zip(("lam2", "mu2", "lam", "mu", "offset"), (
-        _along(c, _BATH_AXES, shape) for c in zip(*(
+        _along(c, (0, 1), shape) for c in zip(*(
             (nan,) * 5 if isinstance(b, Exception)
             else (b.lam ** 2, b.mu ** 2, b.lam, b.mu, _margin_offset(b))
-            for b in baths
+            for b in widths
         ))
     )))
     drives = [_caught(DriveParams, Omega, Delta)
@@ -403,11 +408,10 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
     op, dt, ot, tangent = (inputs[k] for k in ("op", "dt", "ot", "tangent"))
 
     with np.errstate(all="ignore"):
-        x1 = (omega_L + op) - omega_L
-        delta_N, delta_M = ((0.0, _asymptotic_delta_m(x1, op, lam2, mu2, lam, mu)) if fixed is None
+        delta_N, delta_M = ((0.0, _asymptotic_delta_m(op, lam2, mu2, lam, mu)) if fixed is None
                             else (getattr(fixed, "delta_N", nan), getattr(fixed, "delta_M", nan)))
         n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _ = _coefficient_arrays(
-            gamma, lam2, mu2, x1, Delta, dt, ot, inputs["p_re"], inputs["p_im"], delta_N, delta_M)
+            gamma, lam2, mu2, op, Delta, dt, ot, inputs["p_re"], inputs["p_im"], delta_N, delta_M)
         g_dec = gamma * (0.5 + n_tilde + m_re)
         g_pop = gamma * (1.0 + 2.0 * n_tilde)
         meas = omega_L / n

@@ -43,18 +43,17 @@ from .coefficients import (
 )
 from .config import _RULES, DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
-from .spectrum import spectral_m, spectral_n
+from .spectrum import _at_offsets, _m_abs_at, _n_at
 from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[list[bytes], int]:
-    """Tabulate N and M on a frequency grid around the carrier."""
+    """Tabulate N and M at carrier offsets x; the omega column is omega_L + x."""
     bath = cfg.bath()
     spec = cfg.data["spectrum"]
     x = np.linspace(spec["x_min"], spec["x_max"], spec["points"])
-    omega = bath.omega_L + x
-    n_vals = spectral_n(bath, omega)
-    m_vals = spectral_m(bath, omega)
-    table = (omega, x, n_vals, np.abs(m_vals), m_vals.real, m_vals.imag)
+    n_vals = _at_offsets(_n_at, bath, x)
+    m_vals = _at_offsets(_m_abs_at, bath, x) * complex(math.cos(bath.phi), math.sin(bath.phi))
+    table = (bath.omega_L + x, x, n_vals, np.abs(m_vals), m_vals.real, m_vals.imag)
     return cfg.render(table, ("omega", "x", "N", "M_abs", "M_re", "M_im")), 0
 
 

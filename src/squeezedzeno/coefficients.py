@@ -10,7 +10,8 @@ renormalized coefficients.  Writing the generalized Rabi frequency
     Omega~ = Omega / Omega',   Delta~ = Delta / Omega',
 
 the spectra are sampled at the carrier and at the shifted frequency
-omega_L + Omega', combined through
+omega_L + Omega' (they depend on omega - omega_L alone, so the code
+evaluates them at the offsets 0 and Omega'), combined through
 
     Upsilon = N(omega_L) - N(omega_L + Omega')
               - [ |M(omega_L)| - |M(omega_L + Omega')| ] e^{i phi}
@@ -54,7 +55,7 @@ from .errors import (
     require_bound,
     require_finite_fields,
 )
-from .spectrum import SqueezedVacuumParams, _m_abs_at, _m_abs_times, _n_at
+from .spectrum import SqueezedVacuumParams, _m_abs_at, _n_at
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,20 @@ class SqueezingShifts:
     def asymptotic(cls, bath: SqueezedVacuumParams, drive: DriveParams) -> "SqueezingShifts":
         """Far-detuned closed forms: delta_N = 0 and
         delta_M = |M(omega_L + Omega')| Omega' (lam + mu) / (lam mu)."""
-        op, lam, mu = drive.omega_prime, bath.lam, bath.mu
-        x = (bath.omega_L + op) - bath.omega_L
-        return cls(0.0, float(_asymptotic_delta_m(x, op, lam ** 2, mu ** 2, lam, mu)))
+        lam, mu = bath.lam, bath.mu
+        return cls(0.0, float(_asymptotic_delta_m(drive.omega_prime, lam ** 2, mu ** 2, lam, mu)))
 
 
-def _asymptotic_delta_m(x1, op, lam2, mu2, lam, mu):
-    """delta_M at sideband offset x1 = (omega_L + Omega') - omega_L (arrays broadcast)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _m_abs_times(x1, op, lam2, mu2) * (lam + mu) / (lam * mu)
+def _asymptotic_delta_m(op, lam2, mu2, lam, mu):
+    """delta_M at the sideband offset op = Omega' (arrays broadcast).  Past op ~ 1e154
+    |M| alone goes subnormal, then to 0; there |M| op is
+    amp (1/(op + mu^2/op) + 1/(op + lam^2/op))."""
+    op = np.asarray(op, dtype=float)  # op / 0 then gives inf, not ZeroDivisionError
+    m = _m_abs_at(op, lam2, mu2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        far = (lam2 - mu2) / 4.0 * (1.0 / (op + mu2 / op) + 1.0 / (op + lam2 / op))
+        m_op = np.where((m < np.finfo(float).tiny) & (op != 0.0), far, m * op)
+        return m_op * (lam + mu) / (lam * mu)
 
 
 SHIFT_PRESETS = ("asymptotic", "zero")
@@ -163,14 +169,14 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _coefficient_arrays(gamma, lam2, mu2, x1, Delta, dt, ot, p_re, p_im, delta_N, delta_M):
+def _coefficient_arrays(gamma, lam2, mu2, op, Delta, dt, ot, p_re, p_im, delta_N, delta_M):
     """N(omega_L + Omega'), |M(omega_L + Omega')|, Upsilon, N~, M~, delta and beta
-    on arrays that broadcast (x1 = (omega_L + Omega') - omega_L, dt = Delta~,
+    on arrays that broadcast (op = Omega', the sideband's carrier offset, dt = Delta~,
     ot = Omega~, p = e^{i phi}), a complex value as its (real, imaginary) pair
     formed as CPython forms the module's formulas, so with the bits of one point."""
     with np.errstate(all="ignore"):
-        n0, m0 = _n_at(0.0, lam2, mu2), _m_abs_at(0.0, lam2, mu2)  # x = omega_L - omega_L
-        n1, m1 = _n_at(x1, lam2, mu2), _m_abs_at(x1, lam2, mu2)
+        n0, m0 = _n_at(0.0, lam2, mu2), _m_abs_at(0.0, lam2, mu2)  # at the carrier
+        n1, m1 = _n_at(op, lam2, mu2), _m_abs_at(op, lam2, mu2)
         cr, ci = _cmul(m0 - m1, 0.0, p_re, p_im)
         ups = (n0 - n1) - cr, 0.0 - ci
         transverse = 0.5 * (1.0 - dt * dt)
@@ -194,7 +200,7 @@ def _one_point(bath: SqueezedVacuumParams, drive: DriveParams,
     f, phase = np.float64, cmath.exp(1j * bath.phi)
     values = _coefficient_arrays(
         f(bath.gamma), f(bath.lam ** 2), f(bath.mu ** 2),
-        f(bath.omega_L + drive.omega_prime) - bath.omega_L, f(drive.Delta), f(drive.delta_tilde),
+        f(drive.omega_prime), f(drive.Delta), f(drive.delta_tilde),
         f(drive.omega_tilde), f(phase.real), f(phase.imag), f(shifts.delta_N), f(shifts.delta_M))
     # complex() of a 0-d array part would drop the sign of a zero imaginary part
     return tuple(complex(float(v[0]), float(v[1])) if isinstance(v, tuple) else float(v)

@@ -89,14 +89,13 @@ def spectral_n(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     N is even in x = omega - omega_L, maximal at x = 0, nonnegative,
     and falls off as 1/x^4.
     """
-    return _at_offsets(_n_at, params, omega)
+    return _at_offsets(_n_at, params, np.asarray(omega, dtype=float) - params.omega_L)
 
 
-def _at_offsets(profile, params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
-    """profile at the carrier offsets of omega: a float for a scalar omega, else an array."""
-    x = np.asarray(omega, dtype=float) - params.omega_L
-    value = profile(x, params.lam ** 2, params.mu ** 2)
-    return float(value) if np.ndim(omega) == 0 else value
+def _at_offsets(profile, params: SqueezedVacuumParams, x: ArrayLike) -> FloatOrArray:
+    """profile at the carrier offsets x: a float for a scalar x, else an array."""
+    value = profile(np.asarray(x, dtype=float), params.lam ** 2, params.mu ** 2)
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def _n_at(x, lam2, mu2):
@@ -115,7 +114,7 @@ def _n_at(x, lam2, mu2):
 
 def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     """Magnitude |M(omega)| of the anomalous correlator."""
-    return _at_offsets(_m_abs_at, params, omega)
+    return _at_offsets(_m_abs_at, params, np.asarray(omega, dtype=float) - params.omega_L)
 
 
 def _m_abs_at(x, lam2, mu2):
@@ -127,26 +126,3 @@ def _m_abs_at(x, lam2, mu2):
         wing = 2.0 * amp / x / x
         return np.where(np.isinf(xx), wing, amp * (1.0 / (xx + mu2) + 1.0 / (xx + lam2)))
 
-
-def _m_abs_times(x, y, lam2, mu2):
-    """|M| y at carrier offsets x (arrays broadcast).  Past |x| ~ 1e154 |M| alone goes
-    subnormal, then to 0; there |M| y is amp (y/x) (1/(x + mu^2/x) + 1/(x + lam^2/x))."""
-    x = np.asarray(x, dtype=float)  # x / 0 then gives inf, not ZeroDivisionError
-    m = _m_abs_at(x, lam2, mu2)
-    amp = (lam2 - mu2) / 4.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        far = amp * (y / x) * (1.0 / (x + mu2 / x) + 1.0 / (x + lam2 / x))
-        return np.where((m < sys.float_info.min) & (x != 0.0), far, m * y)
-
-
-def spectral_m(params: SqueezedVacuumParams, omega: ArrayLike):
-    """Complex correlator M(omega) = |M(omega)| e^{i phi}.
-
-    The phase phi is frequency independent; |M| >= N pointwise and
-    |M|^2 = N (N + 1) exactly.
-    """
-    phase = complex(math.cos(params.phi), math.sin(params.phi))
-    value = spectral_m_abs(params, omega) * phase
-    if np.ndim(omega) == 0:
-        return complex(value)
-    return value

@@ -189,8 +189,13 @@ class DaviesModel:
         require_finite_fields(self, "Gamma", "Delta_E")
         for name in ("Gamma", "Delta_E"):
             require_bound(name, getattr(self, name), ">", 0)
-        with contextlib.suppress(ArithmeticError):  # ** overflows, or Delta_E**2 underflows to 0
-            if 0.0 < self.c < math.inf:
+        if not 3.0 / self.Gamma < math.inf:  # the oracle samples t on [0, 3/Gamma]
+            raise InvalidParamsError(f"Gamma must be above about 1.7e-308 so that the window "
+                                     f"3/Gamma is finite, got Gamma={self.Gamma}")
+        # ** overflows, or Delta_E**2 underflows to 0; the roots sit about c/R or more
+        # above the ladder, an offset that must be a normal float (or 1/offset overflows)
+        with contextlib.suppress(ArithmeticError):
+            if self.R * sys.float_info.min <= self.c < math.inf:
                 return
         raise InvalidParamsError(f"g^2 / Delta_E^2 is past the float range, "
                                  f"got Gamma={self.Gamma}, Delta_E={self.Delta_E}")
@@ -229,10 +234,13 @@ def _pole_runs(z: NDArray, n: NDArray) -> tuple[NDArray, NDArray]:
     """
     w = np.concatenate([z, z + n])
     head1, head2, inv = np.zeros(w.size), np.zeros(w.size), np.empty(w.size)
-    for j in range(_HEAD):
-        np.reciprocal(np.add(w, float(j), out=inv), out=inv)
-        head1 += inv
-        head2 += np.multiply(inv, inv, out=inv)
+    # below z ~ 1e-154 (a coupling c that small) 1/z^2 overflows to inf, the right
+    # limit: the root's weight 1/(1 + c S2) is then 0, against a true weight of about c
+    with np.errstate(over="ignore"):
+        for j in range(_HEAD):
+            np.reciprocal(np.add(w, float(j), out=inv), out=inv)
+            head1 += inv
+            head2 += np.multiply(inv, inv, out=inv)
     v = w + float(_HEAD)
     u, series1, series2 = 1.0 / (v * v), 0.0, 0.0
     for i in range(len(_BERNOULLI) - 1, -1, -1):
@@ -258,8 +266,9 @@ def _ladder_sums(k: NDArray, d: NDArray, R: int) -> tuple[NDArray, NDArray]:
     run1, run2 = _pole_runs(np.concatenate([inner, 1.0 - inner]),
                             np.concatenate([k[:-1] + R + 1.0, R - k[:-1]]))
     x, outer = k[:-1] + inner, 1.0 / (np.delete(np.arange(2.0 * R + 1.0), R) + d[-1])
-    return (np.append(run1[:m] - 1.0 / x - run1[m:], outer.sum()),
-            np.append(run2[:m] - 1.0 / x**2 + run2[m:], (outer * outer).sum()))
+    with np.errstate(over="ignore"):  # 1/d^2 at d ~ c, as in _pole_runs
+        return (np.append(run1[:m] - 1.0 / x - run1[m:], outer.sum()),
+                np.append(run2[:m] - 1.0 / x**2 + run2[m:], (outer * outer).sum()))
 
 
 def _require_within_cap(model: DaviesModel, dim_cap: int, samples: int = 1) -> None:

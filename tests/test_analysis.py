@@ -31,6 +31,7 @@ from squeezedzeno import (
     timescale_ratio,
 )
 from squeezedzeno.cli import main
+from squeezedzeno.errors import MAX_OMEGA_L
 from test_sweep_kernel import reference_upsilon
 
 BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
@@ -425,3 +426,33 @@ def test_cli_sweep_honours_shifts(tmp_path, capsys, shifts):
     assert {c: swept[c] for c in SWEEP_COLUMNS[7:-1]} == {
         c: result[c] for c in SWEEP_COLUMNS[7:-1]
     }
+
+
+# the reported columns with no measurement rate 2 omega_L / n in them
+CARRIER_FREE = ("Gamma_dec", "Gamma_pop", "cond_derived", "cond_paper", "theta", "angular_lhs",
+                "sufficient_margin")
+
+
+def _cli_result(tmp_path, capsys, command: str, config: dict):
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--format", "json", "--config", str(cfg)]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+@pytest.mark.parametrize("omega_L", [1.0, 100.0, 1e16, 1e18, MAX_OMEGA_L])
+def test_carrier_enters_only_the_measurement_rate(tmp_path, capsys, omega_L):
+    # the spectra see the carrier offsets 0 and Omega' alone; at omega_L = 1e18 the
+    # rounded offset (omega_L + Omega') - omega_L was 0 and Gamma_dec 0.0556, not 0.4902
+    def carrier_free(carrier: float) -> str:
+        point = _cli_result(tmp_path, capsys, "timescales", {"bath": {"omega_L": carrier}})
+        grid = {"gamma": 1.0, "epsilon": [0.0, 0.5, 0.9], "Delta": [0.0, 1.0, 2.5],
+                "Omega": 10.0, "phi": [0.0, 1.5, math.pi], "omega_L": carrier, "n": 100}
+        table = _cli_result(tmp_path, capsys, "sweep", {"sweep": grid})
+        rows = [dict(zip(table["columns"], row)) for row in table["rows"]]
+        # json.dumps writes each float's repr, so equal texts are equal bits
+        return json.dumps([[point[c] for c in CARRIER_FREE],
+                           [[row[c] for c in CARRIER_FREE if c != "theta"] for row in rows]])
+
+    assert carrier_free(omega_L) == carrier_free(100.0)
+    assert json.loads(carrier_free(omega_L))[0][0] == 0.4902200488997557

@@ -33,10 +33,9 @@ from squeezedzeno import (
     fit_exponential,
     population_decay_rate,
     quadrature_decay_rate,
-    spectral_m_abs,
-    spectral_n,
 )
 from squeezedzeno.bloch import _expm
+from test_sweep_kernel import m_abs_at, n_at
 
 BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=math.pi, omega_L=100.0)
 DRIVE = DriveParams(Omega=10.0, Delta=0.0)
@@ -154,9 +153,9 @@ def test_undriven_steady_state_population():
 def test_decay_rates_against_spectra():
     # at phi = pi the effective rates telescope onto bare spectral values:
     # slow quadrature gamma (1/2 + N1 - |M1|), fast gamma (1/2 + N0 + |M0|)
-    w0, w1 = BATH.omega_L, BATH.omega_L + DRIVE.omega_prime
-    slow = BATH.gamma * (0.5 + spectral_n(BATH, w1) - spectral_m_abs(BATH, w1))
-    fast = BATH.gamma * (0.5 + spectral_n(BATH, w0) + spectral_m_abs(BATH, w0))
+    x1 = DRIVE.omega_prime  # the spectra at the carrier offsets 0 and Omega'
+    slow = BATH.gamma * (0.5 + n_at(BATH, x1) - m_abs_at(BATH, x1))
+    fast = BATH.gamma * (0.5 + n_at(BATH, 0.0) + m_abs_at(BATH, 0.0))
     rates = quadrature_effective_rates(COEFFS)
     assert rates[0] == pytest.approx(slow, rel=1e-12)
     assert rates[1] == pytest.approx(fast, rel=1e-12)

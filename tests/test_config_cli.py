@@ -711,6 +711,28 @@ def test_cli_oracle_coupling_past_the_float_range_exits_2(tmp_path, capsys, gamm
                                        f"got Gamma={gamma}, Delta_E={delta_e}\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_oracle_gamma_whose_window_overflows_exits_2_naming_gamma(tmp_path, capsys):
+    # 3/Gamma overflowed: a numpy warning, then "t must be finite", a key never set
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"oracle": {"Gamma": 1e-320}}))
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 2
+    assert capsys.readouterr() == ("", "error: Gamma must be above about 1.7e-308 so that the "
+                                       "window 3/Gamma is finite, got Gamma=1e-320\n")
+
+
+def test_cli_oracle_at_a_tiny_gamma_is_quiet(tmp_path, capsys):
+    # 1/d^2 overflows at root offsets d ~ c ~ 8e-300; the inf is the right limit
+    # (weight 1/(1 + c inf) = 0), and no overflow warning may reach stderr
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"oracle": {"Gamma": 1e-300}}))
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for row in json.loads(out)["result"]["davies"]:
+        assert row["max_deviation"] == pytest.approx(-math.expm1(-3.0), rel=0.0, abs=1e-12)
+
+
 # baths whose spectra leave the float range: lambda^4 overflows or mu^4 is subnormal
 FLOAT_RANGE_BATHS = {
     "1e100": {"gamma": 1e100, "epsilon": 5e99},

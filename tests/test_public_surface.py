@@ -23,7 +23,7 @@ PUBLIC = [
     "davies_max_deviation", "davies_propagator_column", "decay_time_approx",
     "decay_time_exact", "effective_coefficients", "evaluate_regime", "evolve",
     "fit_decay_rate", "fit_exponential", "population_decay_rate", "quadrature_decay_rate",
-    "regime_sweep", "resolve_shifts", "spectral_m", "spectral_m_abs", "spectral_n",
+    "regime_sweep", "resolve_shifts", "spectral_m_abs", "spectral_n",
     "sufficient_condition_margin", "sustainable_condition", "tan_theta_asymptotic",
     "timescale_ratio", "weak_survival",
 ]

@@ -15,10 +15,10 @@ import squeezedzeno
 from squeezedzeno import (
     InvalidParamsError,
     SqueezedVacuumParams,
-    spectral_m,
     spectral_m_abs,
     spectral_n,
 )
+from squeezedzeno.cli import main
 
 
 BATH = SqueezedVacuumParams(gamma=1.0, epsilon=0.5, phi=0.0, omega_L=100.0)
@@ -73,13 +73,33 @@ def test_no_cancellation_in_the_wings():
     np.testing.assert_allclose(m**2, n * (n + 1.0), rtol=1e-12)
 
 
-def test_phase_enters_m_only():
+def spectrum_table(tmp_path, capsys, bath: dict) -> dict:
+    """The spectrum subcommand's table at the default grid and this bath, by column."""
+    cfg = tmp_path / "spectrum.json"
+    cfg.write_text(json.dumps({"bath": bath}))
+    assert main(["spectrum", "--format", "json", "--config", str(cfg)]) == 0
+    table = json.loads(capsys.readouterr().out)["result"]
+    return dict(zip(table["columns"], map(np.array, zip(*table["rows"]))))
+
+
+def test_phase_enters_m_only(tmp_path, capsys):
+    # the table's M is |M| e^{i phi}: its modulus and N do not see phi
+    tilted = spectrum_table(tmp_path, capsys, {"phi": math.pi / 3})
+    flat = spectrum_table(tmp_path, capsys, {"phi": 0.0})
+    np.testing.assert_allclose(tilted["M_abs"], flat["M_abs"], rtol=1e-15)
+    np.testing.assert_allclose(np.arctan2(tilted["M_im"], tilted["M_re"]), math.pi / 3,
+                               rtol=1e-12)
+    assert np.array_equal(tilted["N"], flat["N"])
     bath = SqueezedVacuumParams(1.0, 0.5, math.pi / 3, 100.0)
-    omega = bath.omega_L + 0.7
-    m = spectral_m(bath, omega)
-    assert abs(m) == pytest.approx(spectral_m_abs(bath, omega), rel=1e-15)
-    assert np.angle(m) == pytest.approx(math.pi / 3, rel=1e-12)
-    assert spectral_n(bath, omega) == spectral_n(BATH, omega)
+    assert spectral_m_abs(bath, 100.7) == spectral_m_abs(BATH, 100.7)
+
+
+def test_spectrum_table_does_not_see_the_carrier(tmp_path, capsys):
+    # N and M are tabulated at the offsets x; only the omega column holds omega_L + x
+    near, far = (spectrum_table(tmp_path, capsys, {"omega_L": w}) for w in (100.0, 1e17))
+    for column in ("x", "N", "M_abs", "M_re", "M_im"):
+        assert near[column].tobytes() == far[column].tobytes(), column
+    assert np.array_equal(far["omega"], 1e17 + far["x"])
 
 
 def test_unsqueezed_limit_is_dark():

@@ -4,13 +4,13 @@ reference_upsilon, reference_coefficients, reference_shifts and
 reference_angular are Upsilon, effective_coefficients, the asymptotic
 shift preset and the angular forms as they were before one array
 function held the coefficient arithmetic: scalar complex arithmetic
-straight from the spectra.  reference_verdict and reference_row are
-evaluate_regime and the sweep-row wrapper as they were before one array
-kernel took the whole grid: one point at a time, through those
-references and the scalar library functions, never through the shared
-array function.  The library must reproduce them exactly: the same float
-bits (NaN where they have NaN), the same booleans and None, and the same
-status text.
+straight from the spectra, sampled at the carrier offsets 0 and Omega'.
+reference_verdict and reference_row are evaluate_regime and the sweep-row
+wrapper as they were before one array kernel took the whole grid: one
+point at a time, through those references and the scalar library
+functions, never through the shared array function.  The library must
+reproduce them exactly: the same float bits (NaN where they have NaN),
+the same booleans and None, and the same status text.
 """
 
 import cmath
@@ -18,6 +18,7 @@ import itertools
 import math
 import random
 import struct
+import sys
 from collections import Counter
 
 import pytest
@@ -45,24 +46,31 @@ from squeezedzeno import (
     quadrature_decay_rate,
     regime_sweep,
     resolve_shifts,
-    spectral_m_abs,
-    spectral_n,
     sufficient_condition_margin,
     sustainable_condition,
     timescale_ratio,
 )
 from squeezedzeno.coefficients import _negative_n_tilde, _one_point
-from squeezedzeno.spectrum import _m_abs_times
+from squeezedzeno.spectrum import _at_offsets, _m_abs_at, _n_at
+
+
+def n_at(bath, x: float) -> float:
+    """N at the carrier offset x, the path spectral_n takes once it has subtracted omega_L."""
+    return _at_offsets(_n_at, bath, x)
+
+
+def m_abs_at(bath, x: float) -> float:
+    """|M| at the carrier offset x, as n_at."""
+    return _at_offsets(_m_abs_at, bath, x)
 
 
 def reference_upsilon(bath, drive) -> complex:
-    w0 = bath.omega_L
-    w1 = bath.omega_L + drive.omega_prime
+    x1 = drive.omega_prime
     phase = cmath.exp(1j * bath.phi)
     return (
-        spectral_n(bath, w0)
-        - spectral_n(bath, w1)
-        - (spectral_m_abs(bath, w0) - spectral_m_abs(bath, w1)) * phase
+        n_at(bath, 0.0)
+        - n_at(bath, x1)
+        - (m_abs_at(bath, 0.0) - m_abs_at(bath, x1)) * phase
     )
 
 
@@ -71,12 +79,12 @@ def reference_coefficients(bath, drive, shifts=SqueezingShifts(), validate=True)
     dt = drive.delta_tilde
     ot = drive.omega_tilde
     phase = cmath.exp(1j * bath.phi)
-    w1 = bath.omega_L + drive.omega_prime
+    x1 = drive.omega_prime
     transverse = 0.5 * (1.0 - dt * dt)
 
-    n_tilde = spectral_n(bath, w1) + transverse * ups.real
+    n_tilde = n_at(bath, x1) + transverse * ups.real
     m_tilde = (
-        spectral_m_abs(bath, w1) * phase
+        m_abs_at(bath, x1) * phase
         - transverse * ups
         + 1j * dt * shifts.delta_M * phase
     )
@@ -98,16 +106,19 @@ def reference_shifts(spec, bath, drive) -> SqueezingShifts:
     """resolve_shifts, with the asymptotic closed form in scalar arithmetic."""
     if not (isinstance(spec, str) and spec == "asymptotic"):
         return resolve_shifts(spec, bath, drive)
-    op = drive.omega_prime
-    x = (bath.omega_L + op) - bath.omega_L
-    m_op = float(_m_abs_times(x, op, bath.lam ** 2, bath.mu ** 2))
+    op, lam2, mu2 = drive.omega_prime, bath.lam ** 2, bath.mu ** 2
+    m = m_abs_at(bath, op)
+    if m < sys.float_info.min and op != 0.0:
+        # past op ~ 1e154 |M| alone goes subnormal, then to 0
+        m_op = (lam2 - mu2) / 4.0 * (1.0 / (op + mu2 / op) + 1.0 / (op + lam2 / op))
+    else:
+        m_op = m * op
     return SqueezingShifts(0.0, m_op * (bath.lam + bath.mu) / (bath.lam * bath.mu))
 
 
 def reference_angular(bath, drive, shifts) -> tuple[float, float]:
     """(theta, angular lhs) as angular_theta and angular_condition formed them."""
-    w1 = bath.omega_L + drive.omega_prime
-    m1, n1 = spectral_m_abs(bath, w1), spectral_n(bath, w1)
+    m1, n1 = m_abs_at(bath, drive.omega_prime), n_at(bath, drive.omega_prime)
     dt = drive.delta_tilde
     x = dt * shifts.delta_M
     theta = 0.0 if m1 == 0.0 and x == 0.0 else math.atan2(m1, x)

@@ -173,9 +173,11 @@ def test_davies_model_geometry():
     assert model.coupling == pytest.approx(math.sqrt(0.3 / math.pi), rel=1e-15)
 
 
-# (Gamma, Delta_E) whose c = g^2 / Delta_E^2 is not a finite float > 0: the solve raised
-# ZeroDivisionError or OverflowError, or returned NaN deviations with numpy warnings
-DAVIES_PAST_THE_FLOAT_RANGE = [(1.0, 1e-170), (1.0, 1e155), (1e300, 1e-100), (1e-300, 1e100)]
+# (Gamma, Delta_E) whose c = g^2 / Delta_E^2 is not a finite normal float: the solve raised
+# ZeroDivisionError or OverflowError, or returned NaN deviations with numpy warnings (the
+# last, a subnormal c)
+DAVIES_PAST_THE_FLOAT_RANGE = [(1.0, 1e-170), (1.0, 1e155), (1e300, 1e-100), (1e-300, 1e100),
+                               (1e-300, 1e10)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -193,6 +195,13 @@ def test_davies_model_validation():
                                      f"got Gamma={gamma}, Delta_E={delta_e}")
     # a spacing whose square is subnormal still solves
     assert 0.0 < DaviesModel(Gamma=1.0, R=1, Delta_E=1e-160).c < math.inf
+    # the roots sit about c/R above the ladder, so c must be at least R times the
+    # smallest normal float; just above that the solve is quiet and exact
+    tiny = 30 * sys.float_info.min
+    with pytest.raises(InvalidParamsError, match="past the float range"):
+        DaviesModel(Gamma=math.pi * tiny / 2, R=30, Delta_E=1.0)
+    model = DaviesModel(Gamma=math.pi * tiny * 2, R=30, Delta_E=1.0)
+    assert davies_max_deviation(model) == pytest.approx(-math.expm1(-3.0), rel=0.0, abs=1e-12)
 
 
 def test_bound_checks_share_one_text():
