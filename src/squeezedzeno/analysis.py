@@ -243,7 +243,8 @@ def evaluate_regime(
     singularity is recorded in RegimeVerdict.errors instead of raised.
     """
     grid = SweepGrid(bath.gamma, bath.epsilon, drive.Delta, drive.Omega, bath.phi, bath.omega_L, n)
-    columns, (fault,) = _regime_columns(*_regime_inputs(grid, shifts), (1,) * 7)
+    columns, faults = _regime_columns(*_regime_inputs(grid, shifts), (1,) * 7)
+    fault = faults.item(0)
     if isinstance(fault, Exception):
         raise fault
     return RegimeVerdict(*(column.item(0) for column in columns.values()), fault or ())
@@ -304,12 +305,12 @@ class SweepGrid:
         return math.prod(map(len, self.axes))
 
 
-_BATH_AXES, _DRIVE_AXES = (0, 1, 4, 5), (2, 3)
+_BATH_AXES, _DRIVE_AXES = (0, 1, 5), (2, 3)  # no bath check reads phi (SweepGrid did)
 
-# rows per slab: RunConfig.render formats every table this many rows at a time.
+# rows per slab: RunConfig.render writes every table this many rows at a time.
 # A sweep's kernel takes a block of up to _BLOCK_SLABS slabs at a time: each call
-# has a fixed cost of a few hundred numpy calls, and a block's arrays take about
-# 400 bytes a row where formatting a slab takes about 1 300
+# has a fixed cost of a few hundred numpy calls, and at its peak a block takes
+# under 250 bytes a row in the kernel and 250 to 1 500 while its texts are formatted
 SLAB_ROWS = 512
 _BLOCK_SLABS = 8
 
@@ -338,10 +339,10 @@ def _caught(fn, *args):
 def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, object]:
     """What the kernel reads of a grid, formed once per grid.
 
-    Each axis, and each distinct bath and drive record built and
-    validated once with the quantities taken from it (the bath widths
-    from a record per gamma and epsilon), as arrays that broadcast on the
-    grid's shape (size 1 along the axes they do not depend on), where an
+    Each axis, and each distinct bath (at phi = 0) and drive record built
+    and validated once with the quantities taken from it (the widths from
+    one per gamma and epsilon), as arrays that broadcast on the grid's
+    shape (size 1 along the axes they do not depend on), where an
     invalid record gives NaN and its exception.
     Returns them by name, and the fixed shifts (None for the asymptotic
     preset, or the exception that resolving them raised).
@@ -350,8 +351,8 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, object]:
     nan = math.nan
     inputs = {name: _along([float(v) for v in grid.axes[i]], (i,), shape)
               for i, name in ((0, "gamma"), (2, "Delta"), (4, "phi"), (5, "omega_L"), (6, "n"))}
-    baths = [_caught(SqueezedVacuumParams, *key)
-             for key in itertools.product(*(grid.axes[i] for i in _BATH_AXES))]
+    baths = [_caught(SqueezedVacuumParams, gamma, epsilon, 0.0, omega_L)
+             for gamma, epsilon, omega_L in itertools.product(*(grid.axes[i] for i in _BATH_AXES))]
     # the widths depend on gamma and epsilon alone: a record at phi = 0 and a valid
     # carrier checks just those two (baths gives each point its own error)
     widths = [_caught(SqueezedVacuumParams, *key, 0.0, 1.0)
@@ -398,9 +399,9 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
     coefficients._coefficient_arrays, and the rest repeats the scalar
     formulas with math functions per element, so every number has the
     bits of a point-by-point evaluation.  Returns the RegimeVerdict
-    columns as arrays in grid order (float64, or objects for the
-    booleans, None where skipped) and per point None, the exception that
-    skips it, or the ("margin", exception) pair it records.
+    columns, each over its own axes and the six before n (float64, or
+    objects for the booleans; NaN or None where skipped), and over those
+    six the None, exception or ("margin", exception) pair of each point.
     """
     nan = math.nan
     gamma, Delta, phi, omega_L, n = (inputs[k] for k in ("gamma", "Delta", "phi", "omega_L", "n"))
@@ -468,10 +469,9 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
     for i in zip(*np.nonzero(margin)):
         faults[i] = (("margin", margin_error[i]),)
 
-    skipped = np.broadcast_to(skipped, shape)  # np.where then gives every column its full shape
-    report = {name: np.where(skipped, None if column.dtype == bool else nan, column).ravel()
+    report = {name: np.where(skipped, None if column.dtype == bool else nan, column)
               for name, column in columns.items()}
-    return report, np.broadcast_to(faults, shape).ravel().tolist()
+    return report, faults
 
 
 def _status(fault) -> str:
@@ -490,9 +490,10 @@ class _SweepTable(Sequence):
     on the axes after it, which makes consecutive rows, at most
     _BLOCK_SLABS * SLAB_ROWS of them (the split axis is the first whose
     trailing axes fit).  blocks() gives each block as its columns, one
-    array per SWEEP_COLUMNS entry; a SweepRow of Python values is built
-    only when a row is read, from the block that holds it, and only the
-    block read last is kept.
+    array per SWEEP_COLUMNS entry over the axes it depends on, which
+    broadcast on the block's shape, rows in C order; a SweepRow of Python
+    values is built only when a row is read, from the block that holds
+    it, and only the block read last is kept.
     """
 
     def __init__(self, grid: SweepGrid, shifts: ShiftSpec) -> None:
@@ -535,11 +536,11 @@ class _SweepTable(Sequence):
 
         columns, faults = _regime_columns(
             {name: cut(a) for name, a in self._inputs.items()}, self._fixed, shape)
-        statuses = {fault: _status(fault) for fault in set(faults)}
+        statuses = {fault: _status(fault) for fault in set(faults.flat)}
         self._last = (j, [
-            *(np.broadcast_to(cut(p), shape).ravel() for p in self._points),
+            *map(cut, self._points),
             *(columns[name] for name in SWEEP_COLUMNS[7:-1]),
-            np.array(list(map(statuses.get, faults)), dtype=object),
+            np.frompyfunc(statuses.get, 1, 1)(faults),
         ])
         return self._last[1]
 
@@ -548,12 +549,13 @@ class _SweepTable(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         outer, offset = divmod(range(len(self))[i], self._span)  # IndexError past either end
         part, offset = divmod(offset, self._rows)
-        columns = self._block(outer * self._per_span + part)
+        columns = np.broadcast_arrays(*self._block(outer * self._per_span + part))
         return SweepRow._make(column.item(offset) for column in columns)
 
     def __iter__(self) -> Iterator[SweepRow]:
         for columns in self.blocks():
-            yield from map(SweepRow._make, zip(*(column.tolist() for column in columns)))
+            columns = np.broadcast_arrays(*columns)
+            yield from map(SweepRow._make, zip(*(column.ravel().tolist() for column in columns)))
 
 
 def regime_sweep(grid: SweepGrid, *, shifts: ShiftSpec = "asymptotic") -> Sequence[SweepRow]:

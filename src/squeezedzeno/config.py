@@ -127,15 +127,17 @@ def _join(pair: str, compact: list[str], indented: list[str], level: int) -> tup
 
 def _layout_items(seq: list, level: int) -> tuple[str, str]:
     """Both layouts of a list; a list of scalars is formatted as one column."""
-    texts = _column(seq)
+    texts = _column(seq).tolist()
     if None not in texts:
         return _join("[]", texts, texts, level)
     texts = [_layout(v, level + 1) for v in seq]
     return _join("[]", [c for c, _ in texts], [i for _, i in texts], level)
 
 
-# quotes every string cell: writerow returns what write returns, here the row's text
+# quotes a string cell: writerow returns what write returns, here the row's text.  It
+# leaves a text with no comma, quote or line break as it is, so _scalar skips those
 _CELL_WRITER = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+_QUOTED = re.compile('[,"\r\n]')
 
 
 def _scalar(value: Any, cell: bool = False) -> str | None:
@@ -154,13 +156,14 @@ def _scalar(value: Any, cell: bool = False) -> str | None:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if cell:
-        # the empty second field keeps csv.writer from quoting an empty first one
-        return _CELL_WRITER.writerow([str(value), ""])[:-2]
+        text = str(value)
+        return _CELL_WRITER.writerow([text])[:-1] if _QUOTED.search(text) else text
     return json.dumps(value) if isinstance(value, str) else None
 
 
-def _column(values, cell: bool = False) -> list:
-    """_scalar of each value of one column (a JSON text, or with cell a CSV cell).
+def _column(values, cell: bool = False) -> np.ndarray:
+    """_scalar of each value of one column (a JSON text, or with cell a CSV cell),
+    as a 1-D array of objects (an array's values in C order).
 
     A float64 array is formatted once per distinct bit pattern, so 0.0
     and -0.0 stay apart, and an int64 array once per distinct value, each
@@ -170,49 +173,56 @@ def _column(values, cell: bool = False) -> list:
     else, a list of floats included, once per value.
     """
     if isinstance(values, np.ndarray) and values.dtype not in (np.float64, np.int64):
-        values = values.tolist()
+        values = values.ravel().tolist()
     if isinstance(values, np.ndarray):
         floats = values.dtype == np.float64
-        keys, where = np.unique(values.view(np.int64), return_inverse=True)
+        keys, where = np.unique(values.ravel().view(np.int64), return_inverse=True)
         distinct = (keys.view(np.float64) if floats else keys).tolist()
         texts = (" ".join(["%.17g" if floats else "%d"] * len(distinct)) % tuple(distinct)).split()
         if floats and not cell:
             texts = ["null" if t in ("nan", "inf", "-inf") else t for t in texts]
-        return np.array(texts, dtype=object)[where].tolist()
+        return np.array(texts, dtype=object)[where]
     kinds = set(map(type, values))
     if kinds <= {type(None), str, bool} or kinds <= {type(None), str, int}:
         texts = {v: _scalar(v, cell) for v in set(values)}
-        return list(map(texts.__getitem__, values))
-    return [_scalar(v, cell) for v in values]
+        return np.array(list(map(texts.__getitem__, values)), dtype=object)
+    return np.array([_scalar(v, cell) for v in values], dtype=object)
 
 
-def _columns(columns: Sequence, cell: bool = False) -> list[list]:
-    """_column of each of parallel columns, the float64 arrays among them
-    formatted together as one column (one pass over a slab's floats)."""
-    texts = list(columns)
-    floats = [i for i, c in enumerate(columns)
-              if isinstance(c, np.ndarray) and c.dtype == np.float64]
+def _texts(columns: Sequence, cell: bool) -> list[np.ndarray]:
+    """The texts of a block of parallel columns, each an array of objects over its rows.
+
+    The columns are arrays that broadcast together, or lists (1-D), and the
+    rows are the points of their common shape in C order.  Each column is
+    formatted at its own shape, once per distinct value as by _column (the
+    float64 arrays together, in one pass), and its texts are broadcast to
+    the rows as references to the same strings.
+    """
+    shapes = [c.shape if isinstance(c, np.ndarray) else (len(c),) for c in columns]
+    floats = [i for i, c in enumerate(columns) if getattr(c, "dtype", None) == np.float64]
+    texts = [None if i in floats else _column(c, cell) for i, c in enumerate(columns)]
     if floats:
-        joint = _column(np.concatenate([columns[i] for i in floats]), cell)
-        rows = len(joint) // len(floats)
-        for k, i in enumerate(floats):
-            texts[i] = joint[k * rows:(k + 1) * rows]
-    return [t if i in floats else _column(t, cell) for i, t in enumerate(texts)]
+        joint = _column(np.concatenate([columns[i].ravel() for i in floats]), cell)
+        for i, part in zip(floats, np.split(joint, np.cumsum([columns[i].size for i in floats]))):
+            texts[i] = part
+    shape = np.broadcast_shapes(*shapes)
+    return [np.broadcast_to(t.reshape(s), shape).ravel() for t, s in zip(texts, shapes)]
 
 
-def _slabs(blocks: Iterable[Sequence]) -> Iterator[list]:
-    """Blocks of parallel columns cut into slabs of SLAB_ROWS rows (the last of
-    a block shorter).
+def _slabs(blocks: Iterable[Sequence], cell: bool) -> Iterator[list[tuple]]:
+    """The rows of a table given as blocks of parallel columns (see _texts), each
+    the tuple of its texts, SLAB_ROWS at a time (the last of a block shorter).
 
-    Nothing here, nor in the writers that take the slabs, holds a slab or
-    its text once it is passed on (map, chain and yield from bind no name),
-    so a sweep's next block is computed after the last one is freed."""
-    return chain.from_iterable(map(_slabs_of, blocks))
+    Nothing here, nor in the writers that take the slabs, holds a block or
+    its text once its last slab is passed on (map, chain and yield from bind
+    no name), so a sweep's next block is computed after the last one is freed."""
+    return chain.from_iterable(map(_slabs_of, blocks, repeat(cell)))
 
 
-def _slabs_of(columns: Sequence) -> Iterator[list]:
-    return ([column[start:start + SLAB_ROWS] for column in columns]
-            for start in range(0, len(columns[0]), SLAB_ROWS))
+def _slabs_of(columns: Sequence, cell: bool) -> Iterator[list[tuple]]:
+    texts = _texts(columns, cell)
+    return (list(zip(*(t[start:start + SLAB_ROWS].tolist() for t in texts)))
+            for start in range(0, len(texts[0]), SLAB_ROWS))
 
 
 def _csv_table(names: Sequence[str], slabs: Iterable) -> Iterator[tuple[str, None]]:
@@ -222,9 +232,9 @@ def _csv_table(names: Sequence[str], slabs: Iterable) -> Iterator[tuple[str, Non
     yield from map(_csv_slab, slabs)
 
 
-def _csv_slab(slab: list) -> tuple[str, None]:
+def _csv_slab(rows: list[tuple]) -> tuple[str, None]:
     """A slab's CSV rows."""
-    return "\n".join(map(",".join, zip(*_columns(slab, cell=True)))) + "\n", None
+    return "\n".join(map(",".join, rows)) + "\n", None
 
 
 # the pads before a table's rows and cells in the indented layout (the result is at level 1)
@@ -244,9 +254,8 @@ def _json_table(names: Sequence[str], slabs: Iterable) -> Iterator[tuple[str, st
     yield ("\n    ]" if next(leads) else "]") + "\n  }", "]}"
 
 
-def _json_slab(slab: list, lead: str) -> tuple[str, str]:
+def _json_slab(rows: list[tuple], lead: str) -> tuple[str, str]:
     """A slab's rows in the indented and in the compact layout, each after lead."""
-    rows = list(zip(*_columns(slab)))
     return (lead + _ROW + "[" + _CELL
             + (_ROW + "]," + _ROW + "[" + _CELL).join(map(("," + _CELL).join, rows)) + _ROW + "]",
             lead + "[" + "],[".join(map(",".join, rows)) + "]")
@@ -446,10 +455,11 @@ class RunConfig:
         """The output document of result: a provenance header, then the data.
 
         With columns (the column names), result is a table: its columns,
-        1-D arrays or lists parallel to the names, or an object whose
-        blocks() gives them a block of rows at a time (a sweep).  It is
-        written as a CSV table or, in JSON, as {"columns": [...], "rows":
-        [...]}, SLAB_ROWS rows at a time: each slab is formatted and
+        1-D arrays or lists parallel to the names (formatted a slab at a
+        time), or an object whose blocks() gives them a block of rows at a
+        time as arrays that broadcast together (a sweep).  It is written as
+        a CSV table or, in JSON, as {"columns": [...], "rows": [...]},
+        SLAB_ROWS rows at a time: each slab is formatted and
         encoded once, its bytes are one chunk of the document, and the
         hash of the data section is updated slab by slab, so no text of
         the whole body is ever formed.  Without columns, result is
@@ -469,8 +479,10 @@ class RunConfig:
             digest.update(compact.encode("utf-8"))
             body = [indented.encode("utf-8")]
         else:
-            slabs = _slabs(result.blocks() if hasattr(result, "blocks") else [result])
             csv_format = self.data["format"] == "csv"
+            blocks = result.blocks() if hasattr(result, "blocks") else (
+                [c[i:i + SLAB_ROWS] for c in result] for i in range(0, len(result[0]), SLAB_ROWS))
+            slabs = _slabs(blocks, csv_format)
             body = []
             for text, compact in (_csv_table if csv_format else _json_table)(columns, slabs):
                 body.append(text.encode("utf-8"))

@@ -192,6 +192,20 @@ def test_cli_integer_past_the_float_range_exits_1(tmp_path, capsys, command, key
     assert captured.err == f"error: {key}: must lie within the float range (about 1.8e308)\n"
 
 
+@pytest.mark.xfail(strict=True, raises=IndexError,
+                   reason="no cap on spectrum.points or evolve.samples yet (ROADMAP item 6)")
+def test_cli_count_past_the_array_size_limit_exits_2_with_one_error_line(tmp_path, capsys):
+    # 2**63 is held by a float, so the config takes it; np.linspace then fails on it
+    # (the same oracle.samples is refused by the oracle's cap)
+    for command, key in (("spectrum", "spectrum.points"), ("evolve", "evolve.samples")):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_nested(key, 2**63)))
+        assert main([command, "--format", "json", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]+\n", captured.err), key
+
+
 @pytest.mark.filterwarnings("error")
 def test_value_validation(tmp_path, capsys):
     path = tmp_path / "c.json"
@@ -438,6 +452,19 @@ def test_scalar_json_text_and_csv_cell(value, text, cell):
     assert canonical_json([value, value]) == f"[{text},{text}]"
     document = b"".join(RunConfig.load().render([[value, value]], ("v",))).decode()
     assert document.split("\n", 3)[3] == f"v\n{cell}\n{cell}\n"
+
+
+def test_csv_cells_are_quoted_as_csv_writer_quotes_them():
+    # _scalar hands csv.writer only the texts holding a comma, a quote or a line break
+    def written(text):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow([text, ""])
+        return out.getvalue()[:-2]
+
+    specials = ["\u0085", "\u2028", "\u2029", "\ufeff", "\U0001f600", "a\r\nb", '""', " ,"]
+    for text in [*map(chr, range(0x800)), *specials]:
+        for cell in (text, f"x{text}y", f"{text} {text}"):
+            assert _scalar(cell, cell=True) == written(cell), repr(cell)
 
 
 def test_zero_and_negative_zero_stay_apart_in_a_column():

@@ -77,6 +77,19 @@ SWEEPS = {
     "block+1": _grid(n=_n(BLOCK + 1)),
     "blocks-of-300": _grid(epsilon=[0.3, 2.0], Delta=[5.0, *np.linspace(-9.0, 9.0, 19).tolist()],
                            n=_n(300)),
+    # two values or more on every axis, so each column has its own shape in a block, with
+    # ok, partial (Delta = 5) and skipped (phi near 0, N~ < 0) rows
+    "every-axis": _grid(gamma=[1.0, 1.2], epsilon=[0.3, 0.5], Delta=[1.0, 5.0], Omega=[10.0, 12.0],
+                        phi=[math.pi, 0.05], omega_L=[100.0, 50.0], n=[1, 7, 100]),
+    # every point skipped (epsilon above gamma): no number in any reported column
+    "all-skipped": _grid(epsilon=[2.0, 3.0], n=_n(3)),
+    # an n past int64, an axis of Python ints printed exactly
+    "n-past-int64": _grid(n=[1, 2**64]),
+    # an invalid carrier (above half the largest float), so only some baths fail
+    "one-bad-carrier": _grid(omega_L=[100.0, 1e308], phi=[math.pi, 1.0], n=_n(3)),
+    # a long phi axis with an invalid bath, whose record is built once for every phi
+    "long-phi-bad-bath": _grid(epsilon=[0.5, 2.0], phi=np.linspace(0.0, 6.0, 700).tolist(),
+                               n=[1, 2]),
 }
 
 
