@@ -379,9 +379,12 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, object]:
                                 ("drive_error", drives, _DRIVE_AXES)):
         inputs[name] = _along([r if isinstance(r, Exception) else None for r in records],
                               dims, shape, object)
-    inputs["margin_error"] = _along(tangents, _DRIVE_AXES, shape, object)
-    inputs["margin"] = _along([isinstance(t, Exception) for t in tangents],
-                              _DRIVE_AXES, shape, bool)
+    # the fault of a point whose drive has a tangent pole, one per drive record
+    margin = np.full(len(tangents), None, dtype=object)
+    for i, t in enumerate(tangents):
+        if isinstance(t, Exception):
+            margin[i] = (("margin", t),)
+    inputs["margin"] = _along(margin, _DRIVE_AXES, shape, object)
     phases = [cmath.exp(1j * p) for p in grid.phi]
     inputs["p_re"], inputs["p_im"] = (_along(c, (4,), shape)
                                       for c in zip(*((p.real, p.imag) for p in phases)))
@@ -446,10 +449,16 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
     faults = np.full(vshape, None, dtype=object)
     skipped = np.zeros(vshape, dtype=bool)
 
-    def skip(mask, values, error=lambda value: value):
-        """Skip the points of mask that nothing skipped yet, with error(value)."""
+    def skip(mask, values, error=None):
+        """Skip the points of mask that nothing skipped yet: with values there (the
+        exceptions), or with error(value), one exception per distinct float."""
         new = ~skipped & mask
-        faults[new] = [error(v) for v in np.broadcast_to(values, vshape)[new].tolist()]
+        values = np.broadcast_to(values, vshape)[new]
+        if error is not None:
+            keys, where = np.unique(values.view(np.int64), return_inverse=True)
+            values = np.array([error(v) for v in keys.view(np.float64).tolist()],
+                              dtype=object)[where]
+        faults[new] = values
         skipped[new] = True
 
     for errors in (inputs["bath_error"], inputs["drive_error"]):
@@ -464,10 +473,9 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
     for rate in (g_dec, g_pop):  # the decay times take finite rates only
         skip(~np.isfinite(rate), rate, lambda v: _caught(require_finite, "Gamma", v))
 
-    margin_error = np.broadcast_to(inputs["margin_error"], vshape)
-    margin = np.broadcast_to(inputs["margin"], vshape) & ~skipped
-    for i in zip(*np.nonzero(margin)):
-        faults[i] = (("margin", margin_error[i]),)
+    margin = inputs["margin"]
+    partial = np.broadcast_to(np.not_equal(margin, None), vshape) & ~skipped
+    faults[partial] = np.broadcast_to(margin, vshape)[partial]
 
     report = {name: np.where(skipped, None if column.dtype == bool else nan, column)
               for name, column in columns.items()}

@@ -10,8 +10,8 @@ fully resolved config is echoed into each output's provenance header.
 
 This module is the one place that decides how output looks: the text
 of each scalar in JSON and in CSV (_column formats a whole column, an
-array in one pass, and _scalar one value), the JSON layout, CSV quoting
-and the provenance header.  RunConfig.render writes every CLI document,
+array once per distinct value, and _scalar one value), the JSON layout,
+CSV quoting and the provenance header.  RunConfig.render writes every CLI document,
 taking tables as columns and writing them SLAB_ROWS rows at a time as
 chunks of UTF-8 bytes; canonical_json is the serializer on its own.
 Serialization is canonical (fixed key order, 17 significant digits) so
@@ -166,27 +166,150 @@ def _column(values, cell: bool = False) -> np.ndarray:
     as a 1-D array of objects (an array's values in C order).
 
     A float64 array is formatted once per distinct bit pattern, so 0.0
-    and -0.0 stay apart, and an int64 array once per distinct value, each
-    in one %-format pass ('%.17g' % x is format(x, '.17g')).  A column of
-    None, strings and either bools or ints goes through _scalar once per
-    distinct value (a column of both would take True for 1), anything
-    else, a list of floats included, once per value.
+    and -0.0 stay apart (see _floats), and an int64 array once per
+    distinct value, in one %-format pass.  A column of None, strings and
+    either bools or ints goes through _scalar once per distinct value (a
+    column of both would take True for 1), anything else, a list of
+    floats included, once per value.
     """
     if isinstance(values, np.ndarray) and values.dtype not in (np.float64, np.int64):
         values = values.ravel().tolist()
     if isinstance(values, np.ndarray):
-        floats = values.dtype == np.float64
         keys, where = np.unique(values.ravel().view(np.int64), return_inverse=True)
-        distinct = (keys.view(np.float64) if floats else keys).tolist()
-        texts = (" ".join(["%.17g" if floats else "%d"] * len(distinct)) % tuple(distinct)).split()
-        if floats and not cell:
-            texts = ["null" if t in ("nan", "inf", "-inf") else t for t in texts]
-        return np.array(texts, dtype=object)[where]
+        if values.dtype == np.float64:
+            return _floats(keys.view(np.float64), cell)[where]
+        return np.array(("%d " * len(keys) % tuple(keys.tolist())).split(), dtype=object)[where]
     kinds = set(map(type, values))
     if kinds <= {type(None), str, bool} or kinds <= {type(None), str, int}:
         texts = {v: _scalar(v, cell) for v in set(values)}
         return np.array(list(map(texts.__getitem__, values)), dtype=object)
     return np.array([_scalar(v, cell) for v in values], dtype=object)
+
+
+def _floats(values: np.ndarray, cell: bool) -> np.ndarray:
+    """_scalar of each float64 value, as an array of objects: format(v, '.17g'),
+    or in JSON "null" for nan and +-inf.
+
+    A value with 1e-4 <= |v| < 1e16 is written out positionally by
+    _positional, unless its exponent estimate misses or its 17 digits round
+    up to the next power of ten.  Every other value (+-0, subnormals, nan,
+    +-inf, |v| < 1e-4, |v| >= 1e16 and those left out) goes through one
+    %-format pass ('%.17g' % v is format(v, '.17g')).  The path depends on
+    the value alone, and both give the same text.
+    """
+    texts = np.empty(len(values), dtype=object)
+    size = np.abs(values)
+    inside = np.flatnonzero((size >= 1e-4) & (size < 1e16))
+    done, written = _positional(size[inside], values[inside] < 0.0)
+    texts[inside[done]] = written
+    rest = np.ones(len(values), dtype=bool)
+    rest[inside[done]] = False
+    others = values[rest].tolist()
+    texts[rest] = ("%.17g " * len(others) % tuple(others)).split()
+    if not cell:
+        texts[~np.isfinite(values)] = "null"
+    return texts
+
+
+def _halves(value):
+    """value's high part (26 significant bits at most) and the low part it leaves
+    (Veltkamp's split with 2**27 + 1)."""
+    scaled = value * 134217729.0
+    high = scaled - (scaled - value)
+    return high, value - high
+
+
+# 10**k for k = 0..22, exact in binary64, and its halves
+_TENS, _TENS_HIGH, _TENS_LOW = map(np.array, zip(*((10.0 ** k, *_halves(10.0 ** k))
+                                                    for k in range(23))))
+_PLACES = np.arange(17, dtype=np.int8)[:, None]  # the places of the 17 digits, as a column
+
+
+def _positional(size: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The '%.17g' text of each value of sign negative and magnitude size, for
+    sizes in [1e-4, 1e16): which values it wrote, and their texts in order.
+
+    The text is the fixed pattern of the value's exponent E ("0.000" and the
+    digits below 1, a point after the units digit above), less the zeros
+    that end it after the units digit, and less the point when nothing
+    follows it.
+    """
+    r, exponent, done = _significands(size)
+    count, negative = len(r), negative[done]
+    # the digits as planes (row j holds digit j of every value): R splits into
+    # its first digit and two halves of 8, each half into quarters, pairs and digits
+    digits = np.empty((17, count), np.uint8)
+    top = r // 10 ** 8
+    first = top // 10 ** 8
+    part = np.empty((2, count), np.uint32)
+    part[0] = top - first * 10 ** 8
+    part[1] = r - top * 10 ** 8
+    digits[0] = first
+    del r, top, first
+    for scale, dtype in ((10000, np.uint16), (100, np.uint8), (10, np.uint8)):
+        split = np.empty((len(part), 2, count), dtype)
+        split[:, 0] = part // scale
+        split[:, 1] = part - split[:, 0] * part.dtype.type(scale)
+        part = split.reshape(2 * len(part), count)
+    digits[1:] = part
+    del part, split
+    # the digits after both the units digit and the last nonzero one become blanks
+    kept = np.maximum(np.max((digits != 0) * _PLACES, axis=0), exponent)
+    digits += 48
+    np.copyto(digits, 32, where=_PLACES > kept)
+    # one row per column of text: the sign, then E's pattern, over the runs of
+    # one E (at most two per E, one per sign, in np.unique's order), blanks after
+    text = np.empty((24, count), np.uint8)
+    text[0] = np.where(negative, 45, 32)
+    text[19:] = 32
+    starts = np.flatnonzero(np.diff(exponent, prepend=-5)).tolist()
+    for start, stop in zip(starts, [*starts[1:], count]):
+        e, run = int(exponent[start]), slice(start, stop)
+        if e >= 0:
+            text[1:e + 2, run] = digits[:e + 1, run]
+            text[e + 2, run] = np.where(kept[run] > e, 46, 32)
+            text[e + 3:19, run] = digits[e + 1:, run]
+        else:
+            text[1:2 - e, run] = np.frombuffer(b"0.000", np.uint8)[:1 - e, None]
+            text[2 - e:19 - e, run] = digits[:, run]
+    data = text.T.tobytes()
+    del text, digits
+    data = data.decode("ascii")
+    return done, data.split()
+
+
+def _significands(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits R and the exponent E of each size, as
+    round-half-even(size * 10**(16 - E)) with E = floor(log10(size)), for the
+    sizes they hold for: R and E of those, and which they are.
+
+    R is exact: p + lo = size * 10**(16 - E) is Dekker's two-product (Numer.
+    Math. 18, 224 (1971)), p is an integer at and above 1e16 and R = p + rint(lo).
+    log10 only estimates E: a size whose exact product lies outside [1e16,
+    1e17), or whose R is 10**17, is left out.
+    """
+    exponent = np.log10(size)
+    np.floor(exponent, out=exponent)
+    k = (16.0 - exponent).astype(np.intp)
+    high, low = _halves(size)
+    ten_high, ten_low = _TENS_HIGH.take(k), _TENS_LOW.take(k)
+    p = _TENS.take(k)
+    p *= size
+    del k
+    # lo = ((high * ten_high - p) + high * ten_low + low * ten_high) + low * ten_low,
+    # in place, so that a long column makes few temporaries
+    lo = high * ten_high
+    lo -= p
+    high *= ten_low
+    lo += high
+    ten_high *= low
+    lo += ten_high
+    low *= ten_low
+    lo += low
+    del high, low, ten_high, ten_low
+    r = p.astype(np.int64) + np.rint(lo).astype(np.int64)
+    done = ((p > 1e16) | ((p == 1e16) & (lo >= 0.0))) & (r < 10 ** 17)
+    return r[done], exponent[done].astype(np.int8), done
 
 
 def _texts(columns: Sequence, cell: bool) -> list[np.ndarray]:

@@ -77,6 +77,26 @@ ORACLE_SCALED = {
     "samples": 7,
 }
 
+# 480 points whose float cells reach both ranges of the output formatter
+# (config._column): gamma from 1e-12 to 1e20 puts rates and times below 1e-4
+# and at or above 1e16 as well as between, with skipped points (N~ < 0 at
+# phi = 0, epsilon past gamma) and partial ones (the tangent pole at Delta = Omega / 2)
+WIDE_RANGE = {
+    "gamma": [1e-12, 3.7e-7, 2.5e-4, 1.0, 7.25e4, 1.0e9, 3.3e15, 1e16, 4.4e17, 1e20],
+    "epsilon": [0.0, 1e-13, 0.5],
+    "Delta": [0.0, 5.0],
+    "Omega": 10.0,
+    "phi": [0.0, PI],
+    "omega_L": [1e-3, 100.0],
+    "n": [1, 100],
+}
+
+# spectra over 34 decades of offset: most cells below 1e-4 or at or above 1e16
+SPECTRUM_WIDE = {
+    "bath": {"gamma": 1e4, "epsilon": 5e3, "omega_L": 1e-2},
+    "spectrum": {"x_min": -1e17, "x_max": 1e17, "points": 2001},
+}
+
 # timescales points that end in an error document
 ERRORS = {
     "negative-n-tilde": {"bath": {"phi": 0.0}},
@@ -106,6 +126,8 @@ def _payloads() -> dict[str, tuple[str, str, dict]]:
             "sweep", fmt, {"shifts": {"delta_N": 0.05, "delta_M": 0.2}, "sweep": SHIFTED}
         )
         runs[f"sweep-mixed-6400-{fmt}"] = ("sweep", fmt, {"sweep": MIXED_6400})
+        runs[f"sweep-wide-range-{fmt}"] = ("sweep", fmt, {"sweep": WIDE_RANGE})
+        runs[f"spectrum-wide-range-{fmt}"] = ("spectrum", fmt, SPECTRUM_WIDE)
     runs["oracle-default-json"] = ("oracle", "json", {})
     runs["oracle-scaled-json"] = ("oracle", "json", {"oracle": ORACLE_SCALED})
     for name, config in ERRORS.items():

@@ -388,15 +388,24 @@ def test_evolve_rejects_bad_initial_state_and_method(initial, method, message):
         evolve(initial, COEFFS, DRIVE, (0.0, 1.0), method=method)
 
 
-# imports the CLI, runs main on argv (if any), prints the exit code and the
-# loaded scipy and yaml modules
+# imports the CLI, or runs it on argv as python -m squeezedzeno.cli does; prints the
+# exit code and the loaded scipy, yaml and numpy.ma modules (numpy 2's np.unique
+# without return_inverse imports numpy.ma, about 1 MB and its import time)
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
-from squeezedzeno.cli import main
+import contextlib, io, json, runpy, sys
 argv = json.loads(sys.argv[1])
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = 0 if argv is None else main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))]))
+code = 0
+if argv is None:
+    import squeezedzeno.cli
+else:
+    sys.argv = ["squeezedzeno.cli", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("squeezedzeno.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")
+                               or m.split(".")[:2] == ["numpy", "ma"])]))
 """
 
 
@@ -417,13 +426,19 @@ def _fresh_interpreter_modules(tmp_path, argv):
     return json.loads(out.stdout)
 
 
+_JSON_RUNS = ["spectrum", "timescales", "sweep", "evolve"]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(None, 0), (["spectrum"], 0), (["timescales"], 0), (["sweep"], 0), (["evolve"], 0),
-     (["oracle", "--format", "json"], 0), (["oracle", "--format", "csv"], 1)],
-    ids=["import", "spectrum", "timescales", "sweep", "evolve", "oracle", "config-error"],
+     (["oracle", "--format", "json"], 0), (["oracle", "--format", "csv"], 1),
+     *(([command, "--format", "json"], 0) for command in _JSON_RUNS)],
+    ids=["import", "spectrum", "timescales", "sweep", "evolve", "oracle", "config-error",
+         *(f"{command}-json" for command in _JSON_RUNS)],
 )
 def test_closed_form_runs_load_neither_scipy_nor_yaml(tmp_path, argv, code):
+    # nor numpy.ma (see _IMPORT_PROBE), in both formats
     assert _fresh_interpreter_modules(tmp_path, argv) == [code, []]
 
 
