@@ -45,6 +45,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -243,7 +244,7 @@ def evaluate_regime(
     singularity is recorded in RegimeVerdict.errors instead of raised.
     """
     grid = SweepGrid(bath.gamma, bath.epsilon, drive.Delta, drive.Omega, bath.phi, bath.omega_L, n)
-    columns, faults = _regime_columns(*_regime_inputs(grid, shifts), (1,) * 7)
+    columns, faults = _regime_columns(_regime_inputs(grid, shifts), (1,) * 7)
     fault = faults.item(0)
     if isinstance(fault, Exception):
         raise fault
@@ -305,8 +306,6 @@ class SweepGrid:
         return math.prod(map(len, self.axes))
 
 
-_BATH_AXES, _DRIVE_AXES = (0, 1, 5), (2, 3)  # no bath check reads phi (SweepGrid did)
-
 # rows per slab: RunConfig.render writes every table this many rows at a time.
 # A sweep's kernel takes a block of up to _BLOCK_SLABS slabs at a time: each call
 # has a fixed cost of a few hundred numpy calls, and at its peak a block takes
@@ -336,69 +335,60 @@ def _caught(fn, *args):
         return exc.with_traceback(None)
 
 
-def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> tuple[dict, object]:
-    """What the kernel reads of a grid, formed once per grid.
+def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> dict:
+    """What the kernel reads of a grid, formed once per grid, by name.
 
-    Each axis, and each distinct bath (at phi = 0) and drive record built
-    and validated once with the quantities taken from it (the widths from
-    one per gamma and epsilon), as arrays that broadcast on the grid's
-    shape (size 1 along the axes they do not depend on), where an
-    invalid record gives NaN and its exception.
-    Returns them by name, and the fixed shifts (None for the asymptotic
-    preset, or the exception that resolving them raised).
+    Each axis, and each kind of record built and validated once over the
+    product of the axes its checks read: the bath widths per (gamma,
+    epsilon) at phi = 0 and a valid carrier, the carrier per omega_L, the
+    drive and its tangent term per (Delta, Omega), and a non-asymptotic
+    spec's shifts once.  Each gives the quantities taken from it as arrays
+    that broadcast on the grid's shape (size 1 along the axes they do not
+    depend on), NaN where the record is invalid, and its exceptions (None
+    where valid).  A bath's first fault is that of its (gamma, epsilon)
+    part, or failing that, that of its carrier (SqueezedVacuumParams checks
+    them in that order), so the two records give each point its own error.
     """
     shape = tuple(map(len, grid.axes))
-    nan = math.nan
     inputs = {name: _along([float(v) for v in grid.axes[i]], (i,), shape)
-              for i, name in ((0, "gamma"), (2, "Delta"), (4, "phi"), (5, "omega_L"), (6, "n"))}
-    baths = [_caught(SqueezedVacuumParams, gamma, epsilon, 0.0, omega_L)
-             for gamma, epsilon, omega_L in itertools.product(*(grid.axes[i] for i in _BATH_AXES))]
-    # the widths depend on gamma and epsilon alone: a record at phi = 0 and a valid
-    # carrier checks just those two (baths gives each point its own error)
-    widths = [_caught(SqueezedVacuumParams, *key, 0.0, 1.0)
-              for key in itertools.product(grid.gamma, grid.epsilon)]
-    inputs.update(zip(("lam2", "mu2", "lam", "mu", "offset"), (
-        _along(c, (0, 1), shape) for c in zip(*(
-            (nan,) * 5 if isinstance(b, Exception)
-            else (b.lam ** 2, b.mu ** 2, b.lam, b.mu, _margin_offset(b))
-            for b in widths
-        ))
-    )))
-    drives = [_caught(DriveParams, Omega, Delta)
-              for Delta, Omega in itertools.product(grid.Delta, grid.Omega)]
-    tangents = [d if isinstance(d, Exception) else _caught(_tangent_term, d) for d in drives]
-    inputs.update(zip(("op", "dt", "ot", "tangent"), (
-        _along(c, _DRIVE_AXES, shape) for c in zip(*(
-            (nan,) * 4 if isinstance(d, Exception)
-            else (d.omega_prime, d.delta_tilde, d.omega_tilde,
-                  nan if isinstance(t, Exception) else t)
-            for d, t in zip(drives, tangents)
-        ))
-    )))
-    for name, records, dims in (("bath_error", baths, _BATH_AXES),
-                                ("drive_error", drives, _DRIVE_AXES)):
-        inputs[name] = _along([r if isinstance(r, Exception) else None for r in records],
-                              dims, shape, object)
+              for i, name in ((0, "gamma"), (2, "Delta"), (4, "phi"), (6, "n"))}
+
+    def records(dims: tuple[int, ...], build, *names: str) -> np.ndarray:
+        """build(*point) over the product of the axes dims, its values stored by names
+        (NaN where it raised); returns the exceptions (None where it did not)."""
+        built = [_caught(build, *point)
+                 for point in itertools.product(*(grid.axes[i] for i in dims))]
+        inputs.update(zip(names, (_along(c, dims, shape) for c in zip(*(
+            (math.nan,) * len(names) if isinstance(b, Exception) else b for b in built)))))
+        return _along([b if isinstance(b, Exception) else None for b in built], dims, shape, object)
+
+    def widths(gamma: float, epsilon: float) -> tuple:
+        bath = SqueezedVacuumParams(gamma, epsilon, 0.0, 1.0)
+        return bath.lam ** 2, bath.mu ** 2, bath.lam, bath.mu, _margin_offset(bath)
+
+    inputs["bath_error"] = records((0, 1), widths, "lam2", "mu2", "lam", "mu", "offset")
+    inputs["carrier_error"] = records((5,), lambda omega_L: (require_carrier(omega_L),), "omega_L")
+    inputs["drive_error"] = records((2, 3), lambda Delta, Omega: attrgetter(
+        "omega_prime", "delta_tilde", "omega_tilde")(DriveParams(Omega, Delta)), "op", "dt", "ot")
     # the fault of a point whose drive has a tangent pole, one per drive record
-    margin = np.full(len(tangents), None, dtype=object)
-    for i, t in enumerate(tangents):
-        if isinstance(t, Exception):
-            margin[i] = (("margin", t),)
-    inputs["margin"] = _along(margin, _DRIVE_AXES, shape, object)
-    phases = [cmath.exp(1j * p) for p in grid.phi]
-    inputs["p_re"], inputs["p_im"] = (_along(c, (4,), shape)
-                                      for c in zip(*((p.real, p.imag) for p in phases)))
-    asymptotic = isinstance(shifts, str) and shifts == "asymptotic"
-    return inputs, None if asymptotic else _caught(resolve_shifts, shifts, None, None)
+    poles = records((2, 3), lambda Delta, Omega: (_tangent_term(DriveParams(Omega, Delta)),),
+                    "tangent")
+    inputs["margin"] = np.frompyfunc(lambda exc: None if exc is None else (("margin", exc),),
+                                     1, 1)(poles)
+    records((4,), lambda phi: attrgetter("real", "imag")(cmath.exp(1j * phi)), "p_re", "p_im")
+    if not (isinstance(shifts, str) and shifts == "asymptotic"):  # else delta_M is per point
+        inputs["shift_error"] = records((), lambda: attrgetter("delta_N", "delta_M")(
+            resolve_shifts(shifts, None, None)), "delta_N", "delta_M")
+    return inputs
 
 
-def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, list]:
+def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
     """Every verdict over a block of the grid at once: the one kernel.
 
     inputs are _regime_inputs' arrays cut to the block, whose shape is
-    shape, and fixed its fixed shifts.  The seven axes broadcast in grid
-    order (n fastest), so each quantity is computed once per combination
-    of the axes it depends on.  The coefficients come from
+    shape (delta_M is formed here where they hold none).  The seven axes
+    broadcast in grid order (n fastest), so each quantity is computed once
+    per combination of the axes it depends on.  The coefficients come from
     coefficients._coefficient_arrays, and the rest repeats the scalar
     formulas with math functions per element, so every number has the
     bits of a point-by-point evaluation.  Returns the RegimeVerdict
@@ -406,14 +396,14 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
     objects for the booleans; NaN or None where skipped), and over those
     six the None, exception or ("margin", exception) pair of each point.
     """
-    nan = math.nan
     gamma, Delta, phi, omega_L, n = (inputs[k] for k in ("gamma", "Delta", "phi", "omega_L", "n"))
     lam2, mu2, lam, mu, offset = (inputs[k] for k in ("lam2", "mu2", "lam", "mu", "offset"))
     op, dt, ot, tangent = (inputs[k] for k in ("op", "dt", "ot", "tangent"))
 
     with np.errstate(all="ignore"):
-        delta_N, delta_M = ((0.0, _asymptotic_delta_m(op, lam2, mu2, lam, mu)) if fixed is None
-                            else (getattr(fixed, "delta_N", nan), getattr(fixed, "delta_M", nan)))
+        delta_N = inputs.get("delta_N", 0.0)
+        delta_M = (inputs["delta_M"] if "delta_M" in inputs
+                   else _asymptotic_delta_m(op, lam2, mu2, lam, mu))
         n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _ = _coefficient_arrays(
             gamma, lam2, mu2, op, Delta, dt, ot, inputs["p_re"], inputs["p_im"], delta_N, delta_M)
         g_dec = gamma * (0.5 + n_tilde + m_re)
@@ -461,12 +451,10 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
         faults[new] = values
         skipped[new] = True
 
-    for errors in (inputs["bath_error"], inputs["drive_error"]):
-        skip(np.not_equal(errors, None), errors)
-    if fixed is None:
-        skip(~np.isfinite(delta_M), delta_M, lambda v: _caught(SqueezingShifts, 0.0, v))
-    elif isinstance(fixed, Exception):
-        skip(True, np.array(fixed, dtype=object))
+    for name in ("bath_error", "carrier_error", "drive_error", "shift_error"):
+        if name in inputs:
+            skip(np.not_equal(inputs[name], None), inputs[name])
+    skip(~np.isfinite(delta_M), delta_M, lambda v: _caught(SqueezingShifts, 0.0, v))
     skip(n_tilde < 0.0, n_tilde, _negative_n_tilde)
     skip(g_dec <= 0.0, g_dec,
          lambda v: InvalidParamsError(f"nonpositive quadrature decay rate ({v:.6g})"))
@@ -477,7 +465,7 @@ def _regime_columns(inputs: dict, fixed, shape: tuple[int, ...]) -> tuple[dict, 
     partial = np.broadcast_to(np.not_equal(margin, None), vshape) & ~skipped
     faults[partial] = np.broadcast_to(margin, vshape)[partial]
 
-    report = {name: np.where(skipped, None if column.dtype == bool else nan, column)
+    report = {name: np.where(skipped, None if column.dtype == bool else math.nan, column)
               for name, column in columns.items()}
     return report, faults
 
@@ -505,7 +493,7 @@ class _SweepTable(Sequence):
     """
 
     def __init__(self, grid: SweepGrid, shifts: ShiftSpec) -> None:
-        self._inputs, self._fixed = _regime_inputs(grid, shifts)
+        self._inputs = _regime_inputs(grid, shifts)
         shape = self._shape = tuple(map(len, grid.axes))
         self._points = [_along(axis, (i,), shape, None) for i, axis in enumerate(grid.axes)]
         axis, inner, most = 6, 1, _BLOCK_SLABS * SLAB_ROWS
@@ -542,8 +530,8 @@ class _SweepTable(Sequence):
             return array[tuple(s if size > 1 else slice(None)
                                for s, size in zip(index, array.shape))]
 
-        columns, faults = _regime_columns(
-            {name: cut(a) for name, a in self._inputs.items()}, self._fixed, shape)
+        columns, faults = _regime_columns({name: cut(a) for name, a in self._inputs.items()},
+                                          shape)
         statuses = {fault: _status(fault) for fault in set(faults.flat)}
         self._last = (j, [
             *map(cut, self._points),

@@ -64,12 +64,13 @@ class SqueezedVacuumParams:
                 f"epsilon must satisfy epsilon < gamma (below threshold), "
                 f"got epsilon={self.epsilon}, gamma={self.gamma}"
             )
-        require_carrier(self.omega_L)
         # N and |M| divide by lambda^2 mu^2, so lambda^4 must be finite and mu^4 normal
         lam2, mu2 = self.lam * self.lam, self.mu * self.mu  # * gives inf where ** raises
         if not (lam2 * lam2 < math.inf and mu2 * mu2 >= sys.float_info.min):
             raise InvalidParamsError(f"gamma +/- epsilon must lie between about 1e-77 and 1e77, "
                                      f"got lambda={self.lam}, mu={self.mu}")
+        # last, so that a sweep can check (gamma, epsilon) and the carrier apart
+        require_carrier(self.omega_L)
 
     @property
     def lam(self) -> float:

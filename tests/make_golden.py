@@ -1,6 +1,6 @@
 """Write tests/_artifacts/golden_sha256.json, the pinned hashes of CLI payloads.
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py [--missing]
 
 Every entry of PAYLOADS is one in-process CLI run (subcommand, format,
 config).  The table keeps, per run, the exit code, the payload's
@@ -11,11 +11,14 @@ purpose reruns this script and states the tolerance; a change to the
 provenance alone (tool version, config keys) moves only the document
 hashes.  The help-* entries pin the --help texts, top level and per
 subcommand, at a 100-column terminal: their exit code and the sha256 of
-the text.
+the text.  With --missing only the entries the table lacks are run, added
+and named; every existing entry and the recorded versions keep their
+bytes, so a new entry can be hashed with an earlier commit's code.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -97,6 +100,31 @@ SPECTRUM_WIDE = {
     "spectrum": {"x_min": -1e17, "x_max": 1e17, "points": 2001},
 }
 
+# 192 points whose bath faults come from the carrier (omega_L = 0 and 1e308
+# beside 100) or from (gamma, epsilon) alone (epsilon at and past gamma), with
+# Omega = 0, a tangent pole at Delta = Omega / 2 and N~ < 0 at phi = 0
+CARRIER_FAULTS = {
+    "gamma": [1.0, 2.0],
+    "epsilon": [0.0, 0.5, 1.0, 1.5],
+    "Delta": [0.0, 5.0],
+    "Omega": [0.0, 10.0],
+    "phi": [0.0, PI],
+    "omega_L": [0.0, 100.0, 1e308],
+    "n": 10,
+}
+
+# 64 points at a valid carrier whose gamma +/- epsilon leave the float range
+# (gamma 2e77 and 1e-78) or whose gamma is negative, beside gamma = 1
+WIDTH_FAULTS = {
+    "gamma": [-1.0, 1e-78, 1.0, 2e77],
+    "epsilon": [0.0, 0.5],
+    "Delta": [0.0, 5.0],
+    "Omega": [0.0, 10.0],
+    "phi": [0.0, PI],
+    "omega_L": 100.0,
+    "n": 10,
+}
+
 # timescales points that end in an error document
 ERRORS = {
     "negative-n-tilde": {"bath": {"phi": 0.0}},
@@ -127,6 +155,8 @@ def _payloads() -> dict[str, tuple[str, str, dict]]:
         )
         runs[f"sweep-mixed-6400-{fmt}"] = ("sweep", fmt, {"sweep": MIXED_6400})
         runs[f"sweep-wide-range-{fmt}"] = ("sweep", fmt, {"sweep": WIDE_RANGE})
+        runs[f"sweep-carrier-faults-{fmt}"] = ("sweep", fmt, {"sweep": CARRIER_FAULTS})
+        runs[f"sweep-width-faults-{fmt}"] = ("sweep", fmt, {"sweep": WIDTH_FAULTS})
         runs[f"spectrum-wide-range-{fmt}"] = ("spectrum", fmt, SPECTRUM_WIDE)
     runs["oracle-default-json"] = ("oracle", "json", {})
     runs["oracle-scaled-json"] = ("oracle", "json", {"oracle": ORACLE_SCALED})
@@ -180,13 +210,19 @@ def run(name: str, workdir: Path) -> dict:
     }
 
 
-def main_() -> int:
+def main_(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the pinned CLI payload hashes.")
+    parser.add_argument("--missing", action="store_true",
+                        help="run only the payloads the table lacks and add them")
+    missing = parser.parse_args(argv).missing
+    table = json.loads(TABLE.read_text()) if missing else {"versions": versions(), "payloads": {}}
+    names = sorted(set(PAYLOADS) - set(table["payloads"]))
     with tempfile.TemporaryDirectory() as tmp:
-        table = {
-            "versions": versions(),
-            "payloads": {name: run(name, Path(tmp)) for name in sorted(PAYLOADS)},
-        }
+        table["payloads"].update((name, run(name, Path(tmp))) for name in names)
+    table["payloads"] = dict(sorted(table["payloads"].items()))
     TABLE.write_text(json.dumps(table, indent=2) + "\n")
+    if missing:
+        print("\n".join(f"added {name}" for name in names))
     print(f"wrote {len(table['payloads'])} hashes to {TABLE}")
     return 0
 

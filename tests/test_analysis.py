@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,6 +320,32 @@ def test_sweep_statuses():
     assert skipped.status.startswith("skipped:")
     assert math.isnan(skipped.Gamma_dec)
     assert skipped.cond_derived is None
+
+
+def test_a_bath_reports_its_width_fault_before_its_carrier_fault(tmp_path, capsys):
+    # gamma +/- epsilon past the float range and omega_L = 0 at once
+    width = "gamma +/- epsilon must lie between about 1e-77 and 1e77, "
+    with pytest.raises(InvalidParamsError, match=f"^{re.escape(width)}"):
+        SqueezedVacuumParams(2e77, 0.0, 0.0, 0.0)
+    cfg = tmp_path / "bath.json"
+    cfg.write_text(json.dumps({"bath": {"gamma": 2e77, "epsilon": 0.0, "omega_L": 0.0}}))
+    assert main(["timescales", "--config", str(cfg)]) == 1
+    assert re.fullmatch(f"error: bath: {re.escape(width)}[^\n]*\n", capsys.readouterr().err)
+    grid = SweepGrid((1.0, 2e77), (0.0,), (0.0,), (10.0,), (math.pi,), (100.0, 0.0), (100,))
+    raised = []
+    for row in regime_sweep(grid):
+        # evaluate_regime reads the four fields of its bath, which here no record could hold
+        bath = SimpleNamespace(gamma=row.gamma, epsilon=row.epsilon, phi=row.phi,
+                               omega_L=row.omega_L)
+        try:
+            evaluate_regime(bath, DRIVE, row.n)
+        except InvalidParamsError as exc:
+            raised.append(str(exc))
+            assert row.status == f"skipped: {exc}"
+        else:
+            assert row.status == "ok"
+    assert [text[:len(width)] for text in raised] == [
+        "omega_L must be > 0, got 0.0", width, width]
 
 
 def test_sweep_row_tuple_matches_columns():

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import make_golden
 from make_golden import PAYLOADS, TABLE, run, versions
 
 GOLDEN = json.loads(TABLE.read_text())
@@ -27,3 +28,18 @@ def test_payload_matches_golden_hash(name, tmp_path):
         else f" (table made with {GOLDEN['versions']}, running on {stack})"
     )
     assert got == GOLDEN["payloads"][name], f"{name} moved{where}"
+
+
+def test_missing_runs_only_the_absent_entries(tmp_path, monkeypatch, capsys):
+    partial = json.loads(TABLE.read_text())
+    del partial["payloads"]["help-sweep"]
+    table = tmp_path / "golden_sha256.json"
+    table.write_text(json.dumps(partial, indent=2) + "\n")
+    monkeypatch.setattr(make_golden, "TABLE", table)
+    ran = []
+    monkeypatch.setattr(make_golden, "run",
+                        lambda name, workdir: ran.append(name) or GOLDEN["payloads"][name])
+    assert make_golden.main_(["--missing"]) == 0
+    assert ran == ["help-sweep"]
+    assert table.read_text() == TABLE.read_text()
+    assert capsys.readouterr().out.startswith("added help-sweep\n")
