@@ -359,10 +359,10 @@ _FIT_STEPS, _STEP_TOL = 100, 1e-10
 def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
     """Least-squares fit of a decaying exponential with offset.
 
-    Levenberg-Marquardt on (rate, amplitude, offset) from a half-life guess,
-    damped along the Jacobian's column norms.  A step is taken if it lowers
-    the residual; once a step would move the scaled parameters by at most
-    _STEP_TOL of their norm, it is taken and the fit has converged.
+    Levenberg-Marquardt on (rate, amplitude, offset) from a half-life guess, each step
+    solved and damped in the parameters scaled by the Jacobian's column norms (so in any
+    units of t).  A step is taken if it lowers the residual; once a step would move the
+    scaled parameters by at most _STEP_TOL of their norm, it is taken and the fit has converged.
 
     Raises DegenerateFitError when the signal is constant and
     IllConditionedFitError when the fit does not converge in _FIT_STEPS
@@ -399,8 +399,9 @@ def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
         decay = np.exp(-p[0] * t)
         jac = np.column_stack([-p[1] * t * decay, decay, np.ones_like(t)])
         res, norms = residual(p), np.linalg.norm(jac, axis=0)
-        step = np.linalg.lstsq(np.vstack([jac, np.diag(math.sqrt(damping) * norms)]),
-                               np.concatenate([-res, np.zeros(3)]), rcond=None)[0]
+        scale = np.where(norms > 0.0, norms, 1.0)  # a zero column keeps a zero step
+        step = np.linalg.lstsq(np.vstack([jac / scale, math.sqrt(damping) * np.eye(3)]),
+                               np.concatenate([-res, np.zeros(3)]), rcond=None)[0] / scale
         if np.linalg.norm(norms * step) <= _STEP_TOL * np.linalg.norm(norms * p):
             p = p + step
             break
@@ -414,12 +415,11 @@ def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
 
     rate, amp, off = (float(v) for v in p)
     resid = float(np.sqrt(np.mean(residual(p) ** 2)))
-    norm = max(abs(amp), 1e-30)
-    if resid / norm > _RESIDUAL_THRESHOLD:
+    relative = resid / max(abs(amp), 1e-30)
+    if relative > _RESIDUAL_THRESHOLD:
         raise IllConditionedFitError(
-            f"fit residual {resid:.3g} exceeds {_RESIDUAL_THRESHOLD:.3g} of the amplitude; "
-            f"the signal is not a single exponential"
-        )
+            f"fit residual {relative:.3g} of the amplitude exceeds {_RESIDUAL_THRESHOLD:.3g}; "
+            f"the signal is not a single exponential")
     return FitResult(rate=rate, amplitude=amp, offset=off, residual=resid)
 
 

@@ -255,20 +255,20 @@ def _pole_runs(z: NDArray, n: NDArray) -> tuple[NDArray, NDArray]:
 def _ladder_sums(k: NDArray, d: NDArray, R: int) -> tuple[NDArray, NDArray]:
     """S1, S2: the sums of (x - r)^-1 and (x - r)^-2 over r = -R..R, r != 0, at x = k + d.
 
-    In an inner gap k < R the poles r = k, k - 1, ..., -R below x are the
-    run at d of length k + R + 1, less the reference level r = 0, and the
-    R - k poles above are the run at 1 - d, negated in S1.  Both are taken
-    at the offset d, never at x, so roots next to a pole keep their relative
-    accuracy.  In gap R, where d may far exceed 1, all 2R poles lie below x
-    and are summed directly.
+    The gaps k are any increasing subset of 1..R.  In an inner gap k < R the poles
+    r = k, k - 1, ..., -R below x are the run at d of length k + R + 1, less the
+    reference level r = 0, and the R - k poles above are the run at 1 - d, negated
+    in S1.  Both are taken at the offset d, never at x, so roots next to a pole
+    keep their relative accuracy.  In gap R (last, if given), where d may far
+    exceed 1, all 2R poles lie below x and are summed directly.
     """
-    inner, m = d[:-1], R - 1
-    run1, run2 = _pole_runs(np.concatenate([inner, 1.0 - inner]),
-                            np.concatenate([k[:-1] + R + 1.0, R - k[:-1]]))
-    x, outer = k[:-1] + inner, 1.0 / (np.delete(np.arange(2.0 * R + 1.0), R) + d[-1])
+    inner = k < R
+    ki, di, m = k[inner], d[inner], int(inner.sum())
+    run1, run2 = _pole_runs(np.concatenate([di, 1.0 - di]), np.concatenate([ki + R + 1.0, R - ki]))
+    x, outer = ki + di, 1.0 / (np.delete(np.arange(2.0 * R + 1.0), R) + d[~inner, None])
     with np.errstate(over="ignore"):  # 1/d^2 at d ~ c, as in _pole_runs
-        return (np.append(run1[:m] - 1.0 / x - run1[m:], outer.sum()),
-                np.append(run2[:m] - 1.0 / x**2 + run2[m:], (outer * outer).sum()))
+        return (np.append(run1[:m] - 1.0 / x - run1[m:], outer.sum(axis=1)),
+                np.append(run2[:m] - 1.0 / x**2 + run2[m:], (outer * outer).sum(axis=1)))
 
 
 def _require_within_cap(model: DaviesModel, dim_cap: int, samples: int = 1) -> None:
@@ -300,10 +300,9 @@ def _solve_secular(model: DaviesModel) -> _Spectrum:
     In each gap f(d) = k + d - c S1(k + d) rises between poles at the ends.
     Newton steps on the pole-cleared h = d (1 - d) f (d f in gap R; f' = 1 + c S2)
     from the continuum-limit root bisect when they leave the bracket of the signs
-    of h seen so far, ends included (LAPACK dlaed4; R.-C. Li, LAPACK Working Note
-    89, 1993), until each offset moves by a few ulps or lands on a bracket end.
-    The weights are w = 1 / (1 + c S2); the arrays are shared by every caller
-    of the model, so they are read-only.
+    of h seen so far, ends included (LAPACK dlaed4; R.-C. Li, LAPACK Working Note 89,
+    1993); a root is evaluated (about 3 times) until its offset moves by a few ulps or
+    lands on a bracket end, and its weight w = 1 / (1 + c S2) takes that last S2.
     """
     R, c = model.R, model.c
     k = np.arange(1.0, R + 1.0)
@@ -311,31 +310,32 @@ def _solve_secular(model: DaviesModel) -> _Spectrum:
     lo[-1], hi[-1] = max(0.0, math.sqrt(2.0 * R * c) - R), c
     # S1(x) ~ pi cot(pi d) - 1/x + ln((R + 1/2 + x) / (R + 1/2 - x)) near x = k
     guess = np.arctan2(np.pi * c, k + c / k - c * np.log((R + 0.5 + k) / (R + 0.5 - k)))
-    d, inner = np.clip(guess / np.pi, lo, hi), k < R
-    for _ in range(64):
-        s1, s2 = _ladder_sums(k, d, R)
-        f, upper = k + d - c * s1, np.where(inner, 1.0 - d, 1.0)
-        h, slope = d * upper * f, (upper - inner * d) * f + d * upper * (1.0 + c * s2)
-        lo, hi = np.where(h < 0.0, d, lo), np.where(h < 0.0, hi, d)
-        new = d - h / slope
+    d, s2, todo = np.clip(guess / np.pi, lo, hi), np.empty(R), np.arange(R)
+    for _ in range(64):  # lo, hi and each round's arrays cover the roots still moving, todo
+        kt, dt, inner = k[todo], d[todo], todo < R - 1
+        s1, s2[todo] = _ladder_sums(kt, dt, R)
+        f, upper = kt + dt - c * s1, np.where(inner, 1.0 - dt, 1.0)
+        h, slope = dt * upper * f, (upper - inner * dt) * f + dt * upper * (1.0 + c * s2[todo])
+        lo, hi = np.where(h < 0.0, dt, lo), np.where(h < 0.0, hi, dt)
+        new = dt - h / slope
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        done = (np.abs(new - d) <= 4.0 * np.spacing(d)) | (new == lo) | (new == hi)
-        d = new
-        if done.all():
+        done = (np.abs(new - dt) <= 4.0 * np.spacing(dt)) | (new == lo) | (new == hi)
+        d[todo], todo, lo, hi = new, todo[~done], lo[~done], hi[~done]
+        if not todo.size:
             break
-    weights = 1.0 / (1.0 + c * _ladder_sums(k, d, R)[1])
+    weights = 1.0 / (1.0 + c * s2)
     w_zero = 1.0 / (1.0 + 2.0 * c * _pole_runs(np.ones(1), np.full(1, R))[1][0])
     spectrum = (
         np.concatenate([-k[::-1], [0.0], k]),
         np.concatenate([-d[::-1], [0.0], d]),
         np.concatenate([weights[::-1], [w_zero], weights]),
     )
-    for part in spectrum:
+    for part in spectrum:  # shared by every caller of the model
         part.flags.writeable = False
     return spectrum
 
 
-# near-field half-width m and far-field expansion order of the column:
+# near-field half-width m and largest far-field expansion order of the column:
 # inner offsets |d| < 1 and |k - r| > m leave (1/(m + 1))^P < 1e-20
 _NEAR, _POWERS = 48, 12
 
@@ -356,16 +356,17 @@ def _add_near_field(rows: NDArray, a: NDArray, d: NDArray) -> None:
 
 def _add_far_field(rows: NDArray, a: NDArray, d: NDArray) -> None:
     """Add to rows the inner roots with |k - r| > m: inner root q = k + R - 1 meets row
-    i = r + R at k - r = 1 - (i - q).  The running powers of kernel 1/u and moment a (-d)^p
-    are updated in place, their transforms written into two length-n buffers."""
+    i = r + R at k - r = 1 - (i - q).  The powers of kernel 1/u and moment a (-d)^p the
+    offsets need are updated in place, their transforms (the kernel's by rfft) in 2 buffers."""
     m, n = _NEAR, 1 << (2 * rows.size - 2).bit_length()  # n > 4R = 2 (dim - 1)
-    u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
+    ratio, u = np.abs(d).max() / (m + 1), 1.0 - np.fft.fftfreq(n, 1.0 / n)
+    powers = next((p for p in range(1, _POWERS) if ratio**p <= 1e-20), _POWERS)
     base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
     kernel, moment, minus_d = base.copy(), a.copy(), -d
     spectrum, f_moment, f_kernel = (np.zeros(n, complex) for _ in range(3))
-    for _ in range(_POWERS):
-        f_moment[:] = kernel  # the complex cast fft would otherwise allocate
-        np.fft.fft(f_moment, out=f_kernel)
+    for _ in range(powers):
+        np.fft.rfft(kernel, out=f_kernel[:n // 2 + 1])
+        np.conjugate(f_kernel[n // 2 - 1:0:-1], out=f_kernel[n // 2 + 1:])
         np.fft.fft(moment, n, out=f_moment)
         spectrum += np.multiply(f_moment, f_kernel, out=f_moment)
         kernel *= base
@@ -381,10 +382,10 @@ def davies_propagator_column(
     From v_k[r] = g v_k[0] / (lambda_k - E_r), in units of Delta_E,
     U_{r,0} = (g/Delta_E) sum_k a_k / (k - r + d_k), a_k = w_k e^{-i lambda_k t}.
     The inner roots (|d_k| < 1) are summed directly for |k - r| <= m and,
-    farther out, through 1/(u + d) = sum_p (-d)^p / u^(p+1): one FFT
-    correlation per power p, the far-field step of the fast multipole
-    method on the regular ladder.  The two outer roots, whose offsets
-    reach 2c, are summed directly.  After the solve: O(dim log dim) time and
+    farther out, through 1/(u + d) = sum_p (-d)^p / u^(p+1): one FFT correlation
+    per power p, up to 12 powers chosen from the offsets, the far-field step of
+    the fast multipole method on the regular ladder.  The two outer roots, whose
+    offsets reach 2c, are summed directly.  After the solve: O(dim log dim) time and
     O(dim) memory, the near field one diagonal and the far field one power
     at a time; dim_cap bounds both (above it: ResourceLimitError).
     """
@@ -404,27 +405,26 @@ def davies_amplitude(
 ) -> Union[complex, NDArray[np.complex128]]:
     """Survival amplitude U_00(t) = sum_k w_k e^{-i lambda_k t}.
 
-    Returns the shape of t (a complex for a scalar).  The secular equation
-    is solved once per model and the sum runs over blocks of times, in
-    O(dim) memory for any number of them.  For bandwidth R Delta_E >> Gamma
-    the amplitude tracks e^{-Gamma t} on t in [0, 3/Gamma]; as Delta_E
-    decreases at fixed bandwidth the deviation falls, at first order in
-    Delta_E from the omitted level r = 0, to a floor set by the bandwidth.
+    On the mirrored spectrum that is the real w_0 + 2 sum_{k > 0} w_k cos(lambda_k t),
+    returned as complex in the shape of t (a complex for a scalar).  The secular equation
+    is solved once per model and the sum runs over blocks of times, in O(dim) memory for
+    any number of them.  For bandwidth R Delta_E >> Gamma the amplitude tracks e^{-Gamma t}
+    on t in [0, 3/Gamma]; as Delta_E decreases at fixed bandwidth the deviation falls, at
+    first order in Delta_E from the omitted level r = 0, to a floor set by the bandwidth.
     """
     tarr = np.asarray(t, dtype=float)
     if not np.isfinite(tarr).all():
         raise InvalidParamsError("t must be finite")
     pole, offset, weights = _davies_spectrum(model, dim_cap, tarr.size)
-    eigvals, flat = model.Delta_E * (pole + offset), tarr.ravel()
-    # blocks of <= max(2^16, 16 dim) entries, no lone row (another BLAS path, other last digits)
-    amps, step = [], max(16, (1 << 16) // eigvals.size)
-    for block in np.array_split(flat, max(1, -(-flat.size // step))):
-        phases = -1j * np.outer(block, eigvals)
-        amps.append(np.exp(phases, out=phases) @ weights)
-        del phases  # before the next block is built, so one block is held at a time
-    if tarr.ndim == 0:
-        return complex(amps[0][0])
-    return np.concatenate(amps).reshape(tarr.shape)
+    eigvals, w = model.Delta_E * (pole + offset)[model.R + 1:], weights[model.R:]  # w_0, w_k>0
+    # blocks of <= max(2^16, R) entries, the phases and their weighted copy alive at once;
+    # each row is a pairwise sum, whatever its block
+    amps, step = [], max(1, (1 << 16) // eigvals.size)
+    for block in np.array_split(tarr.ravel(), max(1, -(-tarr.size // step))):
+        phases = np.outer(block, eigvals)
+        amps.append(w[0] + 2.0 * (np.cos(phases, out=phases) * w[1:]).sum(axis=1))
+    amps = np.concatenate(amps).reshape(tarr.shape).astype(complex)
+    return complex(amps) if tarr.ndim == 0 else amps
 
 
 def davies_max_deviation(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -486,6 +487,26 @@ def test_fit_exponential_rejects_two_exponentials():
     t = np.linspace(0.0, 5.0, 200)
     with pytest.raises(IllConditionedFitError, match="not a single exponential"):
         fit_exponential(t, np.exp(-t) + np.exp(-10.0 * t))
+
+
+def test_fit_refusal_gives_the_residual_relative_to_the_amplitude():
+    # here the absolute rms residual (6.3e-5) is below the 1e-3 threshold and the relative
+    # one above it: the text gives the number the fit tests
+    t = np.linspace(0.0, 5.0, 200)
+    with pytest.raises(IllConditionedFitError) as caught:
+        fit_exponential(t, 1e-3 * (np.exp(-t) + np.exp(-10.0 * t)))
+    relative = re.match(r"fit residual (\S+) of the amplitude exceeds 0\.001;", str(caught.value))
+    assert float(relative.group(1)) > 1e-3
+
+
+@pytest.mark.parametrize("unit", [2.0**-60, 1e-12, 1e12, 2.0**60])
+def test_fit_exponential_does_not_depend_on_the_units_of_t(unit):
+    # the rate column of the Jacobian scales as t, the others do not; each step is solved
+    # in column-scaled parameters, so lstsq's cutoff never drops the rate column
+    t = np.linspace(0.0, 4.0, 300)
+    fit = fit_exponential(t * unit, 0.1 + 0.7 * np.exp(-1.3 * t))
+    assert fit.rate * unit == pytest.approx(1.3, rel=1e-12)
+    assert [fit.amplitude, fit.offset] == pytest.approx([0.7, 0.1], rel=1e-12)
 
 
 def test_fit_exponential_reports_non_convergence():

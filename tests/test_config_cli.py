@@ -679,6 +679,17 @@ def test_cli_oracle_small_schedule(tmp_path, capsys):
         assert r["rel_error"] < 1e-6
 
 
+def test_cli_oracle_in_si_like_units(tmp_path, capsys):
+    # rates near 1e12: the rate fit works in column-scaled parameters, so its units
+    # do not matter
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"bath": {"gamma": 1e12, "epsilon": 5e11, "omega_L": 1e14},
+                                "drive": {"Omega": 1e13}}))
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 0
+    for r in json.loads(capsys.readouterr().out)["result"]["rates"]:
+        assert r["rel_error"] < 1e-6
+
+
 def test_cli_oracle_row_above_dim_cap_exits_2(tmp_path, capsys):
     # the second row has dimension 161, above the configured cap of 100
     cfgp = tmp_path / "c.json"

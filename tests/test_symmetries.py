@@ -156,27 +156,12 @@ def test_units_scale_by_powers_of_two(tmp_path, name, k):
     _check(tmp_path, name, relation, scale)
 
 
-def _fit_within_rounding(column, got, want):
-    # the fit's least-squares steps mix Jacobian columns in units of t and of 1,
-    # so its rate is unit-free only to rounding: one ulp was seen for k from -40 to 37
-    if column == "fitted":
-        return abs(got - want) <= 4e-16 * abs(want)
-    if column == "rel_error":
-        return abs(got - want) <= 4e-16
-    return None
-
-
-# beyond about 2**±40 the rate column of bloch.fit_exponential's Jacobian is so far
-# from the others in size that lstsq's default cutoff drops it, and the oracle
-# exits 2 with "fit residual ... exceeds 0.001 of the amplitude"
-UNIT_DEPENDENT_FIT = pytest.mark.xfail(strict=True, reason="the rate fit depends on the units")
-
-
-@pytest.mark.parametrize("k", [pytest.param(-60, marks=UNIT_DEPENDENT_FIT), -30, -3, 5, 30,
-                               pytest.param(60, marks=UNIT_DEPENDENT_FIT)])
+# the rate fit solves its steps in column-scaled parameters, so a power-of-two unit
+# change moves every fitted value by that power exactly (checked for each k in -60..60)
+@pytest.mark.parametrize("k", [-60, -30, -3, 5, 30, 60])
 def test_oracle_scales_with_units(tmp_path, k):
     relation, scale = _units(k)
-    _check(tmp_path, "oracle", relation, scale, _fit_within_rounding)
+    _check(tmp_path, "oracle", relation, scale)
 
 
 def test_measurement_rate_depends_on_omega_L_over_n(tmp_path):

@@ -35,7 +35,7 @@ from squeezedzeno import (
 )
 import squeezedzeno.weakmeas as weakmeas
 from squeezedzeno.cli import cmd_oracle
-from squeezedzeno.config import RunConfig
+from squeezedzeno.config import DEFAULTS, RunConfig
 from squeezedzeno.errors import require_finite, require_positive_int
 from squeezedzeno.weakmeas import _davies_spectrum
 
@@ -380,13 +380,27 @@ def test_davies_amplitude_keeps_the_shape_of_t():
 
 
 def test_davies_amplitude_blocks_match_the_full_phase_matrix():
-    # 500 samples at dimension 4001 run in 32 blocks of 15-16 times; each entry keeps the
-    # bits of the one-shot samples x dim phase matrix
+    # 500 samples at R = 2000 run in 16 blocks of 31-32 times; each entry keeps the
+    # bits of the one-shot samples x R cosine matrix
+    model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
+    pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
+    R, times = model.R, np.linspace(0.0, 3.0, 500)
+    phases = np.outer(times, model.Delta_E * (pole[R + 1:] + offset[R + 1:]))
+    full = weights[R] + 2.0 * (np.cos(phases) * weights[R + 1:]).sum(axis=1)
+    np.testing.assert_array_equal(davies_amplitude(model, times), full)
+
+
+def test_davies_amplitude_is_the_complex_sum_over_the_whole_spectrum():
+    # the mirrored cosine sum against sum_k w_k e^{-i lambda_k t} over all 2R + 1 roots,
+    # the form the package used before it summed the positive half
     model = DaviesModel(Gamma=1.0, R=2000, Delta_E=0.01)
     pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
     times = np.linspace(0.0, 3.0, 500)
-    full = np.exp(-1j * np.outer(times, model.Delta_E * (pole + offset))) @ weights
-    np.testing.assert_array_equal(davies_amplitude(model, times), full)
+    amps = davies_amplitude(model, times)
+    assert amps.dtype == complex and not amps.imag.any()
+    assert davies_amplitude(model, 1.0).imag == 0.0
+    ref = np.exp(-1j * np.outer(times, model.Delta_E * (pole + offset))) @ weights
+    np.testing.assert_allclose(amps, ref, rtol=0, atol=1e-15)
 
 
 def test_davies_tracks_exponential_and_refines():
@@ -646,7 +660,8 @@ def _allocating_column(model, t):
 
     The form the package used before its near field ran through two dim-length
     buffers and its far field through in-place kernel, moment and transforms: the
-    zero-denominator mask on every diagonal and two fresh transforms per power.
+    zero-denominator mask on every diagonal and two fresh transforms per power, with
+    the same power count and real-kernel transform as the package.
     """
     pole, offset, weights = _davies_spectrum(model, dim_cap=model.dim)
     amps = weights * np.exp(-1j * model.Delta_E * (pole + offset) * t)
@@ -661,8 +676,12 @@ def _allocating_column(model, t):
         u = 1.0 - np.fft.fftfreq(n, 1.0 / n)
         base = np.divide(1.0, u, out=np.zeros(n), where=np.abs(u) > m)
         kernel, moment, spectrum = base, a, np.zeros(n, complex)
-        for _ in range(weakmeas._POWERS):
-            spectrum += np.fft.fft(moment, n) * np.fft.fft(kernel)
+        ratio = np.abs(d).max() / (m + 1)
+        powers = next((p for p in range(1, weakmeas._POWERS) if ratio**p <= 1e-20),
+                      weakmeas._POWERS)
+        for _ in range(powers):
+            half = np.fft.rfft(kernel)
+            spectrum += np.fft.fft(moment, n) * np.concatenate([half, half[-2:0:-1].conj()])
             kernel, moment = kernel * base, moment * -d
         rows += np.fft.ifft(spectrum)[:dim]
     ladder = pole[pole != 0.0]
@@ -674,6 +693,22 @@ def _allocating_column(model, t):
 def test_davies_column_matches_the_allocating_form_bit_for_bit(model):
     for t in (0.0, 1.0 / model.Gamma, 3.0 / model.Gamma):
         assert np.array_equal(davies_propagator_column(model, t), _allocating_column(model, t))
+
+
+@pytest.mark.parametrize("r_count, delta_e", DEFAULTS["oracle"]["schedule"])
+def test_secular_solve_evaluates_only_the_roots_still_moving(r_count, delta_e, monkeypatch):
+    # the ladder sums of an inner root run through _pole_runs as two offsets (d and
+    # 1 - d), the weight of x = 0 as one; five rounds on every root and a weights pass
+    # read 6 R, each root stopping on its own about 3.1 R
+    sizes, runs = [], weakmeas._pole_runs
+
+    def counted(z, n):
+        sizes.append(z.size)
+        return runs(z, n)
+
+    monkeypatch.setattr(weakmeas, "_pole_runs", counted)
+    weakmeas._solve_secular(DaviesModel(Gamma=1.0, R=r_count, Delta_E=delta_e))
+    assert sum(sizes) / 2 <= 3.5 * r_count
 
 
 def test_oracle_solves_each_row_once_per_call(monkeypatch):
@@ -713,7 +748,7 @@ def test_davies_column_memory_is_linear_in_dim():
 
 
 # the solve's working set at R = 2000 is a few dozen vectors of 2R or 4R doubles (32 or
-# 64 kB each): 0.98 MB; heads summed as (10, 4R) matrices of 320 kB each read 1.98 MB
+# 64 kB each): 1.08 MB; heads summed as (10, 4R) matrices of 320 kB each read 1.98 MB
 _SOLVE_MEMORY_MB = 1.2
 
 
@@ -722,9 +757,10 @@ def test_davies_solve_memory_holds_no_head_matrix():
     assert _peak_traced_mb(lambda: weakmeas._solve_secular(model)) <= _SOLVE_MEMORY_MB
 
 
-# a multi-block amplitude holds one block of phases (at most 2^16 complex entries,
-# 1 MB) at a time: two blocks alive at once read 2.7 MB at 500 samples
-_BLOCK_MEMORY_MB = 2.0
+# a multi-block amplitude holds one block of phases (at most 2^16 real entries, 0.5 MB)
+# and its weighted copy at a time: 1.1 MB at 500 samples, where a third block alive
+# reads 1.6 MB and the one-shot 500 x R matrix 8 MB
+_BLOCK_MEMORY_MB = 1.4
 
 
 @pytest.mark.parametrize("samples", [13, 500])
