@@ -39,7 +39,6 @@ and the angular forms evaluate on one point.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections import namedtuple
@@ -60,6 +59,7 @@ from .coefficients import (
     _coefficient_arrays,
     _negative_n_tilde,
     _one_point,
+    _phase,
     resolve_shifts,
 )
 from .errors import (
@@ -122,11 +122,8 @@ def angular_theta(
     unsqueezed bath with the asymptotic preset); the angular left side
     is exactly zero there, so the angle carries no information.
     """
-    m1 = _one_point(bath, drive)[1]
-    x = drive.delta_tilde * shifts.delta_M
-    if m1 == 0.0 and x == 0.0:
-        return 0.0
-    return math.atan2(m1, x)
+    m1, x = _one_point(bath, drive)[1], drive.delta_tilde * shifts.delta_M
+    return 0.0 if m1 == 0.0 and x == 0.0 else math.atan2(m1, x)
 
 
 def angular_condition(
@@ -141,18 +138,15 @@ def angular_condition(
     denominator 1 + 2 N(omega_L + Omega') + 3 (1 - Delta~^2) Re Upsilon
     is smaller than 1e-12 in modulus.
     """
-    dt = drive.delta_tilde
     n1, m1, ups = _one_point(bath, drive)[:3]
-    x = dt * shifts.delta_M
+    dt, x = drive.delta_tilde, drive.delta_tilde * shifts.delta_M
     magnitude = math.hypot(x, m1)
     if magnitude == 0.0:
         return 0.0, True
     denominator = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups.real
     if abs(denominator) < 1e-12:
-        raise SingularDenominatorError(
-            f"angular-condition denominator is {denominator:.3g}; "
-            f"the reduction is singular at these parameters"
-        )
+        raise SingularDenominatorError(f"angular-condition denominator is {denominator:.3g}; "
+                                       "the reduction is singular at these parameters")
     # theta as in angular_theta; x and m1 are not both zero here
     lhs = magnitude * math.sin(math.atan2(m1, x) - bath.phi) / denominator
     return float(lhs), bool(lhs <= 0.25)
@@ -339,13 +333,13 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> dict:
     """What the kernel reads of a grid, formed once per grid, by name.
 
     Each axis, and each kind of record built and validated once over the
-    product of the axes its checks read: the bath widths per (gamma,
-    epsilon) at phi = 0 and a valid carrier, the carrier per omega_L, the
-    drive and its tangent term per (Delta, Omega), and a non-asymptotic
-    spec's shifts once.  Each gives the quantities taken from it as arrays
-    that broadcast on the grid's shape (size 1 along the axes they do not
-    depend on), NaN where the record is invalid, and its exceptions (None
-    where valid).  A bath's first fault is that of its (gamma, epsilon)
+    product of the axes its checks read: the bath amplitude and widths per
+    (gamma, epsilon) at phi = 0 and a valid carrier, the carrier per omega_L,
+    the drive and its tangent term per (Delta, Omega), the phase parts per phi,
+    and a non-asymptotic spec's shifts once.  Each gives the quantities taken
+    from it as arrays that broadcast on the grid's shape (size 1 along the axes
+    they do not depend on), NaN where the record is invalid, and its exceptions
+    (None where valid).  A bath's first fault is that of its (gamma, epsilon)
     part, or failing that, that of its carrier (SqueezedVacuumParams checks
     them in that order), so the two records give each point its own error.
     """
@@ -364,9 +358,10 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> dict:
 
     def widths(gamma: float, epsilon: float) -> tuple:
         bath = SqueezedVacuumParams(gamma, epsilon, 0.0, 1.0)
-        return bath.lam ** 2, bath.mu ** 2, bath.lam, bath.mu, _margin_offset(bath)
+        return (bath.gamma * bath.epsilon, bath.lam ** 2, bath.mu ** 2, bath.lam, bath.mu,
+                _margin_offset(bath))
 
-    inputs["bath_error"] = records((0, 1), widths, "lam2", "mu2", "lam", "mu", "offset")
+    inputs["bath_error"] = records((0, 1), widths, "q", "lam2", "mu2", "lam", "mu", "offset")
     inputs["carrier_error"] = records((5,), lambda omega_L: (require_carrier(omega_L),), "omega_L")
     inputs["drive_error"] = records((2, 3), lambda Delta, Omega: attrgetter(
         "omega_prime", "delta_tilde", "omega_tilde")(DriveParams(Omega, Delta)), "op", "dt", "ot")
@@ -375,7 +370,7 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> dict:
                     "tangent")
     inputs["margin"] = np.frompyfunc(lambda exc: None if exc is None else (("margin", exc),),
                                      1, 1)(poles)
-    records((4,), lambda phi: attrgetter("real", "imag")(cmath.exp(1j * phi)), "p_re", "p_im")
+    records((4,), _phase, "c", "s", "C", "S")
     if not (isinstance(shifts, str) and shifts == "asymptotic"):  # else delta_M is per point
         inputs["shift_error"] = records((), lambda: attrgetter("delta_N", "delta_M")(
             resolve_shifts(shifts, None, None)), "delta_N", "delta_M")
@@ -385,28 +380,28 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> dict:
 def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
     """Every verdict over a block of the grid at once: the one kernel.
 
-    inputs are _regime_inputs' arrays cut to the block, whose shape is
-    shape (delta_M is formed here where they hold none).  The seven axes
-    broadcast in grid order (n fastest), so each quantity is computed once
-    per combination of the axes it depends on.  The coefficients come from
-    coefficients._coefficient_arrays, and the rest repeats the scalar
-    formulas with math functions per element, so every number has the
-    bits of a point-by-point evaluation.  Returns the RegimeVerdict
-    columns, each over its own axes and the six before n (float64, or
-    objects for the booleans; NaN or None where skipped), and over those
-    six the None, exception or ("margin", exception) pair of each point.
+    inputs are _regime_inputs' arrays cut to the block, whose shape is shape
+    (delta_M is formed here where they hold none).  The seven axes broadcast in
+    grid order (n fastest), so each quantity is computed once per combination
+    of the axes it depends on.  The coefficients and Gamma_dec come from
+    coefficients._coefficient_arrays (Gamma_dec in its cancellation-free form,
+    not as quadrature_decay_rate sums a record's fields), and the rest repeats
+    the scalar formulas with math functions per element, so every number has
+    the bits of a point-by-point evaluation.  Returns the RegimeVerdict columns,
+    each over its own axes and the six before n (float64, or objects for the
+    booleans; NaN or None where skipped), and over those six the None,
+    exception or ("margin", exception) pair of each point.
     """
-    gamma, Delta, phi, omega_L, n = (inputs[k] for k in ("gamma", "Delta", "phi", "omega_L", "n"))
-    lam2, mu2, lam, mu, offset = (inputs[k] for k in ("lam2", "mu2", "lam", "mu", "offset"))
-    op, dt, ot, tangent = (inputs[k] for k in ("op", "dt", "ot", "tangent"))
+    gamma, phi, omega_L, n, dt = (inputs[k] for k in ("gamma", "phi", "omega_L", "n", "dt"))
+    q, lam2, mu2, op = (inputs[k] for k in ("q", "lam2", "mu2", "op"))
 
     with np.errstate(all="ignore"):
         delta_N = inputs.get("delta_N", 0.0)
         delta_M = (inputs["delta_M"] if "delta_M" in inputs
-                   else _asymptotic_delta_m(op, lam2, mu2, lam, mu))
-        n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _ = _coefficient_arrays(
-            gamma, lam2, mu2, op, Delta, dt, ot, inputs["p_re"], inputs["p_im"], delta_N, delta_M)
-        g_dec = gamma * (0.5 + n_tilde + m_re)
+                   else _asymptotic_delta_m(op, q, lam2, mu2, inputs["lam"], inputs["mu"]))
+        n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _, g_dec = _coefficient_arrays(
+            gamma, q, lam2, mu2, op, inputs["Delta"], dt, inputs["ot"],
+            *(inputs[k] for k in "csCS"), delta_N, delta_M)
         g_pop = gamma * (1.0 + 2.0 * n_tilde)
         meas = omega_L / n
         denom = g_pop + 2.0 * meas
@@ -418,9 +413,8 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
         x = dt * delta_M
         theta = np.where((m1 == 0.0) & (x == 0.0), 0.0, _math(math.atan2, m1, x))
         magnitude = _math(math.hypot, x, m1)
-        lhs = magnitude * _math(math.sin, theta - phi) / (
-            1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re
-        )
+        lhs = (magnitude * _math(math.sin, theta - phi)
+               / (1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re))
         columns = {
             "Gamma_dec": g_dec,
             "Gamma_pop": g_pop,
@@ -432,7 +426,7 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
             "cond_paper": 4.0 * m_re <= 1.0 + 2.0 * n_tilde,
             "theta": theta,
             "angular_lhs": np.where(magnitude == 0.0, 0.0, lhs),
-            "sufficient_margin": tangent - offset,
+            "sufficient_margin": inputs["tangent"] - inputs["offset"],
         }
 
     vshape = shape[:6] + (1,)  # no fault depends on n

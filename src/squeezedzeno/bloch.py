@@ -204,7 +204,8 @@ def bloch_generator(
 
 
 def quadrature_decay_rate(coeffs: EffectiveCoefficients) -> float:
-    """Coherence decay constant Gamma_dec = gamma (1/2 + N~ + Re M~)."""
+    """Coherence decay constant Gamma_dec = gamma (1/2 + N~ + Re M~), the sum of the record's
+    fields; the sweep kernel forms it without the terms of size 1/mu^2 that the two hold."""
     return coeffs.gamma * (0.5 + coeffs.n_tilde + coeffs.m_tilde.real)
 
 
@@ -376,9 +377,7 @@ def fit_exponential(t: Sequence[float], y: Sequence[float]) -> FitResult:
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise InvalidParamsError("samples to fit must be finite")
 
-    spread = float(np.max(y) - np.min(y))
-    scale = max(np.max(np.abs(y)), 1.0)
-    if spread < 1e-13 * scale:
+    if float(np.max(y) - np.min(y)) <= 1e-13 * float(np.max(np.abs(y))):  # in any units of y
         raise DegenerateFitError("observable is constant; no decay rate to fit")
 
     c0 = float(y[-1])

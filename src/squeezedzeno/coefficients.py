@@ -37,12 +37,18 @@ A physically meaningful reduced description requires N~ >= 0; inside
 the secular approximation some parameter regions violate this, which is
 reported as an error unless validation is disabled for diagnostics.
 One array function holds this arithmetic for evolve, oracle, timescales
-and sweep; the tests keep the scalar complex formulas as its reference.
+and sweep, in real formulas over the Lorentzians A and B of the spectra
+(N = A - B, |M| = A + B; see spectrum).  With c, s = cos phi, sin phi,
+C = 2 cos^2(phi/2) = 1 + c, S = 2 sin^2(phi/2) = 1 - c and the exact
+differences dA = A(0) - A(Omega') = (q/mu^2) / (1 + mu^2/Omega'^2), dB
+likewise, Re Upsilon = S dA - C dB, Im Upsilon = -s (dA + dB), and
+N~ + Re M~ = C A(Omega') - S B(Omega') - Delta~ delta_M s is free of the
+terms of size 1/mu^2 that N~ and Re M~ each carry as epsilon -> gamma.
+The tests keep these formulas in scalar math as its reference.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -113,17 +119,18 @@ class SqueezingShifts:
         """Far-detuned closed forms: delta_N = 0 and
         delta_M = |M(omega_L + Omega')| Omega' (lam + mu) / (lam mu)."""
         lam, mu = bath.lam, bath.mu
-        return cls(0.0, float(_asymptotic_delta_m(drive.omega_prime, lam ** 2, mu ** 2, lam, mu)))
+        return cls(0.0, float(_asymptotic_delta_m(
+            drive.omega_prime, bath.gamma * bath.epsilon, lam ** 2, mu ** 2, lam, mu)))
 
 
-def _asymptotic_delta_m(op, lam2, mu2, lam, mu):
+def _asymptotic_delta_m(op, q, lam2, mu2, lam, mu):
     """delta_M at the sideband offset op = Omega' (arrays broadcast).  Past op ~ 1e154
     |M| alone goes subnormal, then to 0; there |M| op is
-    amp (1/(op + mu^2/op) + 1/(op + lam^2/op))."""
+    q (1/(op + mu^2/op) + 1/(op + lam^2/op))."""
     op = np.asarray(op, dtype=float)  # op / 0 then gives inf, not ZeroDivisionError
-    m = _m_abs_at(op, lam2, mu2)
+    m = _m_abs_at(op, q, lam2, mu2)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        far = (lam2 - mu2) / 4.0 * (1.0 / (op + mu2 / op) + 1.0 / (op + lam2 / op))
+        far = q * (1.0 / (op + mu2 / op) + 1.0 / (op + lam2 / op))
         m_op = np.where((m < np.finfo(float).tiny) & (op != 0.0), far, m * op)
         return m_op * (lam + mu) / (lam * mu)
 
@@ -164,44 +171,43 @@ class EffectiveCoefficients:
     beta: complex
 
 
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) as CPython forms it, a float x being (x, 0.0)."""
-    return ar * br - ai * bi, ar * bi + ai * br
+def _phase(phi: float) -> tuple:
+    """(c, s, C, S) of a phase, C = 1 + c and S = 1 - c from the half angle (no cancellation)."""
+    half_c, half_s = math.cos(0.5 * phi), math.sin(0.5 * phi)
+    return math.cos(phi), math.sin(phi), 2.0 * half_c * half_c, 2.0 * half_s * half_s
 
 
-def _coefficient_arrays(gamma, lam2, mu2, op, Delta, dt, ot, p_re, p_im, delta_N, delta_M):
-    """N(omega_L + Omega'), |M(omega_L + Omega')|, Upsilon, N~, M~, delta and beta
-    on arrays that broadcast (op = Omega', the sideband's carrier offset, dt = Delta~,
-    ot = Omega~, p = e^{i phi}), a complex value as its (real, imaginary) pair
-    formed as CPython forms the module's formulas, so with the bits of one point."""
+def _coefficient_arrays(gamma, q, lam2, mu2, op, Delta, dt, ot, c, s, C, S, delta_N, delta_M):
+    """N(omega_L + Omega'), |M(omega_L + Omega')|, Upsilon, N~, M~, delta, beta and
+    Gamma_dec = gamma (1/2 + N~ + Re M~) on arrays that broadcast (op = Omega', the
+    sideband's carrier offset, dt = Delta~, ot = Omega~, (c, s, C, S) = _phase(phi)),
+    a complex value as its (real, imaginary) pair, in the real formulas of the
+    module docstring (Gamma_dec in its cancellation-free form)."""
     with np.errstate(all="ignore"):
-        n0, m0 = _n_at(0.0, lam2, mu2), _m_abs_at(0.0, lam2, mu2)  # at the carrier
-        n1, m1 = _n_at(op, lam2, mu2), _m_abs_at(op, lam2, mu2)
-        cr, ci = _cmul(m0 - m1, 0.0, p_re, p_im)
-        ups = (n0 - n1) - cr, 0.0 - ci
-        transverse = 0.5 * (1.0 - dt * dt)
-        n_tilde = n1 + transverse * ups[0]
-        i_dt = _cmul(0.0, 1.0, dt, 0.0)
-        m_along, m_damped = _cmul(m1, 0.0, p_re, p_im), _cmul(transverse, 0.0, *ups)
-        m_shift = _cmul(*_cmul(*i_dt, delta_M, 0.0), p_re, p_im)
-        m_tilde = ((m_along[0] - m_damped[0]) + m_shift[0],
-                   (m_along[1] - m_damped[1]) + m_shift[1])
-        delta = (Delta / gamma - transverse * ups[1]) + dt * delta_N
-        b_shift, b_ups = _cmul(delta_M, 0.0, p_re, p_im), _cmul(*i_dt, *ups)
-        beta = _cmul(gamma * ot, 0.0, (delta_N + b_shift[0]) - b_ups[0],
-                     (0.0 + b_shift[1]) - b_ups[1])
-    return n1, m1, ups, n_tilde, m_tilde, delta, beta
+        n1, m1 = _n_at(op, q, lam2, mu2), _m_abs_at(op, q, lam2, mu2)
+        xx = op * op
+        a1, b1 = q / (xx + mu2), q / (xx + lam2)
+        d_a, d_b = q / mu2 / (1.0 + mu2 / xx), q / lam2 / (1.0 + lam2 / xx)
+        ups = S * d_a - C * d_b, -s * (d_a + d_b)
+        t, shift = 0.5 * (1.0 - dt * dt), dt * delta_M
+        n_tilde = n1 + t * ups[0]
+        m_tilde = m1 * c - t * ups[0] - shift * s, m1 * s - t * ups[1] + shift * c
+        delta = Delta / gamma - t * ups[1] + dt * delta_N
+        g = gamma * ot
+        beta = g * (delta_N + delta_M * c + dt * ups[1]), g * (delta_M * s - dt * ups[0])
+        g_dec = gamma * (0.5 + (C * a1 - S * b1) - shift * s)
+    return n1, m1, ups, n_tilde, m_tilde, delta, beta, g_dec
 
 
 def _one_point(bath: SqueezedVacuumParams, drive: DriveParams,
                shifts: SqueezingShifts = SqueezingShifts()) -> tuple:
     """_coefficient_arrays at one point as floats and complex numbers.  It runs on
     numpy scalars, where 1/0 gives inf as in an array, not ZeroDivisionError."""
-    f, phase = np.float64, cmath.exp(1j * bath.phi)
+    f = np.float64
     values = _coefficient_arrays(
-        f(bath.gamma), f(bath.lam ** 2), f(bath.mu ** 2),
-        f(drive.omega_prime), f(drive.Delta), f(drive.delta_tilde),
-        f(drive.omega_tilde), f(phase.real), f(phase.imag), f(shifts.delta_N), f(shifts.delta_M))
+        f(bath.gamma), f(bath.gamma * bath.epsilon), f(bath.lam ** 2), f(bath.mu ** 2),
+        f(drive.omega_prime), f(drive.Delta), f(drive.delta_tilde), f(drive.omega_tilde),
+        *map(f, _phase(bath.phi)), f(shifts.delta_N), f(shifts.delta_M))
     # complex() of a 0-d array part would drop the sign of a zero imaginary part
     return tuple(complex(float(v[0]), float(v[1])) if isinstance(v, tuple) else float(v)
                  for v in values)
@@ -220,7 +226,7 @@ def effective_coefficients(
     channel; validate=False returns such coefficient sets anyway (useful
     for mapping where the description breaks down).
     """
-    coeffs = EffectiveCoefficients(bath.gamma, *_one_point(bath, drive, shifts)[3:])
+    coeffs = EffectiveCoefficients(bath.gamma, *_one_point(bath, drive, shifts)[3:7])
     if validate and coeffs.n_tilde < 0.0:
         raise _negative_n_tilde(coeffs.n_tilde)
     return coeffs

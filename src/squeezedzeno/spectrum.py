@@ -9,11 +9,12 @@ amplification coefficient epsilon through
 
     lambda = gamma + epsilon,   mu = gamma - epsilon,
 
-      N(omega) = (lambda^2 - mu^2)/4 * [1/(x^2 + mu^2) - 1/(x^2 + lambda^2)]
-    |M(omega)| = (lambda^2 - mu^2)/4 * [1/(x^2 + mu^2) + 1/(x^2 + lambda^2)]
+      N(omega) = A - B,   |M(omega)| = A + B,   A = q / (x^2 + mu^2),   B = q / (x^2 + lambda^2)
 
-with x = omega - omega_L.  The profiles satisfy the minimum-uncertainty
-identity |M|^2 = N (N + 1) at every frequency.
+with x = omega - omega_L and q = (lambda^2 - mu^2)/4 formed as gamma epsilon
+(the difference of two rounded squares loses accuracy as gamma/epsilon).
+The profiles satisfy the minimum-uncertainty identity |M|^2 = N (N + 1)
+at every frequency.
 """
 
 from __future__ import annotations
@@ -95,22 +96,22 @@ def spectral_n(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
 
 def _at_offsets(profile, params: SqueezedVacuumParams, x: ArrayLike) -> FloatOrArray:
     """profile at the carrier offsets x: a float for a scalar x, else an array."""
-    value = profile(np.asarray(x, dtype=float), params.lam ** 2, params.mu ** 2)
+    value = profile(np.asarray(x, dtype=float), params.gamma * params.epsilon,
+                    params.lam ** 2, params.mu ** 2)
     return float(value) if np.ndim(x) == 0 else value
 
 
-def _n_at(x, lam2, mu2):
-    """N at carrier offsets x for squared widths lam2, mu2 (arrays broadcast)."""
-    amp = (lam2 - mu2) / 4.0
-    # product form of amp * (1/(x^2+mu^2) - 1/(x^2+lam^2)): algebraically
+def _n_at(x, q, lam2, mu2):
+    """N = A - B at carrier offsets x for the amplitude q and squared widths lam2, mu2."""
+    # product form of A - B = q (1/(x^2+mu^2) - 1/(x^2+lam^2)): algebraically
     # identical, but the explicit difference cancels catastrophically in
     # the wings (|x| >> lam) and would spoil |M|^2 = N(N+1) at 1e-12
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xx = x * x
         den = (xx + mu2) * (xx + lam2)
         # past 1.8e308 the product overflows; the same quotient as two factors does not
-        split = (2.0 * amp / (xx + mu2)) * (2.0 * amp / (xx + lam2))
-        return np.where(np.isinf(den), split, 4.0 * amp * amp / den)
+        split = (2.0 * q / (xx + mu2)) * (2.0 * q / (xx + lam2))
+        return np.where(np.isinf(den), split, 4.0 * q * q / den)
 
 
 def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
@@ -118,12 +119,11 @@ def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArr
     return _at_offsets(_m_abs_at, params, np.asarray(omega, dtype=float) - params.omega_L)
 
 
-def _m_abs_at(x, lam2, mu2):
-    """|M| at carrier offsets x for squared widths lam2, mu2 (arrays broadcast)."""
-    amp = (lam2 - mu2) / 4.0
+def _m_abs_at(x, q, lam2, mu2):
+    """|M| = A + B at carrier offsets x, arguments as for _n_at (arrays broadcast)."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xx = x * x
-        # past |x| ~ 1.34e154 x * x overflows; |M| is then 2 amp / x^2, taken as 2 amp / x / x
-        wing = 2.0 * amp / x / x
-        return np.where(np.isinf(xx), wing, amp * (1.0 / (xx + mu2) + 1.0 / (xx + lam2)))
+        # past |x| ~ 1.34e154 x * x overflows; |M| is then 2 q / x^2, taken as 2 q / x / x
+        wing = 2.0 * q / x / x
+        return np.where(np.isinf(xx), wing, q * (1.0 / (xx + mu2) + 1.0 / (xx + lam2)))
 

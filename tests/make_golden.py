@@ -136,6 +136,14 @@ ERRORS = {
     "omega-zero": {"drive": {"Omega": 0.0, "Delta": 1.0}},
 }
 
+# a timescales point 1e-8 below threshold at phi = pi, where N~ and Re M~ each
+# carry terms of size 1/mu^2 that cancel in Gamma_dec
+NEAR_THRESHOLD = {"bath": {"epsilon": 1.0 - 1e-8, "phi": PI}, "drive": {"Omega": 10.0}}
+
+# spectra at epsilon = 1e-12 gamma, whose amplitude gamma epsilon is not the
+# difference of the two squared widths
+WEAK_SQUEEZING = {"bath": {"epsilon": 1e-12}}
+
 
 COMMANDS = ("spectrum", "evolve", "timescales", "sweep", "oracle")
 
@@ -160,6 +168,8 @@ def _payloads() -> dict[str, tuple[str, str, dict]]:
         runs[f"spectrum-wide-range-{fmt}"] = ("spectrum", fmt, SPECTRUM_WIDE)
     runs["oracle-default-json"] = ("oracle", "json", {})
     runs["oracle-scaled-json"] = ("oracle", "json", {"oracle": ORACLE_SCALED})
+    runs["timescales-near-threshold-json"] = ("timescales", "json", NEAR_THRESHOLD)
+    runs["spectrum-weak-squeezing-json"] = ("spectrum", "json", WEAK_SQUEEZING)
     for name, config in ERRORS.items():
         runs[f"timescales-error-{name}-json"] = ("timescales", "json", config)
     return runs

@@ -13,12 +13,12 @@ smallest subnormal, every math function two ulps, and the errors of the
 operands propagate at first order.  The stated bound of each column is
 FACTOR times that bound:
 
-- Gamma_dec = gamma (1/2 + N~ + Re M~), and with it tau_dec and
-  ratio_derived, is bounded by a few ulps of gamma (N~ + |Re M~|) and of
-  the terms of N~ and M~.  Near epsilon = gamma those terms are of size
-  1/mu^2 and cancel (ROADMAP item 13, defect B), so the bound is loose
-  there; the three xfail cases below ask for 1e-12 relative instead.
-- Every other float column is bounded the same way from its own formula.
+- Every float column is bounded from its own formula, as the library
+  forms it: the spectra and N~, M~, Gamma_dec over the two Lorentzians
+  A = q/(x^2 + mu^2) and B = q/(x^2 + lambda^2) with q = gamma epsilon
+  (see the coefficients module), Gamma_dec as gamma (1/2 + C A(Omega') -
+  S B(Omega') - Delta~ delta_M s), which carries none of the terms of
+  size 1/mu^2 that N~ and Re M~ each hold near epsilon = gamma.
 - A condition verdict must agree with the reference wherever the
   reference's margin exceeds its bound.
 - A point is skipped for N~ < 0 or Gamma_dec <= 0 only where the
@@ -44,6 +44,8 @@ from squeezedzeno import (
     UnphysicalCoefficientsError,
     effective_coefficients,
     evaluate_regime,
+    spectral_m_abs,
+    spectral_n,
 )
 from squeezedzeno.coefficients import _one_point
 from squeezedzeno.errors import MAX_OMEGA_L
@@ -131,38 +133,40 @@ def _tan(z: Rounded) -> Rounded:
     return _function(t, z.bound * (1 + t * t))
 
 
-def _spectra(x: Rounded, lam2: Rounded, mu2: Rounded) -> tuple[Rounded, Rounded]:
+def _spectra(x: Rounded, q: Rounded, lam2: Rounded, mu2: Rounded) -> tuple[Rounded, Rounded]:
     """N and |M| at the carrier offset x, formed as spectrum._n_at and _m_abs_at form them."""
-    amp = (lam2 - mu2) / 4
     xx = x * x
-    return 4 * amp * amp / ((xx + mu2) * (xx + lam2)), amp * (1 / (xx + mu2) + 1 / (xx + lam2))
+    return 4 * q * q / ((xx + mu2) * (xx + lam2)), q * (1 / (xx + mu2) + 1 / (xx + lam2))
 
 
 def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
     """Every number of the chain at this point, as a Rounded, by name."""
     gamma, epsilon, phi, omega_L = map(_lift, (bath.gamma, bath.epsilon, bath.phi, bath.omega_L))
     Omega, Delta = _lift(drive.Omega), _lift(drive.Delta)
-    lam, mu = gamma + epsilon, gamma - epsilon
+    lam, mu, q = gamma + epsilon, gamma - epsilon, gamma * epsilon
     lam2, mu2 = lam * lam, mu * mu
     op = _hypot(Omega, Delta)
     dt, ot = Delta / op, Omega / op
-    p_re = _function(MP.cos(phi.value), MP.zero)
-    p_im = _function(MP.sin(phi.value), MP.zero)
-    n0, m0 = _spectra(_lift(0.0), lam2, mu2)
-    n1, m1 = _spectra(op, lam2, mu2)
+    c, s, half_c, half_s = (_function(f(v), MP.zero) for f, v in (
+        (MP.cos, phi.value), (MP.sin, phi.value), (MP.cos, phi.value / 2),
+        (MP.sin, phi.value / 2)))
+    C, S = 2 * half_c * half_c, 2 * half_s * half_s
+    n1, m1 = _spectra(op, q, lam2, mu2)
     if m1.value < 2.0 ** -1022:  # |M| goes subnormal: delta_M's far-wing form
-        m_op = (lam2 - mu2) / 4 * (1 / (op + mu2 / op) + 1 / (op + lam2 / op))
+        m_op = q * (1 / (op + mu2 / op) + 1 / (op + lam2 / op))
     else:
         m_op = m1 * op
     delta_M = m_op * (lam + mu) / (lam * mu)
-    d = m0 - m1
-    ups_re, ups_im = (n0 - n1) - d * p_re, -(d * p_im)
+    xx = op * op
+    a1, b1 = q / (xx + mu2), q / (xx + lam2)
+    d_a, d_b = q / mu2 / (1 + mu2 / xx), q / lam2 / (1 + lam2 / xx)
+    ups_re, ups_im = S * d_a - C * d_b, -(s * (d_a + d_b))
     transverse = 0.5 * (1 - dt * dt)
     n_tilde = n1 + transverse * ups_re
     shift = dt * delta_M
-    m_re = (m1 * p_re - transverse * ups_re) - shift * p_im
-    m_im = (m1 * p_im - transverse * ups_im) + shift * p_re
-    g_dec = gamma * ((0.5 + n_tilde) + m_re)
+    m_re = (m1 * c - transverse * ups_re) - shift * s
+    m_im = (m1 * s - transverse * ups_im) + shift * c
+    g_dec = gamma * ((0.5 + (C * a1 - S * b1)) - shift * s)
     g_pop = gamma * (1 + 2 * n_tilde)
     meas = omega_L / n
     denom = g_pop + 2 * meas
@@ -175,8 +179,8 @@ def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
         "n1": n1, "m1": m1, "ups_re": ups_re, "ups_im": ups_im, "delta_M": delta_M,
         "n_tilde": n_tilde, "m_re": m_re, "m_im": m_im,
         "delta": Delta / gamma - transverse * ups_im,
-        "beta_re": gamma * ot * (delta_M * p_re + dt * ups_im),
-        "beta_im": gamma * ot * (delta_M * p_im - dt * ups_re),
+        "beta_re": gamma * ot * (delta_M * c + dt * ups_im),
+        "beta_im": gamma * ot * (delta_M * s - dt * ups_re),
         "Gamma_dec": g_dec,
         "Gamma_pop": g_pop,
         "tau_dec": 1 / (g_dec + rate),
@@ -244,7 +248,7 @@ def points(draw):
     gamma = draw(_decade(-3.0, 3.0))
     epsilon = draw(st.one_of(
         st.just(0.0),
-        _decade(-6.0, -0.01).map(lambda f: gamma * f),
+        _decade(-15.0, -0.01).map(lambda f: gamma * f),  # down to 1e-15 gamma
         _decade(-12.0, -1.0).map(lambda d: gamma * (1.0 - d)),  # within 1e-12 of gamma
     ))
     phi = draw(st.one_of(st.just(math.pi), st.floats(-math.pi, 2.0 * math.pi)))
@@ -271,13 +275,40 @@ def test_one_point_chain_within_its_stated_bounds(point):
     check_point(*point)
 
 
-@pytest.mark.xfail(strict=True, raises=(AssertionError, InvalidParamsError),
-                   reason="ROADMAP item 13 defect B: N~ + Re M~ cancels terms of size 1/mu^2")
+def _assert_relative(got: dict, ref: dict, names: tuple, tolerance: float) -> None:
+    for name in names:
+        want = ref[name].value
+        assert abs(got[name] - want) <= tolerance * abs(want), (name, got[name], want)
+
+
 @pytest.mark.parametrize("distance", [1e-6, 1e-7, 1e-8])
 def test_gamma_dec_near_threshold_to_1e_12(distance):
+    # at phi = pi, N~ and Re M~ each hold terms of size 1/mu^2 that cancel in Gamma_dec
     bath = SqueezedVacuumParams(1.0, 1.0 - distance, math.pi, 100.0)
     drive = DriveParams(10.0, 0.0)
-    ref, verdict = reference(bath, drive, 100), evaluate_regime(bath, drive, 100)
-    for name in ("Gamma_dec", "tau_dec", "ratio_derived"):
-        want = ref[name].value
-        assert abs(getattr(verdict, name) - want) <= 1e-12 * abs(want), name
+    got = evaluate_regime(bath, drive, 100).report()
+    _assert_relative(got, reference(bath, drive, 100),
+                     ("Gamma_dec", "tau_dec", "ratio_derived"), 1e-12)
+
+
+def test_upsilon_near_threshold_at_phi_zero_to_1e_12():
+    # at phi = 0, N(0) and |M(0)| cos phi of size 1/mu^2 cancel in (n0 - n1) - (m0 - m1) cos phi
+    bath = SqueezedVacuumParams(1.0, 1.0 - 1e-8, 0.0, 100.0)
+    drive = DriveParams(1.0, 0.0)
+    got, ref = library(bath, drive, 100), reference(bath, drive, 100)
+    _assert_relative(got, ref, ("ups_re", "n_tilde", "m_re", "Gamma_dec", "Gamma_pop",
+                                "ratio_derived", "ratio_paper"), 1e-12)
+
+
+@pytest.mark.parametrize("fraction", [1e-6, 1e-9, 1e-12])
+def test_spectra_at_weak_squeezing_to_1e_14(fraction):
+    # the amplitude is q = gamma epsilon: (lambda^2 - mu^2)/4 of the rounded squares
+    # would lose 1e-16 gamma/epsilon in relative accuracy
+    bath = SqueezedVacuumParams(1.0, fraction, 0.3, 100.0)
+    gamma, epsilon = MP.mpf(bath.gamma), MP.mpf(bath.epsilon)
+    for x in (0.0, 0.5, 1.0, 7.0, 1e3):  # 100 + x and its offset from 100 are exact
+        a = gamma * epsilon / (x * x + (gamma - epsilon) ** 2)
+        b = gamma * epsilon / (x * x + (gamma + epsilon) ** 2)
+        for got, want in ((spectral_n(bath, 100.0 + x), a - b),
+                          (spectral_m_abs(bath, 100.0 + x), a + b)):
+            assert abs(got - want) <= 1e-14 * want, (x, got, want)

@@ -171,7 +171,7 @@ def test_angular_flips_against_paper_for_negative_denominator():
 def test_angular_denominator_can_be_exactly_zero_where_n_tilde_is_negative():
     # the singular angular reduction: reachable by a direct call only, since N~ < 0
     # there and every other entry point refuses the point first
-    bath = SqueezedVacuumParams(1.0, 0.3020310004953576, 0.0, 100.0)
+    bath = SqueezedVacuumParams(1.0, 0.3020310004953575, 0.0, 100.0)
     drive = DriveParams(5.0, 0.0)
     shifts = SqueezingShifts.asymptotic(bath, drive)
     with pytest.raises(SingularDenominatorError, match="denominator is 0;"):
@@ -483,4 +483,4 @@ def test_carrier_enters_only_the_measurement_rate(tmp_path, capsys, omega_L):
                            [[row[c] for c in CARRIER_FREE if c != "theta"] for row in rows]])
 
     assert carrier_free(omega_L) == carrier_free(100.0)
-    assert json.loads(carrier_free(omega_L))[0][0] == 0.4902200488997557
+    assert json.loads(carrier_free(omega_L))[0][0] == 0.4902200488997555

@@ -459,6 +459,21 @@ def test_fit_exponential_rejects_flat_data():
         fit_exponential(t, np.full_like(t, 0.7))
 
 
+@pytest.mark.parametrize("value", [0.0, 1e-14, -3e5])
+def test_fit_exponential_rejects_flat_data_at_any_scale(value):
+    t = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(DegenerateFitError):
+        fit_exponential(t, np.full_like(t, value))
+
+
+def test_fit_exponential_fits_a_small_signal():
+    # the constant-signal check is relative to max|y|, not floored at 1
+    t = np.linspace(0.0, 4.0, 300)
+    fit = fit_exponential(t, 1e-14 * (0.3 + 0.7 * np.exp(-2.5 * t)))
+    assert fit.rate == pytest.approx(2.5, rel=1e-9)
+    assert fit.amplitude == pytest.approx(0.7e-14, rel=1e-9)
+
+
 @pytest.mark.parametrize("t, y", [(np.arange(3.0), np.ones(3)), (np.arange(5.0), np.ones(4))],
                          ids=["three-samples", "mismatched"])
 def test_fit_exponential_needs_four_matching_samples(t, y):

@@ -2,18 +2,20 @@
 
 reference_upsilon, reference_coefficients, reference_shifts and
 reference_angular are Upsilon, effective_coefficients, the asymptotic
-shift preset and the angular forms as they were before one array
-function held the coefficient arithmetic: scalar complex arithmetic
-straight from the spectra, sampled at the carrier offsets 0 and Omega'.
-reference_verdict and reference_row are evaluate_regime and the sweep-row
-wrapper as they were before one array kernel took the whole grid: one
-point at a time, through those references and the scalar library
-functions, never through the shared array function.  The library must
-reproduce them exactly: the same float bits (NaN where they have NaN),
-the same booleans and None, and the same status text.
+shift preset and the angular forms in scalar math, one point at a time:
+the real formulas over the two Lorentzians A(x) = q/(x^2 + mu^2) and
+B(x) = q/(x^2 + lambda^2) (q = gamma epsilon) that the coefficients
+module states, with c = cos phi, s = sin phi and the half-angle forms
+C = 2 cos^2(phi/2), S = 2 sin^2(phi/2), from the spectra sampled at the
+carrier offsets 0 and Omega'.  reference_verdict and reference_row are
+evaluate_regime and the sweep-row wrapper as they were before one array
+kernel took the whole grid: one point at a time, through those
+references and the scalar library functions, never through the shared
+array function, with Gamma_dec in the kernel's cancellation-free form.
+The library must reproduce them exactly: the same float bits (NaN where
+they have NaN), the same booleans and None, and the same status text.
 """
 
-import cmath
 import itertools
 import math
 import random
@@ -43,7 +45,6 @@ from squeezedzeno import (
     effective_coefficients,
     evaluate_regime,
     population_decay_rate,
-    quadrature_decay_rate,
     regime_sweep,
     resolve_shifts,
     sufficient_condition_margin,
@@ -64,42 +65,59 @@ def m_abs_at(bath, x: float) -> float:
     return _at_offsets(_m_abs_at, bath, x)
 
 
+def phase_parts(phi: float) -> tuple[float, float, float, float]:
+    """(c, s, C, S) = (cos phi, sin phi, 2 cos^2(phi/2), 2 sin^2(phi/2))."""
+    half_c, half_s = math.cos(0.5 * phi), math.sin(0.5 * phi)
+    return math.cos(phi), math.sin(phi), 2.0 * half_c * half_c, 2.0 * half_s * half_s
+
+
+def lorentzians(bath, drive) -> tuple[float, float, float, float]:
+    """(A(Omega'), B(Omega'), A(0) - A(Omega'), B(0) - B(Omega')), each difference
+    as (q/w^2) / (1 + w^2/Omega'^2), which is 0 at Omega' = 0."""
+    q, xx = bath.gamma * bath.epsilon, drive.omega_prime * drive.omega_prime
+    mu2, lam2 = bath.mu ** 2, bath.lam ** 2
+    d_a, d_b = (q / w2 / (1.0 + w2 / xx) if xx else 0.0 for w2 in (mu2, lam2))
+    return q / (xx + mu2), q / (xx + lam2), d_a, d_b
+
+
 def reference_upsilon(bath, drive) -> complex:
-    x1 = drive.omega_prime
-    phase = cmath.exp(1j * bath.phi)
-    return (
-        n_at(bath, 0.0)
-        - n_at(bath, x1)
-        - (m_abs_at(bath, 0.0) - m_abs_at(bath, x1)) * phase
-    )
+    _, s, C, S = phase_parts(bath.phi)
+    _, _, d_a, d_b = lorentzians(bath, drive)
+    return complex(S * d_a - C * d_b, -s * (d_a + d_b))
 
 
 def reference_coefficients(bath, drive, shifts=SqueezingShifts(), validate=True):
     ups = reference_upsilon(bath, drive)
     dt = drive.delta_tilde
-    ot = drive.omega_tilde
-    phase = cmath.exp(1j * bath.phi)
+    c, s, _, _ = phase_parts(bath.phi)
     x1 = drive.omega_prime
-    transverse = 0.5 * (1.0 - dt * dt)
+    t = 0.5 * (1.0 - dt * dt)
+    m1, shift = m_abs_at(bath, x1), dt * shifts.delta_M
 
-    n_tilde = n_at(bath, x1) + transverse * ups.real
-    m_tilde = (
-        m_abs_at(bath, x1) * phase
-        - transverse * ups
-        + 1j * dt * shifts.delta_M * phase
-    )
-    delta = drive.Delta / bath.gamma - transverse * ups.imag + dt * shifts.delta_N
-    beta = bath.gamma * ot * (shifts.delta_N + shifts.delta_M * phase - 1j * dt * ups)
+    n_tilde = n_at(bath, x1) + t * ups.real
+    m_tilde = complex(m1 * c - t * ups.real - shift * s, m1 * s - t * ups.imag + shift * c)
+    delta = drive.Delta / bath.gamma - t * ups.imag + dt * shifts.delta_N
+    g = bath.gamma * drive.omega_tilde
+    beta = complex(g * (shifts.delta_N + shifts.delta_M * c + dt * ups.imag),
+                   g * (shifts.delta_M * s - dt * ups.real))
 
     if validate and n_tilde < 0.0:
         raise _negative_n_tilde(n_tilde)
     return EffectiveCoefficients(
         gamma=bath.gamma,
         n_tilde=float(n_tilde),
-        m_tilde=complex(m_tilde),
+        m_tilde=m_tilde,
         delta=float(delta),
-        beta=complex(beta),
+        beta=beta,
     )
+
+
+def reference_gamma_dec(bath, drive, shifts) -> float:
+    """gamma (1/2 + N~ + Re M~) with the terms t Re Upsilon of N~ and Re M~
+    cancelled: gamma (1/2 + C A(Omega') - S B(Omega') - Delta~ delta_M s)."""
+    _, s, C, S = phase_parts(bath.phi)
+    a1, b1, _, _ = lorentzians(bath, drive)
+    return bath.gamma * (0.5 + (C * a1 - S * b1) - drive.delta_tilde * shifts.delta_M * s)
 
 
 def reference_shifts(spec, bath, drive) -> SqueezingShifts:
@@ -110,7 +128,7 @@ def reference_shifts(spec, bath, drive) -> SqueezingShifts:
     m = m_abs_at(bath, op)
     if m < sys.float_info.min and op != 0.0:
         # past op ~ 1e154 |M| alone goes subnormal, then to 0
-        m_op = (lam2 - mu2) / 4.0 * (1.0 / (op + mu2 / op) + 1.0 / (op + lam2 / op))
+        m_op = bath.gamma * bath.epsilon * (1.0 / (op + mu2 / op) + 1.0 / (op + lam2 / op))
     else:
         m_op = m * op
     return SqueezingShifts(0.0, m_op * (bath.lam + bath.mu) / (bath.lam * bath.mu))
@@ -132,7 +150,7 @@ def reference_angular(bath, drive, shifts) -> tuple[float, float]:
 def reference_verdict(bath, drive, n, *, shifts="asymptotic") -> RegimeVerdict:
     shifts = reference_shifts(shifts, bath, drive)
     coeffs = reference_coefficients(bath, drive, shifts)
-    g_dec = quadrature_decay_rate(coeffs)
+    g_dec, g_pop = reference_gamma_dec(bath, drive, shifts), population_decay_rate(coeffs)
     if g_dec <= 0.0:
         raise InvalidParamsError(f"nonpositive quadrature decay rate ({g_dec:.6g})")
     errors = []
@@ -143,13 +161,13 @@ def reference_verdict(bath, drive, n, *, shifts="asymptotic") -> RegimeVerdict:
     except (TangentSingularityError, InvalidParamsError) as exc:
         margin = math.nan
         errors.append(("margin", exc))
-    omega_L = bath.omega_L
+    omega_L, meas = bath.omega_L, bath.omega_L / n
     return RegimeVerdict(
         Gamma_dec=g_dec,
-        Gamma_pop=population_decay_rate(coeffs),
-        tau_dec=decay_time_approx(quadrature_decay_rate(coeffs), omega_L, n),
-        tau_zeno=decay_time_approx(population_decay_rate(coeffs), omega_L, n),
-        ratio_derived=timescale_ratio(coeffs, omega_L, n, "derived"),
+        Gamma_pop=g_pop,
+        tau_dec=decay_time_approx(g_dec, omega_L, n),
+        tau_zeno=decay_time_approx(g_pop, omega_L, n),
+        ratio_derived=(g_dec + 2.0 * meas) / (g_pop + 2.0 * meas),
         ratio_paper=timescale_ratio(coeffs, omega_L, n, "paper"),
         cond_derived=sustainable_condition(coeffs, "derived"),
         cond_paper=sustainable_condition(coeffs, "paper"),
