@@ -21,13 +21,16 @@ the left side
     lhs = sqrt(Delta~^2 delta_M^2 + |M|^2) sin(theta - phi)
           / [1 + 2 N(omega_L + Omega') + 3 (1 - Delta~^2) Re Upsilon]
 
-satisfies lhs <= 1/4 exactly where the denominator is positive.  On
-resonance-family phase profiles phi = pi Delta / Omega the angle
-comparison collapses further to the sufficient-condition margin
+satisfies lhs <= 1/4 exactly where the denominator is positive.  Its
+numerator is evaluated expanded, as |M| cos phi - Delta~ delta_M sin phi,
+so no rounded angle enters it.  On resonance-family phase profiles
+phi = pi Delta / Omega the angle comparison collapses further to the
+sufficient-condition margin
 
     Delta tan(pi Delta / Omega) - (gamma^2 - epsilon^2) / (2 gamma) >= 0,
 
-which is what the grid classifier reports per point.
+which is what the grid classifier reports per point; its offset is
+formed as mu lam / (2 gamma), in one place.
 
 One array kernel evaluates all of this over a block of a grid's axes at
 once; regime_sweep runs it one block of rows at a time and evaluate_regime
@@ -131,25 +134,25 @@ def angular_condition(
 ) -> tuple[float, bool]:
     """Angular form of the sustainability condition.
 
-    Returns (lhs, lhs <= 1/4).  The signed sin(theta - phi) is kept
-    literal, so phi > theta makes the condition hold trivially.  A
-    degenerate zero-magnitude numerator short-circuits to (0.0, True),
-    the continuous limit.  Raises SingularDenominatorError when the
-    denominator 1 + 2 N(omega_L + Omega') + 3 (1 - Delta~^2) Re Upsilon
-    is smaller than 1e-12 in modulus.
+    Returns (lhs, lhs <= 1/4), with the numerator |M| sin(theta - phi)
+    expanded as |M(omega_L + Omega')| cos phi - Delta~ delta_M sin phi,
+    the kernel's expression; its sign is kept, so phi > theta makes the
+    condition hold trivially.  A zero numerator short-circuits to
+    (0.0, True), the continuous limit.  Raises SingularDenominatorError
+    when the denominator 1 + 2 N(omega_L + Omega') + 3 (1 - Delta~^2)
+    Re Upsilon is smaller than 1e-12 in modulus.
     """
     n1, m1, ups = _one_point(bath, drive)[:3]
-    dt, x = drive.delta_tilde, drive.delta_tilde * shifts.delta_M
-    magnitude = math.hypot(x, m1)
-    if magnitude == 0.0:
+    dt, (c, s) = drive.delta_tilde, _phase(bath.phi)[:2]
+    numerator = m1 * c - dt * shifts.delta_M * s
+    if numerator == 0.0:
         return 0.0, True
     denominator = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups.real
     if abs(denominator) < 1e-12:
         raise SingularDenominatorError(f"angular-condition denominator is {denominator:.3g}; "
                                        "the reduction is singular at these parameters")
-    # theta as in angular_theta; x and m1 are not both zero here
-    lhs = magnitude * math.sin(math.atan2(m1, x) - bath.phi) / denominator
-    return float(lhs), bool(lhs <= 0.25)
+    lhs = numerator / denominator
+    return lhs, lhs <= 0.25
 
 
 def tan_theta_asymptotic(bath: SqueezedVacuumParams, drive: DriveParams) -> float:
@@ -157,12 +160,13 @@ def tan_theta_asymptotic(bath: SqueezedVacuumParams, drive: DriveParams) -> floa
 
     Valid in the asymptotic-shift regime; identical to
     mu lam / ((mu + lam) Omega' Delta~) through mu lam = gamma^2 -
-    epsilon^2, mu + lam = 2 gamma and Omega' Delta~ = Delta.  Raises on
-    Delta = 0 where the angle sits at pi/2 and the tangent diverges.
+    epsilon^2, mu + lam = 2 gamma and Omega' Delta~ = Delta, and formed
+    as the margin's offset over Delta.  Raises on Delta = 0 where the
+    angle sits at pi/2 and the tangent diverges.
     """
     if drive.Delta == 0.0:
         raise SingularDenominatorError("tan(theta) diverges at Delta = 0 (theta = pi/2)")
-    return (bath.gamma**2 - bath.epsilon**2) / (2.0 * drive.Delta * bath.gamma)
+    return _margin_offset(bath) / drive.Delta
 
 
 def sufficient_condition_margin(
@@ -194,8 +198,9 @@ def _tangent_term(drive: DriveParams) -> float:
 
 
 def _margin_offset(bath: SqueezedVacuumParams) -> float:
-    """(gamma^2 - epsilon^2) / (2 gamma), the bath's part of the margin."""
-    return (bath.gamma**2 - bath.epsilon**2) / (2.0 * bath.gamma)
+    """(gamma^2 - epsilon^2) / (2 gamma), the bath's part of the margin, formed as
+    mu lam / (2 gamma): the difference of the two squares would cancel as epsilon -> gamma."""
+    return bath.mu * bath.lam / (2.0 * bath.gamma)
 
 
 # what one parameter point reports, in report order
@@ -316,7 +321,7 @@ def _along(values, dims: tuple[int, ...], shape: tuple[int, ...], dtype=float) -
 
 
 def _math(fn, *arrays) -> np.ndarray:
-    """fn from math per element (numpy's hypot, atan2, sin, tan can differ in the last ulp)."""
+    """fn from math per element (numpy's atan2 can differ from math's in the last ulp)."""
     arrays = np.broadcast_arrays(*arrays)
     return np.reshape(list(map(fn, *(a.ravel().tolist() for a in arrays))), arrays[0].shape)
 
@@ -345,7 +350,7 @@ def _regime_inputs(grid: SweepGrid, shifts: ShiftSpec) -> dict:
     """
     shape = tuple(map(len, grid.axes))
     inputs = {name: _along([float(v) for v in grid.axes[i]], (i,), shape)
-              for i, name in ((0, "gamma"), (2, "Delta"), (4, "phi"), (6, "n"))}
+              for i, name in ((0, "gamma"), (2, "Delta"), (6, "n"))}
 
     def records(dims: tuple[int, ...], build, *names: str) -> np.ndarray:
         """build(*point) over the product of the axes dims, its values stored by names
@@ -386,13 +391,13 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
     of the axes it depends on.  The coefficients and Gamma_dec come from
     coefficients._coefficient_arrays (Gamma_dec in its cancellation-free form,
     not as quadrature_decay_rate sums a record's fields), and the rest repeats
-    the scalar formulas with math functions per element, so every number has
-    the bits of a point-by-point evaluation.  Returns the RegimeVerdict columns,
+    the scalar formulas (theta with math.atan2 per element), so every number
+    has the bits of a point-by-point evaluation.  Returns the RegimeVerdict columns,
     each over its own axes and the six before n (float64, or objects for the
     booleans; NaN or None where skipped), and over those six the None,
     exception or ("margin", exception) pair of each point.
     """
-    gamma, phi, omega_L, n, dt = (inputs[k] for k in ("gamma", "phi", "omega_L", "n", "dt"))
+    gamma, omega_L, n, dt, c, s = (inputs[k] for k in ("gamma", "omega_L", "n", "dt", "c", "s"))
     q, lam2, mu2, op = (inputs[k] for k in ("q", "lam2", "mu2", "op"))
 
     with np.errstate(all="ignore"):
@@ -411,10 +416,8 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
         # epsilon)^2 >= -1/2 gives t > -1/4, and n_tilde >= 0 (skipped otherwise)
         # gives n1 >= -t, so the denominator is at least min(1, 1 + 4 t) > 0
         x = dt * delta_M
-        theta = np.where((m1 == 0.0) & (x == 0.0), 0.0, _math(math.atan2, m1, x))
-        magnitude = _math(math.hypot, x, m1)
-        lhs = (magnitude * _math(math.sin, theta - phi)
-               / (1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re))
+        numerator = m1 * c - x * s
+        lhs = numerator / (1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re)
         columns = {
             "Gamma_dec": g_dec,
             "Gamma_pop": g_pop,
@@ -424,8 +427,8 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
             "ratio_paper": 0.5 + (2.0 * gamma * m_re + meas) / denom,
             "cond_derived": 2.0 * m_re <= 1.0 + 2.0 * n_tilde,
             "cond_paper": 4.0 * m_re <= 1.0 + 2.0 * n_tilde,
-            "theta": theta,
-            "angular_lhs": np.where(magnitude == 0.0, 0.0, lhs),
+            "theta": np.where((m1 == 0.0) & (x == 0.0), 0.0, _math(math.atan2, m1, x)),
+            "angular_lhs": np.where(numerator == 0.0, 0.0, lhs),
             "sufficient_margin": inputs["tangent"] - inputs["offset"],
         }
 

@@ -29,18 +29,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import SWEEP_COLUMNS, evaluate_regime, regime_sweep
-from .bloch import (
-    BlochState,
-    evolve,
-    fit_decay_rate,
-    population_decay_rate,
-    quadrature_decay_rate,
-)
-from .coefficients import (
-    DriveParams,
-    SqueezingShifts,
-    effective_coefficients,
-)
+from .bloch import BlochState, evolve, fit_decay_rate, population_decay_rate
+from .coefficients import DriveParams, SqueezingShifts, _one_point, effective_coefficients
 from .config import _RULES, DEFAULTS, RunConfig, canonical_json
 from .errors import ConfigError, SqueezedZenoError
 from .spectrum import _at_offsets, _m_abs_at, _n_at
@@ -51,9 +41,9 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[list[bytes], int]:
     bath = cfg.bath()
     spec = cfg.data["spectrum"]
     x = np.linspace(spec["x_min"], spec["x_max"], spec["points"])
-    n_vals = _at_offsets(_n_at, bath, x)
-    m_vals = _at_offsets(_m_abs_at, bath, x) * complex(math.cos(bath.phi), math.sin(bath.phi))
-    table = (bath.omega_L + x, x, n_vals, np.abs(m_vals), m_vals.real, m_vals.imag)
+    m_abs = _at_offsets(_m_abs_at, bath, x)
+    table = (bath.omega_L + x, x, _at_offsets(_n_at, bath, x), m_abs,
+             m_abs * math.cos(bath.phi), m_abs * math.sin(bath.phi))
     return cfg.render(table, ("omega", "x", "N", "M_abs", "M_re", "M_im")), 0
 
 
@@ -105,18 +95,21 @@ def _rate_comparisons(cfg: RunConfig) -> list[dict]:
 
     Both probes pin the squeezing phase to pi and the detuning to zero;
     that puts Im M~ + delta = 0 exactly, so each observable is a clean
-    single exponential and the fit isolates the analytic rate.
+    single exponential and the fit isolates the analytic rate.  The
+    analytic Gamma_dec is the one timescales and sweep report, in its
+    cancellation-free form, not the sum of the record's N~ and Re M~.
     """
     bath = dataclasses.replace(cfg.bath(), phi=math.pi)
     rows = []
-    for label, rate, observable, omega, initial in (
-        ("Gamma_pop", population_decay_rate, "sigma_z", 0.0, BlochState.excited()),
-        ("Gamma_dec", quadrature_decay_rate, "sigma_x", cfg.drive().Omega,
-         BlochState.x_polarized()),
+    for label, observable, omega, initial in (
+        ("Gamma_pop", "sigma_z", 0.0, BlochState.excited()),
+        ("Gamma_dec", "sigma_x", cfg.drive().Omega, BlochState.x_polarized()),
     ):
         drive = DriveParams(omega, 0.0)
-        coeffs = effective_coefficients(bath, drive, SqueezingShifts.asymptotic(bath, drive))
-        analytic = rate(coeffs)
+        shifts = SqueezingShifts.asymptotic(bath, drive)
+        coeffs = effective_coefficients(bath, drive, shifts)
+        analytic = (population_decay_rate(coeffs) if label == "Gamma_pop"
+                    else _one_point(bath, drive, shifts)[7])
         traj = evolve(
             initial, coeffs, drive, (0.0, 3.0 / analytic), n_samples=600, method="bloch"
         )

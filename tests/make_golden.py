@@ -5,8 +5,10 @@
 Every entry of PAYLOADS is one in-process CLI run (subcommand, format,
 config).  The table keeps, per run, the exit code, the payload's
 content-sha256 (the digest the CLI prints over the data section) and
-the sha256 of the whole output, provenance included; tests/test_golden.py
-regenerates each run and compares.  A change that moves numbers on
+the sha256 of the whole output, provenance included (a run that ends
+in an error line and writes no document keeps its exit code and the
+sha256 of its stderr instead); tests/test_golden.py regenerates each run
+and compares.  A change that moves numbers on
 purpose reruns this script and states the tolerance; a change to the
 provenance alone (tool version, config keys) moves only the document
 hashes.  The help-* entries pin the --help texts, top level and per
@@ -140,6 +142,9 @@ ERRORS = {
 # carry terms of size 1/mu^2 that cancel in Gamma_dec
 NEAR_THRESHOLD = {"bath": {"epsilon": 1.0 - 1e-8, "phi": PI}, "drive": {"Omega": 10.0}}
 
+# an oracle run 1e-8 below threshold, whose rate probe ends in one error line
+ORACLE_NEAR_THRESHOLD = {"bath": {"epsilon": 0.99999999}}
+
 # spectra at epsilon = 1e-12 gamma, whose amplitude gamma epsilon is not the
 # difference of the two squared widths
 WEAK_SQUEEZING = {"bath": {"epsilon": 1e-12}}
@@ -168,6 +173,7 @@ def _payloads() -> dict[str, tuple[str, str, dict]]:
         runs[f"spectrum-wide-range-{fmt}"] = ("spectrum", fmt, SPECTRUM_WIDE)
     runs["oracle-default-json"] = ("oracle", "json", {})
     runs["oracle-scaled-json"] = ("oracle", "json", {"oracle": ORACLE_SCALED})
+    runs["oracle-near-threshold-json"] = ("oracle", "json", ORACLE_NEAR_THRESHOLD)
     runs["timescales-near-threshold-json"] = ("timescales", "json", NEAR_THRESHOLD)
     runs["spectrum-weak-squeezing-json"] = ("spectrum", "json", WEAK_SQUEEZING)
     for name, config in ERRORS.items():
@@ -207,7 +213,12 @@ def run(name: str, workdir: Path) -> dict:
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    code = main(argv)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    if not out.exists():  # a run that ends in its error line writes no document
+        return {"exit": code,
+                "stderr_sha256": hashlib.sha256(stderr.getvalue().encode()).hexdigest()}
     text = out.read_text()
     if text.startswith("{"):
         content = json.loads(text)["provenance"]["content_sha256"]

@@ -18,7 +18,10 @@ FACTOR times that bound:
   A = q/(x^2 + mu^2) and B = q/(x^2 + lambda^2) with q = gamma epsilon
   (see the coefficients module), Gamma_dec as gamma (1/2 + C A(Omega') -
   S B(Omega') - Delta~ delta_M s), which carries none of the terms of
-  size 1/mu^2 that N~ and Re M~ each hold near epsilon = gamma.
+  size 1/mu^2 that N~ and Re M~ each hold near epsilon = gamma, the
+  angular left side with its numerator expanded as |M| c - Delta~
+  delta_M s (no rounded angle), and the margin's offset as
+  mu lambda / (2 gamma) (no difference of squares).
 - A condition verdict must agree with the reference wherever the
   reference's margin exceeds its bound.
 - A point is skipped for N~ < 0 or Gamma_dec <= 0 only where the
@@ -28,7 +31,9 @@ The offsets are Omega' itself: a carrier that rounds omega_L + Omega'
 (defect A) is outside every bound.
 """
 
+import json
 import math
+import random
 from typing import NamedTuple
 
 import mpmath
@@ -46,9 +51,14 @@ from squeezedzeno import (
     evaluate_regime,
     spectral_m_abs,
     spectral_n,
+    tan_theta_asymptotic,
 )
+from squeezedzeno.analysis import SWEEP_COLUMNS
+from squeezedzeno.cli import main
 from squeezedzeno.coefficients import _one_point
 from squeezedzeno.errors import MAX_OMEGA_L
+
+from make_golden import PAYLOADS
 
 MP = mpmath.mp.clone()
 MP.dps = 60
@@ -124,10 +134,6 @@ def _hypot(x: Rounded, y: Rounded) -> Rounded:
                      else x.bound + y.bound)
 
 
-def _sin(z: Rounded) -> Rounded:
-    return _function(MP.sin(z.value), z.bound)
-
-
 def _tan(z: Rounded) -> Rounded:
     t = MP.tan(z.value)
     return _function(t, z.bound * (1 + t * t))
@@ -146,20 +152,23 @@ def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
     lam, mu, q = gamma + epsilon, gamma - epsilon, gamma * epsilon
     lam2, mu2 = lam * lam, mu * mu
     op = _hypot(Omega, Delta)
-    dt, ot = Delta / op, Omega / op
+    # DriveParams' convention at the undriven corner Omega = Delta = 0
+    dt, ot = (Delta / op, Omega / op) if op.value else (_lift(0.0), _lift(1.0))
     c, s, half_c, half_s = (_function(f(v), MP.zero) for f, v in (
         (MP.cos, phi.value), (MP.sin, phi.value), (MP.cos, phi.value / 2),
         (MP.sin, phi.value / 2)))
     C, S = 2 * half_c * half_c, 2 * half_s * half_s
     n1, m1 = _spectra(op, q, lam2, mu2)
-    if m1.value < 2.0 ** -1022:  # |M| goes subnormal: delta_M's far-wing form
+    if m1.value < 2.0 ** -1022 and op.value:  # |M| goes subnormal: delta_M's far-wing form
         m_op = q * (1 / (op + mu2 / op) + 1 / (op + lam2 / op))
     else:
         m_op = m1 * op
     delta_M = m_op * (lam + mu) / (lam * mu)
     xx = op * op
     a1, b1 = q / (xx + mu2), q / (xx + lam2)
-    d_a, d_b = q / mu2 / (1 + mu2 / xx), q / lam2 / (1 + lam2 / xx)
+    # A(0) - A(Omega') and B(0) - B(Omega'), 0 at Omega' = 0
+    d_a, d_b = ((q / mu2 / (1 + mu2 / xx), q / lam2 / (1 + lam2 / xx)) if op.value
+                else (_lift(0.0), _lift(0.0)))
     ups_re, ups_im = S * d_a - C * d_b, -(s * (d_a + d_b))
     transverse = 0.5 * (1 - dt * dt)
     n_tilde = n1 + transverse * ups_re
@@ -171,11 +180,7 @@ def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
     meas = omega_L / n
     denom = g_pop + 2 * meas
     rate = 2 * omega_L / n
-    theta = _atan2(m1, shift)
-    magnitude = _hypot(shift, m1)
-    pi = Rounded(MP.pi, U * MP.pi)  # math.pi
-    x = pi * Delta / Omega
-    return {
+    ref = {
         "n1": n1, "m1": m1, "ups_re": ups_re, "ups_im": ups_im, "delta_M": delta_M,
         "n_tilde": n_tilde, "m_re": m_re, "m_im": m_im,
         "delta": Delta / gamma - transverse * ups_im,
@@ -189,11 +194,13 @@ def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
         "ratio_paper": 0.5 + (2 * gamma * m_re + meas) / denom,
         "cond_derived": (1 + 2 * n_tilde) - 2 * m_re,
         "cond_paper": (1 + 2 * n_tilde) - 4 * m_re,
-        "theta": theta,
-        "angular_lhs": magnitude * _sin(theta - phi)
-        / ((1 + 2 * n1) + 3 * (1 - dt * dt) * ups_re),
-        "sufficient_margin": Delta * _tan(x) - (gamma * gamma - epsilon * epsilon) / (2 * gamma),
+        "theta": _atan2(m1, shift),
+        "angular_lhs": (m1 * c - shift * s) / ((1 + 2 * n1) + 3 * (1 - dt * dt) * ups_re),
     }
+    if Omega.value > 0:  # the library reports no margin at Omega = 0
+        pi = Rounded(MP.pi, U * MP.pi)  # math.pi
+        ref["sufficient_margin"] = Delta * _tan(pi * Delta / Omega) - mu * lam / (2 * gamma)
+    return ref
 
 
 def library(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
@@ -224,7 +231,11 @@ def errors(ref: dict, got: dict) -> dict:
 
 
 def check_point(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> None:
-    ref, got = reference(bath, drive, n), library(bath, drive, n)
+    check(reference(bath, drive, n), library(bath, drive, n))
+
+
+def check(ref: dict, got: dict) -> None:
+    """got, a dict shaped as library()'s, within the stated bounds of ref."""
     for name, (error, bound) in errors(ref, got).items():
         assert error <= bound, f"{name}: {got[name]!r} against {ref[name].value}, bound {bound}"
     for name in ("cond_derived", "cond_paper"):
@@ -275,6 +286,42 @@ def test_one_point_chain_within_its_stated_bounds(point):
     check_point(*point)
 
 
+# the golden sweeps at the asymptotic shifts, and how many rows of each are checked
+CERTIFIED_SWEEPS = ("criterion-10", "mixed-6400", "wide-range", "carrier-faults", "width-faults")
+CERTIFIED_ROWS = 192
+
+# a skipped row's status, as the exception library() records for it
+SKIPS = {"skipped: effective photon number is negative": UnphysicalCoefficientsError,
+         "skipped: nonpositive quadrature decay rate": InvalidParamsError}
+
+
+@pytest.mark.parametrize("name", CERTIFIED_SWEEPS)
+def test_sweep_rows_within_their_stated_bounds(name, tmp_path):
+    # rows of the CLI's own payload, as printed: every float column within its bound
+    _, fmt, config = PAYLOADS[f"sweep-{name}-json"]
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--format", fmt, "--config", str(path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert tuple(result["columns"]) == SWEEP_COLUMNS
+    rows = random.Random(20251022).sample(result["rows"], min(CERTIFIED_ROWS,
+                                                               len(result["rows"])))
+    for row in rows:
+        # an integral float is printed as an int: float() restores it (booleans stay)
+        row = {k: float(v) if type(v) is int else v for k, v in zip(SWEEP_COLUMNS, row)}
+        status = row["status"]
+        try:
+            bath = SqueezedVacuumParams(row["gamma"], row["epsilon"], row["phi"], row["omega_L"])
+            drive = DriveParams(row["Omega"], row["Delta"])
+        except InvalidParamsError:
+            assert status.startswith("skipped: "), status
+            continue
+        skip = next((exc for prefix, exc in SKIPS.items() if status.startswith(prefix)), None)
+        got = ({"skipped": skip(status.removeprefix("skipped: "))} if skip else
+               {k: row[k] for k in SWEEP_COLUMNS[7:-1] if row[k] is not None})
+        check(reference(bath, drive, int(row["n"])), got)
+
+
 def _assert_relative(got: dict, ref: dict, names: tuple, tolerance: float) -> None:
     for name in names:
         want = ref[name].value
@@ -298,6 +345,24 @@ def test_upsilon_near_threshold_at_phi_zero_to_1e_12():
     got, ref = library(bath, drive, 100), reference(bath, drive, 100)
     _assert_relative(got, ref, ("ups_re", "n_tilde", "m_re", "Gamma_dec", "Gamma_pop",
                                 "ratio_derived", "ratio_paper"), 1e-12)
+
+
+def test_angular_lhs_where_theta_is_near_phi_to_1e_12():
+    # the sweep-wide-range row at phi = pi: sin of a rounded theta - phi was 3.2e-4 off here
+    bath = SqueezedVacuumParams(1e-12, 1e-13, math.pi, 100.0)
+    drive = DriveParams(10.0, 5.0)
+    _assert_relative(library(bath, drive, 100), reference(bath, drive, 100),
+                     ("angular_lhs",), 1e-12)
+
+
+@pytest.mark.parametrize("distance", [1e-8, 1e-12])
+def test_tan_theta_asymptotic_near_threshold_to_1e_15(distance):
+    # gamma^2 - epsilon^2 of the rounded squares cancels as epsilon -> gamma; mu lam does not
+    bath = SqueezedVacuumParams(1.0, 1.0 - distance, math.pi, 100.0)
+    drive = DriveParams(10.0, 1.0)
+    gamma, epsilon = MP.mpf(bath.gamma), MP.mpf(bath.epsilon)
+    want = (gamma * gamma - epsilon * epsilon) / (2 * MP.mpf(drive.Delta) * gamma)
+    assert abs(tan_theta_asymptotic(bath, drive) - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("fraction", [1e-6, 1e-9, 1e-12])

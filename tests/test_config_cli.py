@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ import pytest
 
 import squeezedzeno
 import squeezedzeno.cli as cli
-from squeezedzeno import BlochState, SweepGrid
+from squeezedzeno import BlochState, DriveParams, SweepGrid, evaluate_regime
 from squeezedzeno.analysis import SWEEP_COLUMNS
 from squeezedzeno.cli import build_parser, main
 from squeezedzeno.config import (
@@ -769,6 +770,29 @@ def test_cli_oracle_at_a_tiny_gamma_is_quiet(tmp_path, capsys):
     assert err == ""
     for row in json.loads(out)["result"]["davies"]:
         assert row["max_deviation"] == pytest.approx(-math.expm1(-3.0), rel=0.0, abs=1e-12)
+
+
+def test_cli_oracle_analytic_gamma_dec_is_the_reported_one(capsys):
+    # the probe's Gamma_dec is the timescales value at phi = pi and Delta = 0, bit for bit,
+    # not the sum of the record's N~ and Re M~
+    assert main(["oracle", "--format", "json"]) == 0
+    rate = next(r for r in json.loads(capsys.readouterr().out)["result"]["rates"]
+                if r["rate"] == "Gamma_dec")
+    cfg = RunConfig.load()
+    bath = dataclasses.replace(cfg.bath(), phi=math.pi)
+    drive = DriveParams(cfg.drive().Omega, 0.0)
+    assert rate["analytic"] == evaluate_regime(bath, drive, cfg.data["schedule"]["n"]).Gamma_dec
+
+
+def test_cli_oracle_near_threshold_exits_2_with_one_error_line(tmp_path, capsys):
+    # N~ + Re M~ cancelled to 0.0 here, and 3 / Gamma_dec ended in a ZeroDivisionError
+    # traceback; the cancellation-free Gamma_dec leaves the generator's size to refuse it
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"bath": {"epsilon": 0.99999999}}))
+    assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: t_span too long: [^\n]+\n", captured.err)
 
 
 # baths whose spectra leave the float range: lambda^4 overflows or mu^4 is subnormal

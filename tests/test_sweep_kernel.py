@@ -135,16 +135,17 @@ def reference_shifts(spec, bath, drive) -> SqueezingShifts:
 
 
 def reference_angular(bath, drive, shifts) -> tuple[float, float]:
-    """(theta, angular lhs) as angular_theta and angular_condition formed them."""
+    """(theta, angular lhs) as angular_theta and angular_condition form them, the
+    numerator hypot(x, |M|) sin(theta - phi) expanded as |M| cos phi - x sin phi."""
     m1, n1 = m_abs_at(bath, drive.omega_prime), n_at(bath, drive.omega_prime)
-    dt = drive.delta_tilde
+    dt, (c, s) = drive.delta_tilde, phase_parts(bath.phi)[:2]
     x = dt * shifts.delta_M
     theta = 0.0 if m1 == 0.0 and x == 0.0 else math.atan2(m1, x)
-    magnitude = math.hypot(x, m1)
-    if magnitude == 0.0:
+    numerator = m1 * c - x * s
+    if numerator == 0.0:
         return theta, 0.0
     denominator = 1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * reference_upsilon(bath, drive).real
-    return theta, float(magnitude * math.sin(math.atan2(m1, x) - bath.phi) / denominator)
+    return theta, numerator / denominator
 
 
 def reference_verdict(bath, drive, n, *, shifts="asymptotic") -> RegimeVerdict:

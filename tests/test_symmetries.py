@@ -17,8 +17,8 @@ references the other tests compare it against.
 Multiplying by a power of two is exact in binary floating point while
 nothing overflows or goes subnormal, so these relations hold bit for bit:
 a failure marks a unit error or a misplaced constant, which rounding
-cannot cause.  The stated exceptions: the reflected theta and angular_lhs,
-which round pi - theta once more, and the oracle's fitted rates (see
+cannot cause.  The stated exceptions: the reflected theta, which rounds
+pi - theta once more, and the oracle's fitted rates (see
 test_oracle_scales_with_units).  A skipped or partial row's text carries
 the values it was given, so such rows compare by status kind, the text
 with every number blanked.
@@ -190,10 +190,6 @@ def test_reflection_keeps_every_rate_time_ratio_and_verdict(tmp_path):
             return got == want
         if column == "theta":  # pi - theta, rounded: atan2(m1, -x) against atan2(m1, x)
             return abs(got - (PI - want)) <= 2 * math.ulp(PI)
-        if column == "angular_lhs":
-            # sin(pi - theta + phi) for sin(theta - phi): 5.0e-15 relative was
-            # measured here, and 6.4e-14 on a grid of 3 840 points
-            return abs(got - want) <= 1e-13 * abs(want)
         return None
 
     for name in ("sweep", "timescales-ok", "timescales-pole", "timescales-negative",
