@@ -320,12 +320,6 @@ def _along(values, dims: tuple[int, ...], shape: tuple[int, ...], dtype=float) -
     )
 
 
-def _math(fn, *arrays) -> np.ndarray:
-    """fn from math per element (numpy's atan2 can differ from math's in the last ulp)."""
-    arrays = np.broadcast_arrays(*arrays)
-    return np.reshape(list(map(fn, *(a.ravel().tolist() for a in arrays))), arrays[0].shape)
-
-
 def _caught(fn, *args):
     """fn(*args), or the library error it raises (without its traceback)."""
     try:
@@ -390,12 +384,12 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
     grid order (n fastest), so each quantity is computed once per combination
     of the axes it depends on.  The coefficients and Gamma_dec come from
     coefficients._coefficient_arrays (Gamma_dec in its cancellation-free form,
-    not as quadrature_decay_rate sums a record's fields), and the rest repeats
-    the scalar formulas (theta with math.atan2 per element), so every number
-    has the bits of a point-by-point evaluation.  Returns the RegimeVerdict columns,
-    each over its own axes and the six before n (float64, or objects for the
-    booleans; NaN or None where skipped), and over those six the None,
-    exception or ("margin", exception) pair of each point.
+    the value a coefficient record stores), and the rest repeats the scalar
+    formulas, so every number has the bits of a point-by-point evaluation.
+    Returns the RegimeVerdict columns, each over its own axes and the six
+    before n (float64, or objects for the booleans; NaN or None where
+    skipped), and over those six the None, exception or ("margin", exception)
+    pair of each point.
     """
     gamma, omega_L, n, dt, c, s = (inputs[k] for k in ("gamma", "omega_L", "n", "dt", "c", "s"))
     q, lam2, mu2, op = (inputs[k] for k in ("q", "lam2", "mu2", "op"))
@@ -404,7 +398,7 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
         delta_N = inputs.get("delta_N", 0.0)
         delta_M = (inputs["delta_M"] if "delta_M" in inputs
                    else _asymptotic_delta_m(op, q, lam2, mu2, inputs["lam"], inputs["mu"]))
-        n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _, g_dec = _coefficient_arrays(
+        n1, m1, (ups_re, _), n_tilde, (m_re, _), _, _, g_dec, _ = _coefficient_arrays(
             gamma, q, lam2, mu2, op, inputs["Delta"], dt, inputs["ot"],
             *(inputs[k] for k in "csCS"), delta_N, delta_M)
         g_pop = gamma * (1.0 + 2.0 * n_tilde)
@@ -418,6 +412,8 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
         x = dt * delta_M
         numerator = m1 * c - x * s
         lhs = numerator / (1.0 + 2.0 * n1 + 3.0 * (1.0 - dt * dt) * ups_re)
+        # math.atan2 per element: numpy's arctan2 can differ from it in the last ulp
+        theta = np.vectorize(math.atan2, otypes=[float])(m1, x)
         columns = {
             "Gamma_dec": g_dec,
             "Gamma_pop": g_pop,
@@ -427,7 +423,7 @@ def _regime_columns(inputs: dict, shape: tuple[int, ...]) -> tuple[dict, list]:
             "ratio_paper": 0.5 + (2.0 * gamma * m_re + meas) / denom,
             "cond_derived": 2.0 * m_re <= 1.0 + 2.0 * n_tilde,
             "cond_paper": 4.0 * m_re <= 1.0 + 2.0 * n_tilde,
-            "theta": np.where((m1 == 0.0) & (x == 0.0), 0.0, _math(math.atan2, m1, x)),
+            "theta": np.where((m1 == 0.0) & (x == 0.0), 0.0, theta),
             "angular_lhs": np.where(numerator == 0.0, 0.0, lhs),
             "sufficient_margin": inputs["tangent"] - inputs["offset"],
         }

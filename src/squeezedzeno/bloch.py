@@ -125,7 +125,9 @@ def build_liouvillian(coeffs: EffectiveCoefficients, drive: DriveParams) -> NDAr
     It acts on the column-stacked vec(rho) = (rho_ee, rho_ge, rho_eg, rho_gg).
     All seven lines of the equation of motion are included: the delta
     rotation, both thermal dissipators, the two squeezing terms, the
-    drive commutator, and the beta double commutators.
+    drive commutator, and the beta double commutators.  It reads N~, M~, delta
+    and beta alone, an independent check of bloch_generator that inherits their
+    cancellation near threshold, where the slow quadrature loses accuracy with N~.
     """
     g = coeffs.gamma
     nt = coeffs.n_tilde
@@ -182,31 +184,24 @@ def bloch_generator(
     """Real affine form d(u, w, z)/dt = A (u, w, z) + b.
 
     Here u = 2 Re<sm>, w = 2 Im<sm>, z = <sz>.  Useful for steady
-    states, eigenvalue checks, and the "bloch" propagation path.
+    states, eigenvalue checks, and the "bloch" propagation path.  The
+    quadrature block takes the record's stored Gamma_dec and rotation
+    delta - Im M~; its other two entries, Gamma_pop - Gamma_dec and
+    gamma (delta + Im M~), are sums that do not cancel.
     """
-    g = coeffs.gamma
-    a = 0.5 + coeffs.n_tilde
-    m1 = coeffs.m_tilde.real
-    m2 = coeffs.m_tilde.imag
-    d = coeffs.delta
-    b1 = coeffs.beta.real
-    b2 = coeffs.beta.imag
-    omega = drive.Omega
-    mat = np.array(
-        [
-            [-g * (a + m1), -g * (d + m2), 0.0],
-            [g * (d - m2), -g * (a - m1), omega],
-            [b2, -(omega + b1), -g * (1.0 + 2.0 * coeffs.n_tilde)],
-        ]
-    )
-    aff = np.array([0.0, 0.0, -g])
-    return mat, aff
+    g, g_dec, g_pop = coeffs.gamma, coeffs.gamma_dec, population_decay_rate(coeffs)
+    mat = np.array([
+        [-g_dec, -g * (coeffs.delta + coeffs.m_tilde.imag), 0.0],
+        [g * coeffs.rotation, -(g_pop - g_dec), drive.Omega],
+        [coeffs.beta.imag, -(drive.Omega + coeffs.beta.real), -g_pop],
+    ])
+    return mat, np.array([0.0, 0.0, -g])
 
 
 def quadrature_decay_rate(coeffs: EffectiveCoefficients) -> float:
-    """Coherence decay constant Gamma_dec = gamma (1/2 + N~ + Re M~), the sum of the record's
-    fields; the sweep kernel forms it without the terms of size 1/mu^2 that the two hold."""
-    return coeffs.gamma * (0.5 + coeffs.n_tilde + coeffs.m_tilde.real)
+    """Coherence decay constant Gamma_dec = gamma (1/2 + N~ + Re M~) as the record stores it,
+    the kernel's value, free of the terms of size 1/mu^2 that N~ and Re M~ each hold."""
+    return coeffs.gamma_dec
 
 
 def population_decay_rate(coeffs: EffectiveCoefficients) -> float:

@@ -29,10 +29,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import SWEEP_COLUMNS, evaluate_regime, regime_sweep
-from .bloch import BlochState, evolve, fit_decay_rate, population_decay_rate
-from .coefficients import DriveParams, SqueezingShifts, _one_point, effective_coefficients
+from .bloch import BlochState, evolve, fit_decay_rate, population_decay_rate, quadrature_decay_rate
+from .coefficients import DriveParams, SqueezingShifts, effective_coefficients
 from .config import _RULES, DEFAULTS, RunConfig, canonical_json
-from .errors import ConfigError, SqueezedZenoError
+from .errors import ConfigError, InvalidParamsError, SqueezedZenoError
 from .spectrum import _at_offsets, _m_abs_at, _n_at
 from .weakmeas import DaviesModel, davies_max_deviation, davies_propagator_column
 
@@ -95,33 +95,29 @@ def _rate_comparisons(cfg: RunConfig) -> list[dict]:
 
     Both probes pin the squeezing phase to pi and the detuning to zero;
     that puts Im M~ + delta = 0 exactly, so each observable is a clean
-    single exponential and the fit isolates the analytic rate.  The
-    analytic Gamma_dec is the one timescales and sweep report, in its
-    cancellation-free form, not the sum of the record's N~ and Re M~.
+    single exponential and the fit isolates the analytic rate.  A probe that
+    evolve cannot propagate over 3 / rate (as at N~ = 1e16) names the bath's N~.
     """
     bath = dataclasses.replace(cfg.bath(), phi=math.pi)
     rows = []
-    for label, observable, omega, initial in (
-        ("Gamma_pop", "sigma_z", 0.0, BlochState.excited()),
-        ("Gamma_dec", "sigma_x", cfg.drive().Omega, BlochState.x_polarized()),
+    for label, observable, omega, initial, rate in (
+        ("Gamma_pop", "sigma_z", 0.0, BlochState.excited(), population_decay_rate),
+        ("Gamma_dec", "sigma_x", cfg.drive().Omega, BlochState.x_polarized(),
+         quadrature_decay_rate),
     ):
         drive = DriveParams(omega, 0.0)
-        shifts = SqueezingShifts.asymptotic(bath, drive)
-        coeffs = effective_coefficients(bath, drive, shifts)
-        analytic = (population_decay_rate(coeffs) if label == "Gamma_pop"
-                    else _one_point(bath, drive, shifts)[7])
-        traj = evolve(
-            initial, coeffs, drive, (0.0, 3.0 / analytic), n_samples=600, method="bloch"
-        )
+        coeffs = effective_coefficients(bath, drive, SqueezingShifts.asymptotic(bath, drive))
+        analytic = rate(coeffs)
+        try:
+            traj = evolve(initial, coeffs, drive, (0.0, 3.0 / analytic), n_samples=600,
+                          method="bloch")
+        except InvalidParamsError:  # the span check of evolve
+            raise InvalidParamsError(f"the {label} rate probe cannot run at this bath: its "
+                                     f"N~ = {coeffs.n_tilde:.3g} is too large") from None
         fitted = fit_decay_rate(traj, observable).rate
-        rows.append({
-            "rate": label,
-            "observable": observable,
-            "Omega": drive.Omega,
-            "analytic": analytic,
-            "fitted": fitted,
-            "rel_error": abs(fitted - analytic) / abs(analytic),
-        })
+        rows.append({"rate": label, "observable": observable, "Omega": drive.Omega,
+                     "analytic": analytic, "fitted": fitted,
+                     "rel_error": abs(fitted - analytic) / abs(analytic)})
     return rows
 
 

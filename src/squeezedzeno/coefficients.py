@@ -41,10 +41,10 @@ and sweep, in real formulas over the Lorentzians A and B of the spectra
 (N = A - B, |M| = A + B; see spectrum).  With c, s = cos phi, sin phi,
 C = 2 cos^2(phi/2) = 1 + c, S = 2 sin^2(phi/2) = 1 - c and the exact
 differences dA = A(0) - A(Omega') = (q/mu^2) / (1 + mu^2/Omega'^2), dB
-likewise, Re Upsilon = S dA - C dB, Im Upsilon = -s (dA + dB), and
-N~ + Re M~ = C A(Omega') - S B(Omega') - Delta~ delta_M s is free of the
-terms of size 1/mu^2 that N~ and Re M~ each carry as epsilon -> gamma.
-The tests keep these formulas in scalar math as its reference.
+likewise, Re Upsilon = S dA - C dB, Im Upsilon = -s (dA + dB), and both
+N~ + Re M~ = C A(Omega') - S B(Omega') - Delta~ delta_M s and delta - Im M~ =
+Delta/gamma + Delta~ delta_N - |M(Omega')| s - Delta~ delta_M c are free of the
+1/mu^2 terms that N~, M~ and delta each carry as epsilon -> gamma (tests: scalar math).
 """
 
 from __future__ import annotations
@@ -162,13 +162,17 @@ def resolve_shifts(
 
 @dataclass(frozen=True)
 class EffectiveCoefficients:
-    """Coefficient set (gamma, N~, M~, delta, beta) of the reduced master equation."""
+    """Coefficient set (gamma, N~, M~, delta, beta) of the reduced master equation, and the
+    stored, not summed, gamma_dec = gamma (1/2 + N~ + Re M~) and rotation = delta - Im M~:
+    effective_coefficients forms them free of the 1/mu^2 terms N~, M~ and delta each hold."""
 
     gamma: float
     n_tilde: float
     m_tilde: complex
     delta: float
     beta: complex
+    gamma_dec: float
+    rotation: float
 
 
 def _phase(phi: float) -> tuple:
@@ -178,11 +182,10 @@ def _phase(phi: float) -> tuple:
 
 
 def _coefficient_arrays(gamma, q, lam2, mu2, op, Delta, dt, ot, c, s, C, S, delta_N, delta_M):
-    """N(omega_L + Omega'), |M(omega_L + Omega')|, Upsilon, N~, M~, delta, beta and
-    Gamma_dec = gamma (1/2 + N~ + Re M~) on arrays that broadcast (op = Omega', the
-    sideband's carrier offset, dt = Delta~, ot = Omega~, (c, s, C, S) = _phase(phi)),
-    a complex value as its (real, imaginary) pair, in the real formulas of the
-    module docstring (Gamma_dec in its cancellation-free form)."""
+    """N(omega_L + Omega'), |M(omega_L + Omega')|, Upsilon, N~, M~, delta, beta, Gamma_dec =
+    gamma (1/2 + N~ + Re M~) and delta - Im M~ on arrays that broadcast (op = Omega', dt =
+    Delta~, ot = Omega~, (c, s, C, S) = _phase(phi)), a complex value as its (real, imaginary)
+    pair, in the real formulas of the module docstring (the last two free of cancellation)."""
     with np.errstate(all="ignore"):
         n1, m1 = _n_at(op, q, lam2, mu2), _m_abs_at(op, q, lam2, mu2)
         xx = op * op
@@ -196,7 +199,8 @@ def _coefficient_arrays(gamma, q, lam2, mu2, op, Delta, dt, ot, c, s, C, S, delt
         g = gamma * ot
         beta = g * (delta_N + delta_M * c + dt * ups[1]), g * (delta_M * s - dt * ups[0])
         g_dec = gamma * (0.5 + (C * a1 - S * b1) - shift * s)
-    return n1, m1, ups, n_tilde, m_tilde, delta, beta, g_dec
+        rotation = Delta / gamma + dt * delta_N - m1 * s - shift * c
+    return n1, m1, ups, n_tilde, m_tilde, delta, beta, g_dec, rotation
 
 
 def _one_point(bath: SqueezedVacuumParams, drive: DriveParams,
@@ -226,7 +230,7 @@ def effective_coefficients(
     channel; validate=False returns such coefficient sets anyway (useful
     for mapping where the description breaks down).
     """
-    coeffs = EffectiveCoefficients(bath.gamma, *_one_point(bath, drive, shifts)[3:7])
+    coeffs = EffectiveCoefficients(bath.gamma, *_one_point(bath, drive, shifts)[3:])
     if validate and coeffs.n_tilde < 0.0:
         raise _negative_n_tilde(coeffs.n_tilde)
     return coeffs

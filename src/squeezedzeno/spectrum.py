@@ -27,7 +27,8 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import InvalidParamsError, require_bound, require_carrier, require_finite_fields
+from .errors import (InvalidParamsError, require_bound, require_carrier, require_finite,
+                     require_finite_fields)
 
 FloatOrArray = Union[float, NDArray[np.float64]]
 
@@ -87,11 +88,19 @@ class SqueezedVacuumParams:
 def spectral_n(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
     """Mean photon number N(omega) of the squeezed reservoir.
 
-    Accepts a scalar or array of frequencies; returns the same shape.
+    Accepts a scalar or array of finite frequencies; returns the same shape.
     N is even in x = omega - omega_L, maximal at x = 0, nonnegative,
     and falls off as 1/x^4.
     """
-    return _at_offsets(_n_at, params, np.asarray(omega, dtype=float) - params.omega_L)
+    return _at_offsets(_n_at, params, _finite(omega) - params.omega_L)
+
+
+def _finite(omega: ArrayLike) -> NDArray[np.float64]:
+    """omega as a float array; InvalidParamsError at its first value that is not finite."""
+    omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        require_finite("omega", omega[~np.isfinite(omega)][0])
+    return omega
 
 
 def _at_offsets(profile, params: SqueezedVacuumParams, x: ArrayLike) -> FloatOrArray:
@@ -115,8 +124,8 @@ def _n_at(x, q, lam2, mu2):
 
 
 def spectral_m_abs(params: SqueezedVacuumParams, omega: ArrayLike) -> FloatOrArray:
-    """Magnitude |M(omega)| of the anomalous correlator."""
-    return _at_offsets(_m_abs_at, params, np.asarray(omega, dtype=float) - params.omega_L)
+    """Magnitude |M(omega)| of the anomalous correlator, at finite frequencies as spectral_n."""
+    return _at_offsets(_m_abs_at, params, _finite(omega) - params.omega_L)
 
 
 def _m_abs_at(x, q, lam2, mu2):

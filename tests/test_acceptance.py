@@ -79,12 +79,16 @@ def test_criterion_02_superoperator_consistency(time_budget):
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(1000):
+        gamma, n_tilde = rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0)
+        m_tilde, delta = complex(rng.normal(), rng.normal()), rng.normal()
         coeffs = EffectiveCoefficients(
-            gamma=rng.uniform(0.5, 2.0),
-            n_tilde=rng.uniform(0.0, 3.0),
-            m_tilde=complex(rng.normal(), rng.normal()),
-            delta=rng.normal(),
+            gamma=gamma,
+            n_tilde=n_tilde,
+            m_tilde=m_tilde,
+            delta=delta,
             beta=complex(rng.normal(), rng.normal()),
+            gamma_dec=gamma * (0.5 + n_tilde + m_tilde.real),
+            rotation=delta - m_tilde.imag,
         )
         drive = DriveParams(Omega=rng.uniform(0.0, 10.0), Delta=rng.normal())
         v = rng.normal(size=3)
@@ -241,14 +245,16 @@ def test_criterion_06_condition_algebra(time_budget):
     m_ims = rng.normal(size=10000)
     for g, nt, mr, mi in zip(gammas, n_tildes, m_res, m_ims):
         coeffs = EffectiveCoefficients(
-            gamma=g, n_tilde=nt, m_tilde=complex(mr, mi), delta=0.0, beta=0.0j
+            gamma=g, n_tilde=nt, m_tilde=complex(mr, mi), delta=0.0, beta=0.0j,
+            gamma_dec=g * (0.5 + nt + mr), rotation=-mi,
         )
         rhs = 1.0 + 2.0 * nt
         assert sustainable_condition(coeffs, "derived") == (2.0 * mr <= rhs)
         assert sustainable_condition(coeffs, "paper") == (4.0 * mr <= rhs)
 
     probe = EffectiveCoefficients(
-        gamma=1.0, n_tilde=0.0, m_tilde=0.5 + 0.0j, delta=0.0, beta=0.0j
+        gamma=1.0, n_tilde=0.0, m_tilde=0.5 + 0.0j, delta=0.0, beta=0.0j,
+        gamma_dec=1.0, rotation=0.0,
     )
     assert timescale_ratio(probe, 0.0, 100, "derived") == pytest.approx(1.0, abs=1e-15)
     assert timescale_ratio(probe, 0.0, 100, "paper") == pytest.approx(1.5, abs=1e-15)

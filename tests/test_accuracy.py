@@ -2,9 +2,10 @@
 
 reference() evaluates in mpmath, at 60 digits, every number the one-point
 chain reports, from the same float inputs: the spectra at the exact
-carrier offsets 0 and Omega', N~, M~, delta and beta with the asymptotic
-shifts, both rates, both decay times, both ratios, the angular left side
-and the sufficient-condition margin.  With each value it carries a
+carrier offsets 0 and Omega', N~, M~, delta, beta and the rotation
+delta - Im M~ with the asymptotic shifts or given ones, both rates, both
+decay times, both ratios, the angular left side and the
+sufficient-condition margin.  With each value it carries a
 first-order bound on the error that rounding to doubles accumulates when
 the value is formed in the library's order of operations (running error
 analysis, Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -17,8 +18,9 @@ FACTOR times that bound:
   forms it: the spectra and N~, M~, Gamma_dec over the two Lorentzians
   A = q/(x^2 + mu^2) and B = q/(x^2 + lambda^2) with q = gamma epsilon
   (see the coefficients module), Gamma_dec as gamma (1/2 + C A(Omega') -
-  S B(Omega') - Delta~ delta_M s), which carries none of the terms of
-  size 1/mu^2 that N~ and Re M~ each hold near epsilon = gamma, the
+  S B(Omega') - Delta~ delta_M s) and the rotation as Delta/gamma +
+  Delta~ delta_N - |M| s - Delta~ delta_M c, which carry none of the terms
+  of size 1/mu^2 that N~, M~ and delta each hold near epsilon = gamma, the
   angular left side with its numerator expanded as |M| c - Delta~
   delta_M s (no rounded angle), and the margin's offset as
   mu lambda / (2 gamma) (no difference of squares).
@@ -47,11 +49,15 @@ from squeezedzeno import (
     SqueezedVacuumParams,
     SqueezingShifts,
     UnphysicalCoefficientsError,
+    bloch_generator,
     effective_coefficients,
     evaluate_regime,
+    quadrature_decay_rate,
+    resolve_shifts,
     spectral_m_abs,
     spectral_n,
     tan_theta_asymptotic,
+    timescale_ratio,
 )
 from squeezedzeno.analysis import SWEEP_COLUMNS
 from squeezedzeno.cli import main
@@ -139,14 +145,22 @@ def _tan(z: Rounded) -> Rounded:
     return _function(t, z.bound * (1 + t * t))
 
 
+def _plus(a: Rounded, b: Rounded) -> Rounded:
+    """a + b, where a b of value zero (from delta_N = 0 or Delta~ = 0) is the library's
+    exact zero too, so that the sum adds no rounding."""
+    return a + b if b.value else a
+
+
 def _spectra(x: Rounded, q: Rounded, lam2: Rounded, mu2: Rounded) -> tuple[Rounded, Rounded]:
     """N and |M| at the carrier offset x, formed as spectrum._n_at and _m_abs_at form them."""
     xx = x * x
     return 4 * q * q / ((xx + mu2) * (xx + lam2)), q * (1 / (xx + mu2) + 1 / (xx + lam2))
 
 
-def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
-    """Every number of the chain at this point, as a Rounded, by name."""
+def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int,
+              shifts: SqueezingShifts | None = None) -> dict:
+    """Every number of the chain at this point, as a Rounded, by name, at the given
+    shifts or, without them, at the asymptotic preset evaluated here."""
     gamma, epsilon, phi, omega_L = map(_lift, (bath.gamma, bath.epsilon, bath.phi, bath.omega_L))
     Omega, Delta = _lift(drive.Omega), _lift(drive.Delta)
     lam, mu, q = gamma + epsilon, gamma - epsilon, gamma * epsilon
@@ -159,11 +173,14 @@ def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
         (MP.sin, phi.value / 2)))
     C, S = 2 * half_c * half_c, 2 * half_s * half_s
     n1, m1 = _spectra(op, q, lam2, mu2)
-    if m1.value < 2.0 ** -1022 and op.value:  # |M| goes subnormal: delta_M's far-wing form
-        m_op = q * (1 / (op + mu2 / op) + 1 / (op + lam2 / op))
+    if shifts is not None:
+        delta_N, delta_M = _lift(shifts.delta_N), _lift(shifts.delta_M)
     else:
-        m_op = m1 * op
-    delta_M = m_op * (lam + mu) / (lam * mu)
+        if m1.value < 2.0 ** -1022 and op.value:  # |M| goes subnormal: delta_M's far-wing form
+            m_op = q * (1 / (op + mu2 / op) + 1 / (op + lam2 / op))
+        else:
+            m_op = m1 * op
+        delta_N, delta_M = _lift(0.0), m_op * (lam + mu) / (lam * mu)
     xx = op * op
     a1, b1 = q / (xx + mu2), q / (xx + lam2)
     # A(0) - A(Omega') and B(0) - B(Omega'), 0 at Omega' = 0
@@ -183,8 +200,9 @@ def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
     ref = {
         "n1": n1, "m1": m1, "ups_re": ups_re, "ups_im": ups_im, "delta_M": delta_M,
         "n_tilde": n_tilde, "m_re": m_re, "m_im": m_im,
-        "delta": Delta / gamma - transverse * ups_im,
-        "beta_re": gamma * ot * (delta_M * c + dt * ups_im),
+        "delta": _plus(Delta / gamma - transverse * ups_im, dt * delta_N),
+        "rotation": (_plus(Delta / gamma, dt * delta_N) - m1 * s) - shift * c,
+        "beta_re": gamma * ot * (_plus(delta_M * c, delta_N) + dt * ups_im),
         "beta_im": gamma * ot * (delta_M * s - dt * ups_re),
         "Gamma_dec": g_dec,
         "Gamma_pop": g_pop,
@@ -203,18 +221,22 @@ def reference(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
     return ref
 
 
-def library(bath: SqueezedVacuumParams, drive: DriveParams, n: int) -> dict:
-    """The same numbers from the library (a verdict column is missing where it raises)."""
-    shifts = SqueezingShifts.asymptotic(bath, drive)
+def library(bath: SqueezedVacuumParams, drive: DriveParams, n: int,
+            shifts: SqueezingShifts | None = None) -> dict:
+    """The same numbers from the library, at the given shifts or the asymptotic preset
+    (a verdict column is missing where it raises)."""
+    spec = "asymptotic" if shifts is None else shifts
+    shifts = resolve_shifts(spec, bath, drive)
     co = effective_coefficients(bath, drive, shifts, validate=False)
     n1, m1, ups = _one_point(bath, drive)[:3]
     got = {
         "n1": n1, "m1": m1, "ups_re": ups.real, "ups_im": ups.imag, "delta_M": shifts.delta_M,
         "n_tilde": co.n_tilde, "m_re": co.m_tilde.real, "m_im": co.m_tilde.imag,
-        "delta": co.delta, "beta_re": co.beta.real, "beta_im": co.beta.imag,
+        "delta": co.delta, "rotation": co.rotation, "beta_re": co.beta.real,
+        "beta_im": co.beta.imag,
     }
     try:
-        verdict = evaluate_regime(bath, drive, n)
+        verdict = evaluate_regime(bath, drive, n, shifts=spec)
     except (UnphysicalCoefficientsError, InvalidParamsError) as exc:
         got["skipped"] = exc
         return got
@@ -286,8 +308,18 @@ def test_one_point_chain_within_its_stated_bounds(point):
     check_point(*point)
 
 
-# the golden sweeps at the asymptotic shifts, and how many rows of each are checked
-CERTIFIED_SWEEPS = ("criterion-10", "mixed-6400", "wide-range", "carrier-faults", "width-faults")
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(points(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+@example((DEFAULT_BATH, DriveParams(10.0, 1.0), 100), 0.05, 0.2)
+def test_one_point_chain_at_given_shifts_within_its_stated_bounds(point, delta_N, delta_M):
+    # delta_N enters delta, beta and the rotation; delta_M is taken as given
+    shifts = SqueezingShifts(delta_N, delta_M)
+    check(reference(*point, shifts), library(*point, shifts))
+
+
+# the golden sweeps, and how many rows of each are checked
+CERTIFIED_SWEEPS = ("criterion-10", "mixed-6400", "wide-range", "carrier-faults", "width-faults",
+                    "shifts-zero", "shifts-explicit")
 CERTIFIED_ROWS = 192
 
 # a skipped row's status, as the exception library() records for it
@@ -299,6 +331,7 @@ SKIPS = {"skipped: effective photon number is negative": UnphysicalCoefficientsE
 def test_sweep_rows_within_their_stated_bounds(name, tmp_path):
     # rows of the CLI's own payload, as printed: every float column within its bound
     _, fmt, config = PAYLOADS[f"sweep-{name}-json"]
+    spec = config.get("shifts")  # the asymptotic preset where the config sets none
     path, out = tmp_path / "config.json", tmp_path / "out.json"
     path.write_text(json.dumps(config))
     assert main(["sweep", "--format", fmt, "--config", str(path), "--out", str(out)]) == 0
@@ -319,7 +352,8 @@ def test_sweep_rows_within_their_stated_bounds(name, tmp_path):
         skip = next((exc for prefix, exc in SKIPS.items() if status.startswith(prefix)), None)
         got = ({"skipped": skip(status.removeprefix("skipped: "))} if skip else
                {k: row[k] for k in SWEEP_COLUMNS[7:-1] if row[k] is not None})
-        check(reference(bath, drive, int(row["n"])), got)
+        shifts = None if spec is None else resolve_shifts(spec, bath, drive)
+        check(reference(bath, drive, int(row["n"]), shifts), got)
 
 
 def _assert_relative(got: dict, ref: dict, names: tuple, tolerance: float) -> None:
@@ -363,6 +397,28 @@ def test_tan_theta_asymptotic_near_threshold_to_1e_15(distance):
     gamma, epsilon = MP.mpf(bath.gamma), MP.mpf(bath.epsilon)
     want = (gamma * gamma - epsilon * epsilon) / (2 * MP.mpf(drive.Delta) * gamma)
     assert abs(tan_theta_asymptotic(bath, drive) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("phi", [math.pi / 2, 0.75 * math.pi, math.pi])
+@pytest.mark.parametrize("distance", [1e-4, 1e-6, 1e-8])
+def test_record_quadrature_near_threshold_to_1e_12(phi, distance):
+    # N~ reaches 1e16 here: N~, M~ and delta each hold terms of size 1/mu^2 that
+    # cancel in Gamma_dec and in delta - Im M~, which the record stores
+    bath = SqueezedVacuumParams(1.0, 1.0 - distance, phi, 100.0)
+    drive = DriveParams(10.0, 0.0)
+    ref = {name: value.value for name, value in reference(bath, drive, 100).items()}
+    coeffs = effective_coefficients(bath, drive, SqueezingShifts.asymptotic(bath, drive))
+    mat = bloch_generator(coeffs, drive)[0]
+    gamma = MP.mpf(bath.gamma)
+    for got, want in (
+        (quadrature_decay_rate(coeffs), ref["Gamma_dec"]),
+        (timescale_ratio(coeffs, bath.omega_L, 100), ref["ratio_derived"]),
+        (mat[0, 0], -ref["Gamma_dec"]),
+        (mat[0, 1], -gamma * (ref["delta"] + ref["m_im"])),
+        (mat[1, 0], gamma * (ref["delta"] - ref["m_im"])),
+        (mat[1, 1], -(ref["Gamma_pop"] - ref["Gamma_dec"])),
+    ):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("fraction", [1e-6, 1e-9, 1e-12])

@@ -57,7 +57,8 @@ def test_ratio_probe_point():
     # the two reductions cleanly: the literal quotient is 1, the printed
     # one 3/2
     coeffs = EffectiveCoefficients(
-        gamma=1.0, n_tilde=0.0, m_tilde=0.5 + 0.0j, delta=0.0, beta=0.0j
+        gamma=1.0, n_tilde=0.0, m_tilde=0.5 + 0.0j, delta=0.0, beta=0.0j,
+        gamma_dec=1.0, rotation=0.0,
     )
     assert timescale_ratio(coeffs, 0.0, 100, "derived") == pytest.approx(1.0, rel=1e-15)
     assert timescale_ratio(coeffs, 0.0, 100, "paper") == pytest.approx(1.5, rel=1e-15)
@@ -67,10 +68,10 @@ def test_ratio_probe_point():
 
 def test_ratio_rejects_what_decay_time_approx_rejects():
     # a zero population denominator, and an omega_L that decay_time_approx refuses
-    singular = EffectiveCoefficients(1.0, -0.5, 0j, 0.0, 0j)
+    singular = EffectiveCoefficients(1.0, -0.5, 0j, 0.0, 0j, 0.0, 0.0)
     with pytest.raises(SingularDenominatorError):
         timescale_ratio(singular, 0.0, 1)
-    coeffs = EffectiveCoefficients(1.0, 0.1, 0j, 0.0, 0j)
+    coeffs = EffectiveCoefficients(1.0, 0.1, 0j, 0.0, 0j, 0.6, 0.0)
     # past max float / 2 the measurement rate 2 omega_L/n overflows (this ratio was nan)
     for bad, message in ((math.nan, "omega_L must be finite"), (-5.0, "omega_L must be >= 0"),
                          (1e308, "omega_L must be <= ")):
@@ -81,12 +82,16 @@ def test_ratio_rejects_what_decay_time_approx_rejects():
 def test_condition_is_the_stated_inequality():
     rng = np.random.default_rng(17)
     for _ in range(500):
+        gamma, n_tilde = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 3.0)
+        m_tilde, delta = complex(rng.normal(), rng.normal()), rng.normal()
         coeffs = EffectiveCoefficients(
-            gamma=rng.uniform(0.5, 2.0),
-            n_tilde=rng.uniform(-0.5, 3.0),
-            m_tilde=complex(rng.normal(), rng.normal()),
-            delta=rng.normal(),
+            gamma=gamma,
+            n_tilde=n_tilde,
+            m_tilde=m_tilde,
+            delta=delta,
             beta=0.0j,
+            gamma_dec=gamma * (0.5 + n_tilde + m_tilde.real),
+            rotation=delta - m_tilde.imag,
         )
         lhs2 = 2.0 * coeffs.m_tilde.real
         rhs = 1.0 + 2.0 * coeffs.n_tilde

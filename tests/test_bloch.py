@@ -64,12 +64,16 @@ def quadrature_effective_rates(coeffs):
 
 
 def random_coefficients(rng):
+    gamma, n_tilde = rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0)
+    m_tilde, delta = complex(rng.normal(), rng.normal()), rng.normal()
     return EffectiveCoefficients(
-        gamma=rng.uniform(0.5, 2.0),
-        n_tilde=rng.uniform(0.0, 3.0),
-        m_tilde=complex(rng.normal(), rng.normal()),
-        delta=rng.normal(),
+        gamma=gamma,
+        n_tilde=n_tilde,
+        m_tilde=m_tilde,
+        delta=delta,
         beta=complex(rng.normal(), rng.normal()),
+        gamma_dec=gamma * (0.5 + n_tilde + m_tilde.real),
+        rotation=delta - m_tilde.imag,
     )
 
 
@@ -257,7 +261,8 @@ def test_evolve_matches_rk45_reference_on_irregular_grid(method):
 # with N nilpotent and nonzero (the off-diagonals are -gamma (delta + Im M~)
 # and gamma (delta - Im M~)): a Jordan block with one degenerate rate
 EP_COEFFS = EffectiveCoefficients(
-    gamma=1.3, n_tilde=0.4, m_tilde=complex(0.3, 0.4), delta=0.5, beta=0.0j
+    gamma=1.3, n_tilde=0.4, m_tilde=complex(0.3, 0.4), delta=0.5, beta=0.0j,
+    gamma_dec=1.3 * (0.5 + 0.4 + 0.3), rotation=0.5 - 0.4,
 )
 EP_STATE = BlochState(complex(0.3, -0.2), 0.4)
 

@@ -158,7 +158,8 @@ def test_detuning_moves_delta():
 
 def test_coefficients_container_is_frozen():
     co = EffectiveCoefficients(
-        gamma=1.0, n_tilde=0.5, m_tilde=0.1 + 0.0j, delta=0.0, beta=0.0 + 0.0j
+        gamma=1.0, n_tilde=0.5, m_tilde=0.1 + 0.0j, delta=0.0, beta=0.0 + 0.0j,
+        gamma_dec=1.1, rotation=0.0,
     )
     with pytest.raises(AttributeError):
         co.gamma = 2.0

@@ -786,13 +786,14 @@ def test_cli_oracle_analytic_gamma_dec_is_the_reported_one(capsys):
 
 def test_cli_oracle_near_threshold_exits_2_with_one_error_line(tmp_path, capsys):
     # N~ + Re M~ cancelled to 0.0 here, and 3 / Gamma_dec ended in a ZeroDivisionError
-    # traceback; the cancellation-free Gamma_dec leaves the generator's size to refuse it
+    # traceback; the Gamma_dec probe is refused with the bath's N~ of 1e16
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps({"bath": {"epsilon": 0.99999999}}))
     assert main(["oracle", "--format", "json", "--config", str(cfgp)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: t_span too long: [^\n]+\n", captured.err)
+    assert re.fullmatch(r"error: the Gamma_dec rate probe cannot run at this bath: "
+                        r"its N~ = 1e\+16 [^\n]+\n", captured.err)
 
 
 # baths whose spectra leave the float range: lambda^4 overflows or mu^4 is subnormal

@@ -117,6 +117,15 @@ def test_vectorized_and_scalar():
     assert n[2] == spectral_n(BATH, BATH.omega_L)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, [1.0, math.inf],
+                                   np.array([[100.0, 101.0], [math.nan, 99.0]])])
+@pytest.mark.parametrize("spectrum", [spectral_n, spectral_m_abs])
+def test_nonfinite_frequency_is_refused(spectrum, omega):
+    # these returned nan, or 0.0 at an infinite frequency, without an error
+    with pytest.raises(InvalidParamsError, match="omega must be finite, got (nan|inf|-inf)$"):
+        spectrum(BATH, omega)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -45,6 +45,7 @@ from squeezedzeno import (
     effective_coefficients,
     evaluate_regime,
     population_decay_rate,
+    quadrature_decay_rate,
     regime_sweep,
     resolve_shifts,
     sufficient_condition_margin,
@@ -109,6 +110,9 @@ def reference_coefficients(bath, drive, shifts=SqueezingShifts(), validate=True)
         m_tilde=m_tilde,
         delta=float(delta),
         beta=beta,
+        gamma_dec=reference_gamma_dec(bath, drive, shifts),
+        # delta - Im M~ with the terms t Im Upsilon of the two cancelled
+        rotation=drive.Delta / bath.gamma + dt * shifts.delta_N - m1 * s - shift * c,
     )
 
 
@@ -318,12 +322,31 @@ def test_evaluate_regime_matches_scalar_reference():
         assert [(label, type(e), str(e)) for label, e in got.errors] == [
             (label, type(e), str(e)) for label, e in want.errors
         ]
+        _assert_record_rates_match(got, bath, drive, n)
         outcomes["partial" if got.errors else "ok"] += 1
     assert set(outcomes) == {"raised", "partial", "ok"}, outcomes
 
 
+def _assert_record_rates_match(verdict, bath, drive, n):
+    """The public functions of a coefficient record give the verdict's bits."""
+    coeffs = effective_coefficients(bath, drive, SqueezingShifts.asymptotic(bath, drive))
+    assert _same(quadrature_decay_rate(coeffs), verdict.Gamma_dec), (coeffs, verdict)
+    assert _same(timescale_ratio(coeffs, bath.omega_L, n), verdict.ratio_derived), verdict
+
+
+@pytest.mark.parametrize("phi, gamma_dec", [(math.pi / 2, 0.500384615377071),
+                                            (math.pi, 0.48076923095414204)])
+def test_record_rates_match_the_kernel_near_threshold(phi, gamma_dec):
+    # N~ is 5e15 and 1e16 here: the sum of the record's N~ and Re M~ read 1.0 and 0.0
+    bath, drive = SqueezedVacuumParams(1.0, 1.0 - 1e-8, phi, 100.0), DriveParams(10.0, 0.0)
+    verdict = evaluate_regime(bath, drive, 100)
+    assert verdict.Gamma_dec == gamma_dec
+    _assert_record_rates_match(verdict, bath, drive, 100)
+
+
 def _parts(c: EffectiveCoefficients) -> tuple:
-    return c.gamma, c.n_tilde, c.m_tilde.real, c.m_tilde.imag, c.delta, c.beta.real, c.beta.imag
+    return (c.gamma, c.n_tilde, c.m_tilde.real, c.m_tilde.imag, c.delta, c.beta.real,
+            c.beta.imag, c.gamma_dec, c.rotation)
 
 
 def _assert_coefficients_match_reference(bath, drive, shifts):

@@ -291,7 +291,7 @@ _FINITE = st.one_of(st.sampled_from(_EDGES + tuple(-e for e in _EDGES)),
 
 
 # Gamma_dec = 0.6 and Gamma_pop = 1.2 at gamma = 1
-_RATIO_COEFFS = EffectiveCoefficients(1.0, 0.1, 0j, 0.0, 0j)
+_RATIO_COEFFS = EffectiveCoefficients(1.0, 0.1, 0j, 0.0, 0j, 0.6, 0.0)
 
 
 def _or_none(fn, *args):
